@@ -10,10 +10,8 @@
 //! accelerated solve), wall times, BER.
 //!
 //! Usage: `cargo run --release -p stochcdr-bench --bin bench_snapshot --
-//! [--out BENCH.json] [--refinement N] [--symbols N] [--spmv-only]
-//! [--ledger LEDGER.jsonl]` (`scripts/bench_snapshot.sh` wraps this with
-//! a dated filename). `--ledger` additionally appends the run's headline
-//! numbers to the perf-trend ledger (see `bench_trend`).
+//! [--out BENCH.json] [--refinement N] [--symbols N] [--spmv-only]`
+//! (`scripts/bench_snapshot.sh` wraps this with a dated filename).
 //!
 //! `--spmv-only` skips everything except the large-operator SpMV probe
 //! and writes a mini-snapshot with the `spmv_large_*` fields — the cheap
@@ -246,8 +244,8 @@ fn main() {
     // far larger than anything else in this snapshot while each factor
     // stays tiny. The structural numbers (states, nnz, cycles, residual)
     // are deterministic, but the whole block is recorded as advisory in
-    // `bench_gate` — the implicit path is tracked for trend visibility,
-    // not gated, while it is still young.
+    // `bench_gate` — the implicit path is recorded for visibility, not
+    // gated, while it is still young.
     // Coarse grid, so the drift is scaled up to stay resolvable (the
     // Fig.-5 drift rounds to zero against a refinement-2 grid step).
     let lane_config = CdrConfig::builder()
@@ -393,26 +391,6 @@ fn main() {
     obs::json::Json::parse(&json).expect("snapshot serializes to valid JSON");
 
     std::fs::write(&out_path, &json).expect("write snapshot");
-
-    // `--ledger PATH`: append this run's headline numbers to the
-    // perf-trend history (one JSONL record; see `bench_trend`).
-    if let Some(ledger_path) = flag(&args, "--ledger") {
-        use stochcdr_bench::trend;
-        let record = trend::snapshot_to_record(
-            &json,
-            &trend::label_from_path(&out_path),
-            &trend::git_short_rev(),
-        )
-        .expect("snapshot carries every ledger field");
-        let mut existing = std::fs::read_to_string(&ledger_path).unwrap_or_default();
-        if !existing.is_empty() && !existing.ends_with('\n') {
-            existing.push('\n');
-        }
-        existing.push_str(&record.render());
-        existing.push('\n');
-        std::fs::write(&ledger_path, existing).expect("append ledger record");
-        println!("appended {} record to {ledger_path}", record.label);
-    }
 
     println!(
         "wrote {out_path}: {} states, {} cycles (accel {} = {:.2} eq), BER {:.3e}, \

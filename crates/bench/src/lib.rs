@@ -8,7 +8,6 @@
 use stochcdr::{CdrConfig, Result};
 
 pub mod golden;
-pub mod trend;
 
 /// The phase-grid geometry used by the figure experiments: 8 VCO phases
 /// (`G = UI/8`, a coarse phase mux whose hunting penalty is visible),
@@ -30,9 +29,10 @@ pub const FIG_DRIFT_DEV: f64 = 8e-3;
 
 /// The operating point of the counter-length study (Figure 5): noise
 /// levels held constant while the counter length sweeps {4, 8, 16}.
-/// Calibrated (see `bin/tune.rs`) so the BER minimum falls at length 8
-/// with the fast-loop penalty at 4 and the slow-loop penalty at 16, the
-/// shape the paper reports.
+/// Calibrated with a counter-length sweep over noise operating points
+/// (see EXPERIMENTS.md's calibration note) so the BER minimum falls at
+/// length 8 with the fast-loop penalty at 4 and the slow-loop penalty at
+/// 16, the shape the paper reports.
 pub const FIG5_SIGMA: f64 = 0.05;
 /// Figure-5 drift mean.
 pub const FIG5_DRIFT_MEAN: f64 = 2e-3;

@@ -114,8 +114,8 @@ pub fn usage() -> String {
      \x20                      (default: solver-specific; adaptive escalates\n\
      \x20                      V->F->W on stalling reduction factors)\n\
      \x20 --accel MODE         Krylov acceleration of multigrid solves:\n\
-     \x20                      gmres (always on) | stall (arm on stall\n\
-     \x20                      detection) | off (default: solver-specific)\n\
+     \x20                      gmres (always on) | off (default:\n\
+     \x20                      solver-specific)\n\
      \x20 --restart N          Krylov window length (2..=16 with --accel;\n\
      \x20                      default 8, scale 12) / gmres Arnoldi\n\
      \x20                      restart (default 50)\n\
@@ -179,7 +179,7 @@ pub struct Options {
     /// Multigrid cycle-schedule override (`--cycle v|f|w|adaptive`);
     /// `None` keeps each solver's default.
     pub cycle: Option<CycleSchedule>,
-    /// Krylov-acceleration override (`--accel gmres|stall|off`): outer
+    /// Krylov-acceleration override (`--accel gmres|off`): outer
     /// `None` keeps the solver's default, `Some(None)` forces it off,
     /// `Some(Some(a))` forces a window configuration (restart length from
     /// `--restart`).
@@ -360,12 +360,11 @@ pub fn parse(argv: &[String]) -> Result<ParsedArgs, CliError> {
             match v.as_str() {
                 "off" => Some(None),
                 "gmres" => Some(Some(KrylovAccel::always(window))),
-                "stall" => Some(Some(KrylovAccel::on_stall(window))),
                 _ => {
                     return Err(CliError::BadValue {
                         flag: "--accel".into(),
                         value: v,
-                        expected: "gmres|stall|off",
+                        expected: "gmres|off",
                     })
                 }
             }
@@ -616,6 +615,25 @@ mod tests {
         );
         assert!(matches!(
             parse(&argv("analyze --threads many")),
+            Err(CliError::BadValue { .. })
+        ));
+    }
+
+    #[test]
+    fn accel_flag_accepts_gmres_and_off_only() {
+        assert_eq!(
+            parse(&argv("analyze --accel gmres --restart 6"))
+                .unwrap()
+                .options
+                .accel,
+            Some(Some(KrylovAccel::always(6)))
+        );
+        assert_eq!(
+            parse(&argv("analyze --accel off")).unwrap().options.accel,
+            Some(None)
+        );
+        assert!(matches!(
+            parse(&argv("analyze --accel stall")),
             Err(CliError::BadValue { .. })
         ));
     }

@@ -6,7 +6,7 @@ use stochcdr::acquisition::{lock_probability_curve, mean_lock_time, worst_case_s
 use stochcdr::ber::{bathtub, eye_opening_at_ber};
 use stochcdr::clock_jitter::analyze_clock_jitter;
 use stochcdr::cycle_slip::{mean_time_between_slips, mean_time_to_first_slip};
-use stochcdr::{report, CdrAnalysis, CdrChain, CdrModel};
+use stochcdr::{report, CdrAnalysis, CdrChain, CdrError, CdrModel};
 use stochcdr_linalg::pattern;
 use stochcdr_obs as obs;
 use stochcdr_sweep::{render as sweep_render, run as sweep_run, SweepAxis, SweepSpec};
@@ -319,12 +319,22 @@ fn extra_f64(opts: &Options, name: &str, default: f64) -> Result<f64, CliError> 
     }
 }
 
+/// Mean time between slips as report text. A zero stationary slip rate
+/// is an answer (the loop never slips), not a failure.
+fn mtbs_text(chain: &CdrChain, eta: &[f64]) -> Result<String, CliError> {
+    match mean_time_between_slips(chain, eta) {
+        Ok(mtbs) => Ok(format!("{mtbs:.3e} symbols")),
+        Err(CdrError::ZeroSlipRate) => Ok("inf (stationary slip rate is zero)".into()),
+        Err(e) => Err(e.into()),
+    }
+}
+
 fn analyze(opts: &Options) -> Result<String, CliError> {
     let (chain, a) = build_and_solve(opts)?;
     let mut out = String::new();
     let _ = writeln!(out, "{}", report::figure_panel(&chain, &a));
-    let mtbs = mean_time_between_slips(&chain, &a.stationary)?;
-    let _ = writeln!(out, "mean time between cycle slips: {mtbs:.3e} symbols");
+    let mtbs = mtbs_text(&chain, &a.stationary)?;
+    let _ = writeln!(out, "mean time between cycle slips: {mtbs}");
     if chain.pruned_states() > 0 {
         let _ = writeln!(
             out,
@@ -494,10 +504,10 @@ fn bathtub_cmd(opts: &Options) -> Result<String, CliError> {
 
 fn slip(opts: &Options) -> Result<String, CliError> {
     let (chain, a) = build_and_solve(opts)?;
-    let mtbs = mean_time_between_slips(&chain, &a.stationary)?;
+    let mtbs = mtbs_text(&chain, &a.stationary)?;
     let mut out = String::new();
     let _ = writeln!(out, "BER                         : {:.3e}", a.ber);
-    let _ = writeln!(out, "mean time between slips     : {mtbs:.3e} symbols");
+    let _ = writeln!(out, "mean time between slips     : {mtbs}");
     match mean_time_to_first_slip(&chain, 1) {
         Ok(first) => {
             let _ = writeln!(out, "first slip from lock        : {first:.3e} symbols");

@@ -41,9 +41,10 @@ use crate::{CdrChain, CdrError, Result};
 ///
 /// # Errors
 ///
-/// Returns [`CdrError::Config`] if `eta` has the wrong length, or if the
-/// slip rate is exactly zero (no slip is reachable — infinite MTBS is
-/// reported as an error rather than `inf` so callers must handle it).
+/// Returns [`CdrError::Config`] if `eta` has the wrong length, and
+/// [`CdrError::ZeroSlipRate`] if the slip rate is exactly zero (no slip is
+/// reachable — infinite MTBS is reported as an error rather than `inf` so
+/// callers must handle it).
 pub fn mean_time_between_slips(chain: &CdrChain, eta: &[f64]) -> Result<f64> {
     if eta.len() != chain.state_count() {
         return Err(CdrError::Config(format!(
@@ -58,9 +59,7 @@ pub fn mean_time_between_slips(chain: &CdrChain, eta: &[f64]) -> Result<f64> {
         .map(|(&e, &w)| e * w)
         .sum();
     if rate <= 0.0 {
-        return Err(CdrError::Config(
-            "stationary slip rate is zero; the configured noise cannot produce slips".into(),
-        ));
+        return Err(CdrError::ZeroSlipRate);
     }
     Ok(1.0 / rate)
 }
@@ -197,5 +196,18 @@ mod tests {
     fn wrong_eta_length_rejected() {
         let c = chain(0.06);
         assert!(mean_time_between_slips(&c, &[0.5, 0.5]).is_err());
+    }
+
+    #[test]
+    fn zero_slip_rate_has_its_own_error() {
+        // All mass on a state that cannot wrap in one step.
+        let c = chain(0.06);
+        let safe = c.wrap_prob().iter().position(|&w| w == 0.0).unwrap();
+        let mut eta = vec![0.0; c.state_count()];
+        eta[safe] = 1.0;
+        assert_eq!(
+            mean_time_between_slips(&c, &eta),
+            Err(CdrError::ZeroSlipRate)
+        );
     }
 }

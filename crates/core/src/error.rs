@@ -16,6 +16,9 @@ pub enum CdrError {
     Fsm(stochcdr_fsm::FsmError),
     /// Markov-chain analysis failed.
     Markov(stochcdr_markov::MarkovError),
+    /// The stationary cycle-slip rate is exactly zero: the chain never
+    /// slips, so the mean time between slips is infinite.
+    ZeroSlipRate,
 }
 
 impl fmt::Display for CdrError {
@@ -25,6 +28,10 @@ impl fmt::Display for CdrError {
             CdrError::Noise(e) => write!(f, "noise model error: {e}"),
             CdrError::Fsm(e) => write!(f, "FSM network error: {e}"),
             CdrError::Markov(e) => write!(f, "Markov analysis error: {e}"),
+            CdrError::ZeroSlipRate => write!(
+                f,
+                "stationary slip rate is zero; the configured noise cannot produce slips"
+            ),
         }
     }
 }
@@ -32,7 +39,7 @@ impl fmt::Display for CdrError {
 impl std::error::Error for CdrError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            CdrError::Config(_) => None,
+            CdrError::Config(_) | CdrError::ZeroSlipRate => None,
             CdrError::Noise(e) => Some(e),
             CdrError::Fsm(e) => Some(e),
             CdrError::Markov(e) => Some(e),

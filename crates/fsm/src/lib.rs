@@ -61,7 +61,6 @@
 
 mod builder;
 pub mod cache;
-pub mod dot;
 mod error;
 mod kron_op;
 mod mealy;

@@ -11,14 +11,13 @@
 //! * [`CooMatrix`] — triplet builder with duplicate summing,
 //! * [`CsrMatrix`] — compressed sparse row storage with `x·A`, `A·x`,
 //!   transpose, row iteration, pruning and scaling,
-//! * [`CscMatrix`] — compressed sparse column view for column-major access,
 //! * [`DenseMatrix`] + [`LuFactors`] — dense direct solves for coarse grids,
 //! * [`kron`] — Kronecker products/sums used by compositional FSM models,
 //! * [`vecops`] — the handful of BLAS-1 kernels iterative solvers need,
 //! * [`pattern`] — nonzero-pattern statistics and "spy" rendering
 //!   (the paper's Figure 3),
 //! * [`TransitionOp`] — the matrix-free operator interface every solver
-//!   consumes, implemented by CSR/CSC/dense here and by structured
+//!   consumes, implemented by CSR/dense here and by structured
 //!   backends downstream,
 //! * [`par`] — a zero-dependency persistent worker pool whose kernels
 //!   are bit-identical for every thread count, with cache-aware
@@ -45,7 +44,6 @@
 #![deny(unsafe_code)]
 
 mod coo;
-mod csc;
 mod csr;
 mod dense;
 mod error;
@@ -55,11 +53,9 @@ mod lu;
 mod op;
 pub mod par;
 pub mod pattern;
-mod permute;
 pub mod vecops;
 
 pub use coo::CooMatrix;
-pub use csc::CscMatrix;
 pub use csr::CsrMatrix;
 pub use dense::DenseMatrix;
 pub use error::{LinalgError, Result};
@@ -67,4 +63,3 @@ pub use gmres::{gmres, GmresOptions, GmresResult};
 pub use lu::LuFactors;
 pub use op::TransitionOp;
 pub use par::RowPartition;
-pub use permute::Permutation;

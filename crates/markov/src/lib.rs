@@ -11,7 +11,7 @@
 //!   "mean time between cycle slips ... involves solving a linear system
 //!   with the (modified) TPM"),
 //! * [`classify`] — communicating classes, irreducibility and periodicity,
-//! * [`lumping`] — exact and weighted (weak) lumping of chains, the building
+//! * [`lumping`] — weighted (weak) lumping of chains, the building
 //!   block of aggregation/disaggregation multigrid,
 //! * [`transient`] — finite-horizon distribution evolution,
 //! * [`functional`] — expectations, tails and autocorrelations of functions
@@ -39,7 +39,6 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod censored;
 pub mod classify;
 mod error;
 pub mod functional;

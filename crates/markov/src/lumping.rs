@@ -1,4 +1,4 @@
-//! Exact and weighted (weak) lumping of Markov chains.
+//! Weighted (weak) lumping of Markov chains.
 //!
 //! The paper builds its multigrid solver on lumpability: "we partition these
 //! N states into n disjoint sets ... and form a new stochastic process by
@@ -9,8 +9,6 @@
 //! is precisely the aggregation step of aggregation/disaggregation methods.
 //!
 //! * [`Partition`] — a validated partition of the state space,
-//! * [`is_exactly_lumpable`] — Kemeny–Snell strong-lumpability test,
-//! * [`lump_exact`] — the lumped TPM of an exactly lumpable partition,
 //! * [`lump_weighted`] — the aggregated TPM with respect to a weight vector
 //!   (rows of each block averaged with the block-conditional weights).
 //!
@@ -182,59 +180,6 @@ fn block_weights(partition: &Partition, w: &[f64]) -> (Vec<f64>, Vec<usize>) {
     });
     let size = (0..nb).map(|b| partition.block_members(b).len()).collect();
     (weight, size)
-}
-
-/// Tests Kemeny–Snell strong lumpability: the partition is exactly lumpable
-/// iff for every pair of states in the same block, the total transition
-/// probability into *each* block agrees (within `tol`).
-///
-/// # Panics
-///
-/// Panics if `partition.n() != p.n()`.
-pub fn is_exactly_lumpable(p: &StochasticMatrix, partition: &Partition, tol: f64) -> bool {
-    assert_eq!(partition.n(), p.n(), "partition must cover the state space");
-    let nb = partition.block_count();
-    let mut reference: Vec<Option<Vec<f64>>> = vec![None; nb];
-    let mut row_mass = vec![0.0f64; nb];
-    for i in 0..p.n() {
-        row_mass.fill(0.0);
-        for (j, v) in p.matrix().row(i) {
-            row_mass[partition.block_of(j)] += v;
-        }
-        let b = partition.block_of(i);
-        match &reference[b] {
-            None => reference[b] = Some(row_mass.clone()),
-            Some(r) => {
-                for (a, b) in r.iter().zip(&row_mass) {
-                    if (a - b).abs() > tol {
-                        return false;
-                    }
-                }
-            }
-        }
-    }
-    true
-}
-
-/// Lumps an exactly lumpable chain.
-///
-/// # Errors
-///
-/// Returns [`MarkovError::InvalidArgument`] if the partition fails the
-/// strong-lumpability test at tolerance `tol`.
-pub fn lump_exact(
-    p: &StochasticMatrix,
-    partition: &Partition,
-    tol: f64,
-) -> Result<StochasticMatrix> {
-    if !is_exactly_lumpable(p, partition, tol) {
-        return Err(MarkovError::InvalidArgument(
-            "partition is not exactly lumpable; use lump_weighted".into(),
-        ));
-    }
-    // Any member row represents its block; use uniform weights.
-    let w = vec![1.0; p.n()];
-    lump_weighted(p, partition, &w)
 }
 
 /// Aggregates the chain with respect to non-negative weights `w` (typically
@@ -994,7 +939,7 @@ pub fn lump_op_with_plan(
 
 /// Allocates a coarse matrix from the plan's pattern and refreshes it via
 /// [`lump_weighted_into`] — the allocating entry point for callers that
-/// hold a plan but no matrix yet (hierarchy setup, FMG chains).
+/// hold a plan but no matrix yet (hierarchy setup).
 ///
 /// # Errors
 ///
@@ -1152,39 +1097,12 @@ mod tests {
     }
 
     #[test]
-    fn exact_lumpability_detected() {
-        let p = lumpable_chain();
-        let part = Partition::from_labels(vec![0, 0, 1, 1]).unwrap();
-        assert!(is_exactly_lumpable(&p, &part, 1e-12));
-        // A partition that mixes the blocks is not lumpable.
-        let bad = Partition::from_labels(vec![0, 1, 0, 1]).unwrap();
-        assert!(!is_exactly_lumpable(&p, &bad, 1e-12));
-    }
-
-    #[test]
-    fn lump_exact_produces_correct_tpm() {
-        let p = lumpable_chain();
-        let part = Partition::from_labels(vec![0, 0, 1, 1]).unwrap();
-        let l = lump_exact(&p, &part, 1e-12).unwrap();
-        assert_eq!(l.n(), 2);
-        assert!((l.prob(0, 0) - 0.6).abs() < 1e-12);
-        assert!((l.prob(0, 1) - 0.4).abs() < 1e-12);
-        assert!((l.prob(1, 0) - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn lump_exact_rejects_non_lumpable() {
-        let p = lumpable_chain();
-        let bad = Partition::from_labels(vec![0, 1, 0, 1]).unwrap();
-        assert!(lump_exact(&p, &bad, 1e-12).is_err());
-    }
-
-    #[test]
     fn lumped_stationary_matches_aggregated_fine_stationary() {
-        // For an exactly lumpable partition, aggregate(η_fine) = η_lumped.
+        // For an exactly lumpable partition, aggregate(η_fine) = η_lumped:
+        // any member row represents its block, so uniform weights lump it.
         let p = lumpable_chain();
         let part = Partition::from_labels(vec![0, 0, 1, 1]).unwrap();
-        let l = lump_exact(&p, &part, 1e-12).unwrap();
+        let l = lump_weighted(&p, &part, &[1.0; 4]).unwrap();
         let ef = GthSolver::new().solve(&p, None).unwrap().distribution;
         let el = GthSolver::new().solve(&l, None).unwrap().distribution;
         let agg = aggregate(&part, &ef);

@@ -147,11 +147,6 @@ impl ConvergenceTrace {
         Some(red)
     }
 
-    /// Whether the stall detector has tripped.
-    pub fn stalled(&self) -> bool {
-        self.stalled_at.is_some()
-    }
-
     /// Snapshot of the trajectory so far.
     pub fn summary(&self) -> ConvergenceSummary {
         ConvergenceSummary {
@@ -243,11 +238,11 @@ mod tests {
             res *= f;
             trace.observe(res);
         }
-        assert!(!trace.stalled());
+        assert!(!trace.summary().stalled);
         // One more slow cycle after a 2-streak completes the window.
         trace.observe(res * 0.95);
         trace.observe(res * 0.95 * 0.95);
-        assert!(trace.stalled());
+        assert!(trace.summary().stalled);
     }
 
     #[test]

@@ -258,17 +258,20 @@ mod tests {
     #[test]
     fn shifted_row_traversal_matches_matvec() {
         let p = birth_death(8, 0.4);
-        let op = ShiftedStationaryOp { p: &p, alpha: 1.0 / 8.0 };
+        let op = ShiftedStationaryOp {
+            p: &p,
+            alpha: 1.0 / 8.0,
+        };
         // Rebuild B column-action from rows and compare against
         // mul_right_into on a ramp vector.
         let x: Vec<f64> = (0..8).map(|i| (i + 1) as f64).collect();
         let mut y = vec![0.0; 8];
         op.mul_right_into(&x, &mut y);
         let mut y_rows = vec![0.0; 8];
-        for r in 0..8 {
+        for (r, yr) in y_rows.iter_mut().enumerate() {
             let mut acc = 0.0;
             op.for_each_in_row(r, &mut |c, v| acc += v * x[c]);
-            y_rows[r] = acc;
+            *yr = acc;
         }
         for (a, b) in y.iter().zip(&y_rows) {
             assert!((a - b).abs() < 1e-12, "{a} vs {b}");

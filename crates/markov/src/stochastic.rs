@@ -344,6 +344,18 @@ mod tests {
     }
 
     #[test]
+    fn transpose_op_default_forwards_the_csr_transpose() {
+        // StochasticMatrix overrides only `transpose_csr`; the trait's
+        // default `transpose_op` must serve that cached transpose.
+        let p = two_state(0.3, 0.6);
+        let t = TransitionOp::transpose_op(&p).expect("chain serves a transpose op");
+        let x = vec![0.1, 0.9];
+        assert_eq!(t.mul_right(&x), p.transposed().mul_right(&x));
+        // Backends without a cached transpose default to None.
+        assert!(TransitionOp::transpose_op(p.matrix()).is_none());
+    }
+
+    #[test]
     fn transposed_step_is_bit_identical_to_scatter() {
         // The parallel step computes P^T x on the cached transpose; it must
         // reproduce the serial scatter x P bit for bit (same per-element

@@ -128,7 +128,7 @@ pub struct MgHierarchy {
 impl MgHierarchy {
     /// Builds the numeric side of a hierarchy from prevalidated plans:
     /// allocates every level's storage and refreshes each coarse chain
-    /// with uniform weights (the same chains FMG initialization uses).
+    /// with uniform weights.
     pub(crate) fn build(
         p: &StochasticMatrix,
         partitions: &[Partition],

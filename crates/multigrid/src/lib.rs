@@ -57,13 +57,11 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-mod adaptive;
 mod coarsen;
 mod hierarchy;
 mod smoother;
 mod solver;
 
-pub use adaptive::{StrengthCoarsening, MAX_AGGREGATE};
 pub use coarsen::{GeometricCoarsening, PairwiseCoarsening};
 pub use hierarchy::{MgHierarchy, MgPhases};
 pub use smoother::Smoother;

@@ -239,27 +239,12 @@ pub const DEFAULT_KRYLOV_RESTART: usize = 8;
 pub struct KrylovAccel {
     /// Window length (iterates per extrapolation), in `2..=16`.
     pub restart: usize,
-    /// When true, the window only starts filling after the
-    /// [`ConvergenceTrace`] stall detector fires; when false it is armed
-    /// from the first cycle.
-    pub on_stall_only: bool,
 }
 
 impl KrylovAccel {
     /// Acceleration armed from the first cycle.
     pub fn always(restart: usize) -> Self {
-        KrylovAccel {
-            restart,
-            on_stall_only: false,
-        }
-    }
-
-    /// Acceleration armed by the stall detector.
-    pub fn on_stall(restart: usize) -> Self {
-        KrylovAccel {
-            restart,
-            on_stall_only: true,
-        }
+        KrylovAccel { restart }
     }
 }
 
@@ -281,7 +266,6 @@ pub struct MultigridBuilder {
     tol: f64,
     max_cycles: usize,
     coarse_direct_max: usize,
-    fmg: bool,
     plans: Option<Arc<Vec<LumpPlan>>>,
 }
 
@@ -362,16 +346,6 @@ impl MultigridBuilder {
         self
     }
 
-    /// Enables full-multigrid (FMG) initialization (default off): before
-    /// cycling, the chain is recursively aggregated to the coarsest level
-    /// with uniform weights, solved there directly, and the solution
-    /// prolonged back up — a coarse-grid first guess that usually saves
-    /// several fine-level cycles.
-    pub fn fmg(mut self, enable: bool) -> Self {
-        self.fmg = enable;
-        self
-    }
-
     /// Injects precomputed symbolic lumping plans (default: none; the
     /// solver runs the symbolic analysis itself during
     /// [`MultigridSolver::prepare`]). Plans are pure functions of the fine
@@ -395,7 +369,6 @@ impl MultigridBuilder {
             tol: self.tol,
             max_cycles: self.max_cycles,
             coarse_direct_max: self.coarse_direct_max,
-            fmg: self.fmg,
             plans: self.plans,
         }
     }
@@ -466,7 +439,6 @@ pub struct MultigridSolver {
     tol: f64,
     max_cycles: usize,
     coarse_direct_max: usize,
-    fmg: bool,
     plans: Option<Arc<Vec<LumpPlan>>>,
 }
 
@@ -496,7 +468,6 @@ impl MultigridSolver {
             tol: 1e-12,
             max_cycles: 200,
             coarse_direct_max: 4096,
-            fmg: false,
             plans: None,
         }
     }
@@ -732,7 +703,6 @@ impl MultigridSolver {
             ));
         }
         let x = match init {
-            None if self.fmg => self.fmg_initial(p, h)?,
             None => vecops::uniform(p.n()),
             Some(v) => checked_init(p.n(), v)?,
         };
@@ -746,14 +716,9 @@ impl MultigridSolver {
     /// distribution, cycle count and residuals are bit-identical to the
     /// materialized solve, at any thread count.
     ///
-    /// FMG initialization is not available on this path (it smooths on
-    /// every level's chain, including the fine one, with allocation);
-    /// pass an explicit `init` or start uniform.
-    ///
     /// # Errors
     ///
-    /// Same conditions as [`solve_prepared`](Self::solve_prepared), plus
-    /// [`MarkovError::InvalidArgument`] when FMG is enabled.
+    /// Same conditions as [`solve_prepared`](Self::solve_prepared).
     pub fn solve_op_prepared(
         &self,
         imp: &ImplicitStochastic<'_>,
@@ -766,11 +731,6 @@ impl MultigridSolver {
             ));
         }
         let x = match init {
-            None if self.fmg => {
-                return Err(MarkovError::InvalidArgument(
-                    "FMG initialization is not available on the implicit path".into(),
-                ));
-            }
             None => vecops::uniform(imp.n()),
             Some(v) => checked_init(imp.n(), v)?,
         };
@@ -851,10 +811,7 @@ impl MultigridSolver {
         let mut cycle_equivalents = 0.0;
 
         let mut kind = self.schedule.initial();
-        let mut krylov = match self.accel {
-            Some(a) if !a.on_stall_only => Some(KrylovWindow::new(fine.n(), a.restart)),
-            _ => None,
-        };
+        let mut krylov = self.accel.map(|a| KrylovWindow::new(fine.n(), a.restart));
         let mut krylov_windows = 0u64;
         let mut krylov_accepts = 0u64;
 
@@ -898,7 +855,10 @@ impl MultigridSolver {
                         if res_y < res {
                             krylov_accepts += 1;
                             obs::counter("solver.krylov.accepts", 1);
-                            obs::histogram("solver.krylov.gain", res / res_y.max(f64::MIN_POSITIVE));
+                            obs::histogram(
+                                "solver.krylov.gain",
+                                res / res_y.max(f64::MIN_POSITIVE),
+                            );
                             x.copy_from_slice(&w.y);
                             res = res_y;
                         } else {
@@ -909,17 +869,6 @@ impl MultigridSolver {
                 }
             }
             trace.observe(res);
-            if krylov.is_none() && trace.stalled() {
-                if let Some(a) = self.accel {
-                    // Stall-triggered arming: the window starts filling
-                    // from the next cycle on.
-                    obs::event(
-                        "solver.krylov.armed",
-                        &[("cycle", cycle.into()), ("restart", a.restart.into())],
-                    );
-                    krylov = Some(KrylovWindow::new(fine.n(), a.restart));
-                }
-            }
             if heartbeat.active() {
                 heartbeat.tick_solve(cycle as u64, res, trace.summary().ewma_reduction, self.tol);
             }
@@ -989,50 +938,6 @@ impl MultigridSolver {
             iterations: self.max_cycles,
             residual: *history.last().unwrap_or(&f64::NAN),
         })
-    }
-
-    /// Full-multigrid first guess over the prepared hierarchy: `prepare`
-    /// refreshed every coarse chain with uniform weights (exactly the
-    /// chains the from-scratch FMG built), so this just solves the
-    /// coarsest chain and prolongs back up with the cached uniform shares,
-    /// smoothing at each level. One-time initialization: allocation here
-    /// is fine.
-    fn fmg_initial(&self, p: &StochasticMatrix, h: &mut MgHierarchy) -> Result<Vec<f64>> {
-        // Re-refresh every level with uniform weights: a freshly prepared
-        // hierarchy already is (this is a bit-identical no-op there), but a
-        // reused one holds iterate-weighted chains from previous cycles.
-        for k in 0..h.levels.len() {
-            let (done, rest) = h.levels.split_at_mut(k);
-            let lvl = &mut rest[0];
-            let fine = if k == 0 { p } else { &done[k - 1].coarse };
-            let ones = vec![1.0; fine.n()];
-            lump_weighted_into(
-                fine,
-                &self.partitions[k],
-                &ones,
-                &h.plans[k],
-                &mut lvl.ws,
-                &mut lvl.coarse,
-            )?;
-        }
-        let MgHierarchy { levels, gth, .. } = h;
-        let coarsest = levels.last().map_or(p, |l| &l.coarse);
-        let mut x = vecops::uniform(coarsest.n());
-        self.solve_coarsest_ws(coarsest, gth, &mut x)?;
-        // Prolong upward with uniform in-block weights, smoothing as we go.
-        for (level, part) in self.partitions.iter().enumerate().rev() {
-            let mut xf = vec![0.0; part.n()];
-            disaggregate_scaled(part, &x, levels[level].ws.wscale(), &mut xf);
-            vecops::normalize_l1(&mut xf);
-            let chain = if level == 0 {
-                p
-            } else {
-                &levels[level - 1].coarse
-            };
-            self.smoother.apply(chain, &mut xf, self.post_sweeps.max(1));
-            x = xf;
-        }
-        Ok(x)
     }
 
     /// Smoothing sweeps with per-level accounting: a `smooth` span, the
@@ -1245,8 +1150,9 @@ impl MultigridSolver {
 
 /// Workspace for the windowed minimal-residual extrapolation: `restart`
 /// iterates with their residual vectors, plus the candidate buffer. All
-/// storage is allocated once (at arming) and reused across windows; the
-/// per-cycle hot path [`MultigridSolver::cycle`] never sees it.
+/// storage is allocated once (when the solve starts) and reused across
+/// windows; the per-cycle hot path [`MultigridSolver::cycle`] never sees
+/// it.
 struct KrylovWindow {
     /// Window iterates `x_0 … x_{m−1}`.
     xs: Vec<Vec<f64>>,
@@ -1533,33 +1439,6 @@ mod tests {
     }
 
     #[test]
-    fn fmg_initialization_saves_cycles_on_stiff_chain() {
-        let p = ncd_chain(4, 8, 1e-7);
-        let parts = PairwiseCoarsening::until(4).levels(32);
-        let plain = MultigridSolver::builder(parts.clone())
-            .cycle(CycleKind::W)
-            .tol(1e-11)
-            .build()
-            .solve(&p, None)
-            .unwrap();
-        let fmg = MultigridSolver::builder(parts)
-            .cycle(CycleKind::W)
-            .tol(1e-11)
-            .fmg(true)
-            .build()
-            .solve(&p, None)
-            .unwrap();
-        assert!(p.stationary_residual(&fmg.distribution) < 1e-10);
-        assert!(
-            fmg.iterations() <= plain.iterations(),
-            "FMG {} cycles vs plain {}",
-            fmg.iterations(),
-            plain.iterations()
-        );
-        assert!(vecops::dist1(&fmg.distribution, &plain.distribution) < 1e-8);
-    }
-
-    #[test]
     fn implicit_path_is_bitwise_the_materialized_solve() {
         // A raw CSR plays the role of the never-materialized operator: the
         // ImplicitStochastic wrapper serves exactly the values the
@@ -1625,14 +1504,6 @@ mod tests {
         let direct = MultigridSolver::builder(vec![]).build();
         assert!(matches!(
             direct.prepare_op(&imp),
-            Err(MarkovError::InvalidArgument(_))
-        ));
-        // FMG needs the materialized path.
-        let fmg = MultigridSolver::builder(PairwiseCoarsening::until(4).levels(16))
-            .fmg(true)
-            .build();
-        assert!(matches!(
-            fmg.solve_op_with_stats(&imp, None),
             Err(MarkovError::InvalidArgument(_))
         ));
         // Mismatched hierarchy rejected.
@@ -1790,28 +1661,6 @@ mod tests {
         let (ra2, sa2) = accel.solve_with_stats(&p, None).unwrap();
         assert_eq!(ra.distribution, ra2.distribution);
         assert_eq!(sa.cycle_equivalents, sa2.cycle_equivalents);
-    }
-
-    #[test]
-    fn stall_triggered_acceleration_arms_only_after_stall() {
-        let p = ncd_chain(4, 8, 0.2);
-        let parts = PairwiseCoarsening::until(4).levels(32);
-        let accel = MultigridSolver::builder(parts)
-            .smoother(Smoother::Jacobi { omega: 0.15 })
-            .pre_sweeps(0)
-            .post_sweeps(1)
-            .tol(1e-12)
-            .max_cycles(20_000)
-            .accel(KrylovAccel::on_stall(6))
-            .build();
-        let (r, stats) = accel.solve_with_stats(&p, None).unwrap();
-        let gth = GthSolver::new().solve(&p, None).unwrap();
-        assert!(vecops::dist1(&r.distribution, &gth.distribution) < 1e-8);
-        let stalled_at = stats.convergence.stalled_at.expect("chain must stall");
-        assert!(stats.krylov_windows > 0);
-        // The first window needs `restart` pushes after arming, so no
-        // window can complete before the stall fires.
-        assert!(r.report.iterations > stalled_at);
     }
 
     #[test]

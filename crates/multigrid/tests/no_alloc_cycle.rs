@@ -9,6 +9,8 @@
 //! across warm cycles and demands none — the same instrument CI's
 //! mem-smoke job runs.
 
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
 use stochcdr_fsm::KroneckerOp;
 use stochcdr_linalg::{par, CooMatrix};
 use stochcdr_markov::lumping::Partition;
@@ -18,6 +20,14 @@ use stochcdr_obs::mem;
 
 #[global_allocator]
 static GLOBAL: mem::TrackingAlloc = mem::TrackingAlloc::new();
+
+/// The allocation counter and `par::set_threads` are process-wide, so the
+/// proofs must not overlap: each test holds this lock for its whole body.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Ring chain of `n` states with a small self loop.
 fn ring(n: usize) -> StochasticMatrix {
@@ -42,6 +52,7 @@ fn pair_partitions(mut n: usize, levels: usize) -> Vec<Partition> {
 
 #[test]
 fn warm_cycles_do_not_allocate() {
+    let _serial = serial();
     // Obs off and a serial pool: the claim is about the solver's own
     // buffers, not about thread-spawn or sink bookkeeping.
     let _ = stochcdr_obs::uninstall();
@@ -91,6 +102,7 @@ fn warm_cycles_do_not_allocate() {
 /// hoisted buffer, not a fresh vector.
 #[test]
 fn warm_implicit_cycles_do_not_allocate() {
+    let _serial = serial();
     let _ = stochcdr_obs::uninstall();
     par::set_threads(Some(1));
 

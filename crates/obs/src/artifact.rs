@@ -187,15 +187,6 @@ impl Artifact {
         }
         Ok(art)
     }
-
-    /// Histogram observation counts (`name` → count) — deterministic for
-    /// a pinned thread count even though the timing values are not.
-    pub fn hist_counts(&self) -> BTreeMap<&str, u64> {
-        self.hists
-            .iter()
-            .map(|(name, h)| (name.as_str(), h.count()))
-            .collect()
-    }
 }
 
 /// Options for [`diff`].

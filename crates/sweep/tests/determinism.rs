@@ -3,7 +3,7 @@
 //! warm-start policy.
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use stochcdr::{CdrConfig, SolverChoice};
 use stochcdr_linalg::par;
@@ -11,11 +11,13 @@ use stochcdr_obs as obs;
 use stochcdr_obs::{Record, Sink};
 use stochcdr_sweep::{render, run, run_with, FactorCache, SweepAxis, SweepSpec};
 
-/// Serializes tests that touch the process-wide thread override or the
-/// process-wide obs sink.
-fn global_lock() -> &'static Mutex<()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
+/// Serializes every test here: they touch the process-wide thread
+/// override or the process-wide obs sink, and any sweep's cache hits land
+/// in whatever counter sink is installed. A panicking test poisons the
+/// lock; the next one recovers it, so one failure does not cascade.
+fn global_lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 fn base() -> CdrConfig {
@@ -41,7 +43,7 @@ fn drift_spec() -> SweepSpec {
 
 #[test]
 fn sweep_json_is_bitwise_identical_across_thread_counts() {
-    let _g = global_lock().lock().unwrap();
+    let _g = global_lock();
     let spec = drift_spec();
     let render_at = |t: usize| {
         par::set_threads(Some(t));
@@ -78,7 +80,7 @@ impl Sink for CounterSink {
 
 #[test]
 fn cache_counters_cross_check_with_obs_stream() {
-    let _g = global_lock().lock().unwrap();
+    let _g = global_lock();
     let totals = Arc::new(Mutex::new(BTreeMap::new()));
     obs::install(Box::new(CounterSink {
         totals: Arc::clone(&totals),
@@ -125,6 +127,7 @@ fn cache_counters_cross_check_with_obs_stream() {
 
 #[test]
 fn drift_sweep_factor_hit_rate_exceeds_90_percent() {
+    let _g = global_lock();
     // The PR's acceptance shape at test scale: a 64-point drift-ppm sweep
     // (refinement 8 instead of 32 to stay fast in debug builds) where the
     // drift axis invalidates only the n_r factor, so the factor cache—
@@ -162,6 +165,7 @@ fn drift_sweep_factor_hit_rate_exceeds_90_percent() {
 
 #[test]
 fn warm_start_matches_cold_results_within_tolerance() {
+    let _g = global_lock();
     let tol = 1e-12;
     let mk = |warm: bool| {
         let spec = drift_spec().tol(tol).warm_start(warm);

@@ -6,15 +6,15 @@
 # be bit-identical; wall-clock and memory-size numbers are advisory (the
 # gate prints fresh/baseline ratios but never fails on them). A second
 # stage runs the same analyze twice with --metrics and feeds both
-# artifacts to metrics_diff and the obs_diff regression report, gating on
-# the instrumentation's own determinism contract; the rendered report
-# lands in target/OBS_DIFF_REPORT.txt for CI to upload.
+# artifacts to `stochcdr diff`, gating on the instrumentation's own
+# determinism contract; the rendered report lands in
+# target/OBS_DIFF_REPORT.txt for CI to upload.
 #
 # BENCH_GATE_MODE selects a slice for CI job splitting:
-#   deterministic — snapshot + bench_gate + metrics_diff only: everything
+#   deterministic — snapshot + bench_gate + artifact diff: everything
 #                   that gates exactly, safe to make a *blocking* job.
-#   advisory      — the analyze pair + obs_diff regression report only:
-#                   timing-heavy, stays continue-on-error in CI.
+#   advisory      — the analyze pair + artifact diff only: timing-heavy,
+#                   stays continue-on-error in CI.
 #   (unset)       — the full sequence, for local runs.
 #
 # The worker pool is pinned to the baseline's recorded thread count so the
@@ -46,14 +46,14 @@ if [ "$mode" = "deterministic" ] || [ "$mode" = "full" ]; then
     # Determinism gate on the instrumentation itself: two analyze runs
     # with the same configuration and pinned thread count must produce
     # metrics artifacts whose counters, events, span counts, and
-    # histogram observation counts are identical (timing payloads are
-    # advisory).
-    echo "bench gate: metrics_diff determinism check (2 identical analyze runs)"
+    # histogram bins/counts are identical (timing payloads are advisory).
+    echo "bench gate: artifact diff determinism check (2 identical analyze runs)"
     ./target/release/stochcdr analyze --refinement "$refinement" --threads "$threads" \
         --metrics target/BENCH_GATE_METRICS_A.jsonl --metrics-format jsonl >/dev/null
     ./target/release/stochcdr analyze --refinement "$refinement" --threads "$threads" \
         --metrics target/BENCH_GATE_METRICS_B.jsonl --metrics-format jsonl >/dev/null
-    ./target/release/metrics_diff target/BENCH_GATE_METRICS_A.jsonl target/BENCH_GATE_METRICS_B.jsonl
+    ./target/release/stochcdr diff --baseline target/BENCH_GATE_METRICS_A.jsonl \
+        --fresh target/BENCH_GATE_METRICS_B.jsonl --out target/OBS_DIFF_REPORT.txt
 fi
 
 if [ "$mode" = "advisory" ] || [ "$mode" = "full" ]; then
@@ -65,7 +65,7 @@ if [ "$mode" = "advisory" ] || [ "$mode" = "full" ]; then
         ./target/release/stochcdr analyze --refinement "$refinement" --threads "$threads" \
             --metrics target/BENCH_GATE_METRICS_B.jsonl --metrics-format jsonl >/dev/null
     fi
-    echo "bench gate: obs_diff regression report"
-    ./target/release/obs_diff target/BENCH_GATE_METRICS_A.jsonl target/BENCH_GATE_METRICS_B.jsonl \
-        --out target/OBS_DIFF_REPORT.txt
+    echo "bench gate: artifact diff regression report"
+    ./target/release/stochcdr diff --baseline target/BENCH_GATE_METRICS_A.jsonl \
+        --fresh target/BENCH_GATE_METRICS_B.jsonl --out target/OBS_DIFF_REPORT.txt
 fi

@@ -1,10 +1,9 @@
 //! Property-based cross-validation of the Markov-chain machinery on
-//! randomized chains: direct vs iterative stationary solves, the censored-
-//! chain identity, aggregation fixed points, and simulation agreement.
+//! randomized chains: direct vs iterative stationary solves, aggregation
+//! fixed points, and simulation agreement.
 
 use proptest::prelude::*;
 use stochcdr_linalg::{vecops, CooMatrix};
-use stochcdr_markov::censored::censor;
 use stochcdr_markov::lumping::{aggregate, lump_weighted, Partition};
 use stochcdr_markov::simulate::{occupancy_tv, ChainSampler};
 use stochcdr_markov::stationary::{GaussSeidelSolver, GthSolver, PowerIteration, StationarySolver};
@@ -41,32 +40,6 @@ proptest! {
         prop_assert!(vecops::dist1(&direct, &power) < 1e-8);
         prop_assert!(vecops::dist1(&direct, &gs) < 1e-8);
         prop_assert!(p.stationary_residual(&direct) < 1e-10);
-    }
-
-    /// Censoring identity: the stationary distribution of the stochastic
-    /// complement equals the restricted-and-renormalized fine stationary,
-    /// for random chains and random keep sets.
-    #[test]
-    fn censoring_identity_random(
-        p in chain_strategy(14),
-        keep_mask in prop::collection::vec(prop::bool::ANY, 14),
-    ) {
-        let keep: Vec<usize> =
-            (0..14).filter(|&i| keep_mask[i] || i == 0).collect(); // non-empty
-        let eta = GthSolver::new().solve(&p, None).unwrap().distribution;
-        let s = censor(&p, &keep).unwrap();
-        let eta_s = if s.n() == 1 {
-            vec![1.0]
-        } else {
-            GthSolver::new().solve(&s, None).unwrap().distribution
-        };
-        let mut restricted: Vec<f64> = keep.iter().map(|&i| eta[i]).collect();
-        vecops::normalize_l1(&mut restricted);
-        prop_assert!(
-            vecops::dist1(&eta_s, &restricted) < 1e-8,
-            "identity violated by {}",
-            vecops::dist1(&eta_s, &restricted)
-        );
     }
 
     /// Aggregation fixed point: lumping with the exact stationary weights
