@@ -359,11 +359,11 @@ impl CdrChain {
 
     /// The symbolic lumping plans for `parts` against this chain's TPM,
     /// fetched from `cache` under the `mg.plan` kind. The key hashes the
-    /// TPM's sparsity *pattern* (plans are pure functions of pattern +
-    /// partitions, never of transition values) plus the cycle schedule the
-    /// solver will run, so sweep points that move only numeric factors
-    /// share one plan stack while any pattern change — pruning, support
-    /// growth — or a different cycle type forces a rebuild.
+    /// TPM's sparsity *pattern* and the partition shapes — plans are pure
+    /// functions of those, never of transition values or of the solver
+    /// that cycles them — so sweep points that move only numeric factors,
+    /// or only the multigrid variant, share one plan stack, while any
+    /// pattern change (pruning, support growth) forces a rebuild.
     ///
     /// # Panics
     ///
@@ -373,14 +373,10 @@ impl CdrChain {
         &self,
         cache: &stochcdr_fsm::FactorCache,
         parts: &[Partition],
-        schedule: CycleSchedule,
     ) -> std::sync::Arc<Vec<LumpPlan>> {
         let m = self.tpm().matrix();
         let mut key = stochcdr_fsm::KeyHasher::new();
         key.usize(self.state_count()).usize(m.nnz());
-        for b in schedule.cli_name().bytes() {
-            key.u64(b as u64);
-        }
         for &p in m.indptr() {
             key.usize(p);
         }

@@ -179,7 +179,7 @@ impl ProductChain {
 
     /// The multigrid coarsening hierarchy for this product space.
     ///
-    /// Above [`FIRST_LEVEL_TARGET`] joint states, the first partition is
+    /// Above `FIRST_LEVEL_TARGET` (2¹⁷) joint states, the first partition is
     /// a *composed* geometric coarsening (several halvings of the
     /// innermost lanes folded into one aggregation step) so the level-1
     /// coarse chain — the largest materialized object of an implicit
@@ -197,7 +197,8 @@ impl ProductChain {
         }
         // Halve lane dimensions innermost-first down to 2 until the
         // coarsest product is under the cap; guarantee at least one
-        // level (the implicit fine grid cannot be the coarsest level).
+        // level, so even a product under the cap cycles instead of
+        // running one dense elimination of the whole joint chain.
         let mut schedule = Vec::new();
         let mut sim = cur.clone();
         for c in (0..sim.len()).rev() {
@@ -321,7 +322,7 @@ impl ProductChain {
         let _span = obs::span("core.product_solve");
         let tr = self.op.transposed();
         let imp = ImplicitStochastic::with_tolerance(&self.op, tr, PRODUCT_TOL)?;
-        let (result, stats) = solver.solve_op_with_stats(&imp, None)?;
+        let (result, stats) = solver.solve_with_stats(&imp, None)?;
         self.solved_event(true, &result);
         Ok(ProductSolve {
             result,

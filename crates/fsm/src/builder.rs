@@ -204,7 +204,7 @@ impl RowEmitter {
 /// row, in parallel.
 ///
 /// The row closure must be a pure function of the state index: rows are
-/// assembled in fixed chunks of [`ROW_CHUNK`] states distributed over the
+/// assembled in fixed chunks of `ROW_CHUNK` (256) states distributed over the
 /// worker pool, then concatenated in state order, so the resulting matrix
 /// is byte-identical to a serial [`TpmBuilder`] pass for any thread count.
 /// Duplicate successors are merged and row sums validated against `tol`,

@@ -443,12 +443,11 @@ impl TransitionOp for KroneckerOp {
         out[0] = 1.0;
         let mut len = 1usize;
         for f in &self.factors {
-            let fd = f.diagonal();
-            let m = fd.len();
+            let m = f.rows();
             for i in (0..len).rev() {
                 let a = out[i];
-                for (j, &b) in fd.iter().enumerate().rev() {
-                    out[i * m + j] = a * b;
+                for j in (0..m).rev() {
+                    out[i * m + j] = a * f.get(j, j);
                 }
             }
             len *= m;
@@ -456,8 +455,8 @@ impl TransitionOp for KroneckerOp {
     }
 
     /// The cached transposed-factor twin (see
-    /// [`KroneckerOp::transposed`]) — lets transpose-based smoothers run
-    /// on the implicit path without materializing anything.
+    /// [`KroneckerOp::transposed`]) — lets transpose-based solvers run
+    /// on the product form without materializing anything.
     fn transpose_op(&self) -> Option<&dyn TransitionOp> {
         Some(self.transposed())
     }

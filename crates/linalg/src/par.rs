@@ -34,7 +34,7 @@
 //!
 //! # Pool mechanics
 //!
-//! A single process-wide pool ([`run_pooled`]) owns `max(t) - 1` detached
+//! A single process-wide pool (`run_pooled`) owns `max(t) - 1` detached
 //! helper threads, spawned lazily and reused for every subsequent
 //! dispatch. A dispatch publishes a type-erased `Fn(usize)` task under
 //! the pool mutex, bumps a job epoch, and wakes the helpers; each helper

@@ -29,10 +29,10 @@
 //! solve path is bit-identical to the materialized one at any thread
 //! count.
 
-use stochcdr_linalg::{par, vecops, TransitionOp};
+use stochcdr_linalg::{par, CsrMatrix, TransitionOp};
 use stochcdr_obs as obs;
 
-use crate::{MarkovError, Result};
+use crate::{MarkovError, Result, StochasticOp};
 
 /// A validated stochastic operator that never materializes its matrix.
 ///
@@ -166,13 +166,6 @@ impl<'a> ImplicitStochastic<'a> {
         &self.scale
     }
 
-    /// A [`TransitionOp`] view of this chain's transpose `P^T`, serving
-    /// scaled values (row `j` yields `(i, raw(i, j) · scale[i])`). Used
-    /// by transpose-sweeping smoothers (Gauss–Seidel).
-    pub fn transposed_view(&self) -> ImplicitTransposed<'_> {
-        ImplicitTransposed { inner: self }
-    }
-
     /// One step of the chain: writes `x P` into `out`.
     ///
     /// Computed as the row-parallel gather `P^T x` over the transposed
@@ -215,18 +208,6 @@ impl<'a> ImplicitStochastic<'a> {
                 *o = acc;
             }
         });
-    }
-
-    /// Residual `|| x P - x ||_1` of a candidate stationary vector;
-    /// `scratch` receives `x P`. Same bits as the materialized
-    /// `stationary_residual_with`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either slice length differs from `n()`.
-    pub fn stationary_residual_with(&self, x: &[f64], scratch: &mut [f64]) -> f64 {
-        self.step_into(x, scratch);
-        vecops::dist1(scratch, x)
     }
 }
 
@@ -289,51 +270,9 @@ impl TransitionOp for ImplicitStochastic<'_> {
     }
 }
 
-/// The transpose `P^T` of an [`ImplicitStochastic`] chain as a
-/// [`TransitionOp`]: row `j` traverses the in-neighbors of state `j`
-/// with the scaled transition values.
-#[derive(Debug, Clone, Copy)]
-pub struct ImplicitTransposed<'a> {
-    inner: &'a ImplicitStochastic<'a>,
-}
-
-impl TransitionOp for ImplicitTransposed<'_> {
-    fn rows(&self) -> usize {
-        self.inner.n()
-    }
-
-    fn cols(&self) -> usize {
-        self.inner.n()
-    }
-
-    fn nnz(&self) -> usize {
-        self.inner.nnz()
-    }
-
-    fn mul_left_into(&self, x: &[f64], y: &mut [f64]) {
-        // (P^T)^T x-product = x P^T = P x gathered over forward rows.
-        self.inner.mul_right_into(x, y);
-    }
-
-    fn mul_right_into(&self, x: &[f64], y: &mut [f64]) {
-        // P^T x — exactly the chain's step kernel.
-        self.inner.gather_transposed(x, y);
-    }
-
-    fn for_each_in_row(&self, row: usize, f: &mut dyn FnMut(usize, f64)) {
-        let scale = &self.inner.scale;
-        self.inner.tr.for_each_in_row(row, &mut |i, v| {
-            f(i, v * scale[i]);
-        });
-    }
-
-    fn diagonal_into(&self, out: &mut [f64]) {
-        // The diagonal is transpose-invariant.
-        self.inner.diagonal_into(out);
-    }
-
-    fn transpose_op(&self) -> Option<&dyn TransitionOp> {
-        Some(self.inner)
+impl StochasticOp for ImplicitStochastic<'_> {
+    fn csr(&self) -> Option<&CsrMatrix> {
+        None
     }
 }
 
@@ -341,7 +280,7 @@ impl TransitionOp for ImplicitTransposed<'_> {
 mod tests {
     use super::*;
     use crate::StochasticMatrix;
-    use stochcdr_linalg::{CooMatrix, CsrMatrix};
+    use stochcdr_linalg::CooMatrix;
 
     /// Deterministic pseudo-random raw (CSR) transition matrix whose rows
     /// sum to one only approximately — exercising the renormalization.
@@ -401,22 +340,6 @@ mod tests {
         let r1 = chain.stationary_residual_with(&x, &mut s1);
         let r2 = imp.stationary_residual_with(&x, &mut s2);
         assert_eq!(r1.to_bits(), r2.to_bits());
-    }
-
-    #[test]
-    fn transposed_view_serves_pt_rows() {
-        let raw = raw_chain(24, 9);
-        let chain = StochasticMatrix::with_tolerance(raw.clone(), 1e-6).unwrap();
-        let rawt = raw.transpose();
-        let imp = ImplicitStochastic::with_tolerance(&raw, &rawt, 1e-6).unwrap();
-        let view = imp.transposed_view();
-        for r in 0..24 {
-            let mut got: Vec<(usize, f64)> = Vec::new();
-            view.for_each_in_row(r, &mut |c, v| got.push((c, v)));
-            let want: Vec<(usize, f64)> = chain.transposed().row(r).collect();
-            assert_eq!(got, want, "transposed row {r}");
-        }
-        assert!(view.transpose_op().is_some());
     }
 
     #[test]

@@ -4,6 +4,8 @@
 //! paper (Demir & Feldmann, DATE 2000) relies on:
 //!
 //! * [`StochasticMatrix`] — a validated transition probability matrix (TPM),
+//!   and [`StochasticOp`], the validated-chain interface the multigrid
+//!   solver consumes (materialized or matrix-free),
 //! * [`stationary`] — solvers for the stationary distribution `η P = η`:
 //!   power iteration, (damped) Jacobi, Gauss–Seidel, and the direct GTH
 //!   algorithm used at the coarsest multigrid level,
@@ -13,7 +15,6 @@
 //! * [`classify`] — communicating classes, irreducibility and periodicity,
 //! * [`lumping`] — weighted (weak) lumping of chains, the building
 //!   block of aggregation/disaggregation multigrid,
-//! * [`transient`] — finite-horizon distribution evolution,
 //! * [`functional`] — expectations, tails and autocorrelations of functions
 //!   defined on the chain's state space.
 //!
@@ -50,8 +51,7 @@ pub mod poisson;
 pub mod simulate;
 pub mod stationary;
 mod stochastic;
-pub mod transient;
 
 pub use error::{MarkovError, Result};
 pub use implicit::ImplicitStochastic;
-pub use stochastic::StochasticMatrix;
+pub use stochastic::{StochasticMatrix, StochasticOp};

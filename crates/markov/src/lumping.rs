@@ -20,18 +20,20 @@
 //! multigrid rebuilds the coarse chain from the current iterate each
 //! cycle) therefore split the work:
 //!
-//! * [`LumpPlan`] — one-time **symbolic** setup: the coarse CSR pattern, a
+//! * [`LumpPlan`] — one-time **symbolic** setup: the coarse CSR pattern,
+//!   the transpose permutation, and — for a materialized fine chain — a
 //!   fine-entry → coarse-slot gather map replaying the from-scratch
-//!   assembly order exactly, and the transpose permutation,
+//!   assembly order exactly (a matrix-free chain replays it by row
+//!   traversal instead),
 //! * [`LumpWorkspace`] — preallocated per-level numeric buffers,
-//! * [`lump_weighted_into`] — the **numeric** refresh: recomputes values
-//!   into an existing matrix with zero heap allocations, bit-identical to
-//!   [`lump_weighted`] for strictly positive weights (see the invalidation
-//!   and precision notes on [`LumpPlan`]).
+//! * [`lump_weighted_into`] — the **numeric** refresh, for either kind of
+//!   fine chain: recomputes values into an existing matrix with zero heap
+//!   allocations, bit-identical to [`lump_weighted`] for strictly positive
+//!   weights (see the invalidation and precision notes on [`LumpPlan`]).
 
-use stochcdr_linalg::{par, CooMatrix, CsrMatrix, TransitionOp};
+use stochcdr_linalg::{par, CooMatrix, CsrMatrix};
 
-use crate::{MarkovError, Result, StochasticMatrix};
+use crate::{MarkovError, Result, StochasticMatrix, StochasticOp};
 
 /// Fixed row-chunk size for the parallel aggregation kernels. A pure
 /// constant (never derived from the thread count) so the order in which
@@ -211,16 +213,7 @@ pub fn lump_weighted(
             "partition size does not match state count".into(),
         ));
     }
-    if w.len() != n {
-        return Err(MarkovError::InvalidArgument(
-            "weight vector length mismatch".into(),
-        ));
-    }
-    if w.iter().any(|&x| x < 0.0 || !x.is_finite()) {
-        return Err(MarkovError::InvalidArgument(
-            "weights must be non-negative".into(),
-        ));
-    }
+    validate_weights(n, w)?;
     let nb = partition.block_count();
     let (block_weight, block_size) = block_weights(partition, w);
     // Triplet generation parallelizes over fixed-size row chunks; the
@@ -273,18 +266,27 @@ fn fix_row_sums(m: CsrMatrix) -> CsrMatrix {
 /// sparsity structure alone:
 ///
 /// * the coarse CSR pattern (`indptr`/`indices`),
-/// * per coarse slot, the list of fine entries that sum into it — in
-///   **exactly** the order the from-scratch COO assembly visits them
-///   (fine rows ascending, entries in column order, then the same
-///   unstable sort by coarse column the COO→CSR merge performs), so the
-///   refreshed values are bit-identical to a fresh [`lump_weighted`],
-/// * the transpose permutation feeding the cached `P^T`.
+/// * the transpose permutation feeding the cached `P^T`,
+/// * how the numeric refresh reads the fine chain, chosen once by
+///   [`new`](Self::new) from the chain's storage
+///   ([`StochasticOp::csr`]):
+///   - a **materialized** chain gets a gather map — per coarse slot, the
+///     list of fine entries that sum into it, in **exactly** the order
+///     the from-scratch COO assembly visits them (fine rows ascending,
+///     entries in column order, then the same unstable sort by coarse
+///     column the COO→CSR merge performs), so refreshed values are
+///     bit-identical to a fresh [`lump_weighted`];
+///   - a **matrix-free** chain has no fine entry indices to record, so
+///     each refresh re-traverses its rows and replays that same
+///     assembly order — the same bits again, provided the chain serves
+///     the entries (column set and values) its materialized twin stores.
 ///
 /// # Invalidation
 ///
 /// A plan is valid for exactly one (fine pattern, partition) pair: any
 /// change to the fine matrix's `indptr`/`indices` or to the partition
 /// labels requires a rebuild. Value-only changes never invalidate it.
+/// [`matches`](Self::matches) is the compatibility check.
 ///
 /// # Precision
 ///
@@ -303,58 +305,63 @@ pub struct LumpPlan {
     /// Coarse CSR pattern.
     indptr: Vec<usize>,
     indices: Vec<u32>,
-    /// Per-slot gather extents into `gather_src`/`gather_row`
-    /// (length `nnz() + 1`); doubles as the weight prefix for
-    /// nnz-balanced parallel refresh. Empty (length 1) for
-    /// operator-built plans ([`from_op`](Self::from_op)), which gather
-    /// at refresh time instead.
-    gather_ptr: Vec<usize>,
-    /// Fine entry index of each gather term, in from-scratch summation
-    /// order.
-    gather_src: Vec<u32>,
-    /// Fine row of each gather term (the weight-share lookup).
-    gather_row: Vec<u32>,
     /// Transpose pattern and permutation: `pt.data[m] = data[t_from[m]]`.
     t_indptr: Vec<usize>,
     t_indices: Vec<u32>,
     t_from: Vec<u32>,
-    /// Cumulative fine entries per coarse row (length `nb + 1`) — the
-    /// work prefix the group-aligned parallel refresh balances on.
-    row_cost: Vec<usize>,
-    /// Largest fine-entry count of any coarse row; sizes the per-worker
-    /// sort scratch of the operator refresh path.
-    max_row_entries: usize,
-    /// Precomputed nnz-balanced blocking of the slot-gather refresh
-    /// (weights = gather-list lengths from `gather_ptr`). Built once at
-    /// plan time so every numeric refresh dispatches over fixed, L2-sized
-    /// blocks with no per-call binary searches; trivial (one empty block)
-    /// for operator plans, which balance per coarse row instead. Cached
-    /// with the plan — the sweep engine's `FactorCache` keeps plan stacks
-    /// behind `Arc`s, so the blocking is shared across sweep points.
-    gather_part: par::RowPartition,
+    refresh: Refresh,
+}
+
+/// How a plan's numeric refresh reads the fine chain.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Refresh {
+    /// Gather over a materialized chain's stored values.
+    Gather {
+        /// Per-slot extents into `src`/`row` (length `nnz() + 1`).
+        ptr: Vec<usize>,
+        /// Fine entry index of each gather term, in from-scratch
+        /// summation order.
+        src: Vec<u32>,
+        /// Fine row of each gather term (the weight-share lookup).
+        row: Vec<u32>,
+        /// nnz-balanced blocking over the gather-list lengths, built once
+        /// so every refresh dispatches over fixed, L2-sized blocks with
+        /// no per-call binary searches. Cached with the plan — the sweep
+        /// engine's `FactorCache` keeps plan stacks behind `Arc`s, so the
+        /// blocking is shared across sweep points.
+        part: par::RowPartition,
+    },
+    /// Row traversal of a matrix-free chain.
+    Traverse {
+        /// Cumulative fine entries per coarse row (length `nb + 1`) — the
+        /// work prefix the group-aligned parallel refresh balances on.
+        row_cost: Vec<usize>,
+        /// Largest fine-entry count of any coarse row; sizes the
+        /// per-worker sort scratch.
+        max_row_entries: usize,
+    },
 }
 
 impl LumpPlan {
-    /// Builds the symbolic plan for lumping `p` with `partition`.
+    /// Builds the symbolic plan for lumping `fine` with `partition`:
+    /// from the stored pattern of a materialized chain, or by traversing
+    /// the rows of a matrix-free one.
     ///
     /// # Errors
     ///
     /// Returns [`MarkovError::InvalidArgument`] if the partition does not
-    /// cover `p`'s state space.
-    pub fn build(p: &StochasticMatrix, partition: &Partition) -> Result<LumpPlan> {
-        LumpPlan::from_pattern(p.n(), p.matrix().indptr(), p.matrix().indices(), partition)
+    /// cover `fine`'s state space.
+    pub fn new(fine: &dyn StochasticOp, partition: &Partition) -> Result<LumpPlan> {
+        match fine.csr() {
+            Some(m) => LumpPlan::gather(m.rows(), m.indptr(), m.indices(), partition),
+            None => LumpPlan::traverse(fine, partition),
+        }
     }
 
-    /// Builds the symbolic plan from a raw fine CSR pattern.
-    ///
-    /// This is what lets a whole multigrid plan *stack* be built without
-    /// any intermediate numeric matrices: level `k + 1` plans from level
-    /// `k`'s [`coarse pattern`](Self::pattern).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MarkovError::InvalidArgument`] on a size mismatch.
-    pub fn from_pattern(
+    /// The gather plan for a raw fine CSR pattern — which is what lets a
+    /// whole plan *stack* be built without intermediate numeric matrices:
+    /// level `k + 1` plans from level `k`'s coarse pattern.
+    fn gather(
         n: usize,
         indptr: &[usize],
         indices: &[u32],
@@ -404,8 +411,8 @@ impl LumpPlan {
         let mut c_indptr = Vec::with_capacity(nb + 1);
         c_indptr.push(0usize);
         let mut c_indices: Vec<u32> = Vec::new();
-        let mut gather_ptr = vec![0usize];
-        let mut gather_src: Vec<u32> = Vec::new();
+        let mut ptr = vec![0usize];
+        let mut src: Vec<u32> = Vec::new();
         let mut scratch: Vec<(u32, f64)> = Vec::new();
         for b in 0..nb {
             let (lo, hi) = (row_counts[b], row_counts[b + 1]);
@@ -421,15 +428,15 @@ impl LumpPlan {
             while i < scratch.len() {
                 let c = scratch[i].0;
                 while i < scratch.len() && scratch[i].0 == c {
-                    gather_src.push(scratch[i].1 as u32);
+                    src.push(scratch[i].1 as u32);
                     i += 1;
                 }
                 c_indices.push(c);
-                gather_ptr.push(gather_src.len());
+                ptr.push(src.len());
             }
             c_indptr.push(c_indices.len());
         }
-        let gather_row: Vec<u32> = gather_src
+        let row: Vec<u32> = src
             .iter()
             .map(|&k| {
                 // Fine row of entry k: the partition of indptr is
@@ -437,56 +444,25 @@ impl LumpPlan {
                 (indptr.partition_point(|&p| p <= k as usize) - 1) as u32
             })
             .collect();
-        // Step 3: transpose placement.
-        let (t_indptr, t_indices, t_from) = transpose_placement(nb, &c_indptr, &c_indices);
-        let max_row_entries = row_counts
-            .windows(2)
-            .map(|w| w[1] - w[0])
-            .max()
-            .unwrap_or(0);
-        let gather_part = par::RowPartition::from_weight_prefix(&gather_ptr);
-        Ok(LumpPlan {
-            fine_n: n,
-            fine_nnz: nnz,
-            nb,
-            indptr: c_indptr,
-            indices: c_indices,
-            gather_ptr,
-            gather_src,
-            gather_row,
-            t_indptr,
-            t_indices,
-            t_from,
-            row_cost: row_counts,
-            max_row_entries,
-            gather_part,
-        })
+        let part = par::RowPartition::from_weight_prefix(&ptr);
+        Ok(LumpPlan::with_pattern(
+            n,
+            nnz,
+            c_indptr,
+            c_indices,
+            Refresh::Gather {
+                ptr,
+                src,
+                row,
+                part,
+            },
+        ))
     }
 
-    /// Builds the symbolic plan for lumping a [`TransitionOp`] with
-    /// `partition`, traversing rows instead of a materialized pattern —
-    /// the finest-level setup of the implicit Kronecker path.
-    ///
-    /// The resulting plan carries the coarse pattern and transpose
-    /// permutation but **no** fine-entry gather map (there are no fine
-    /// entry indices without a materialized matrix); numeric refreshes go
-    /// through [`lump_op_weighted_into`], which re-traverses the operator
-    /// and reproduces the recorded assembly order — and therefore the
-    /// exact bits — of the materialized path, provided the operator
-    /// serves the same entries (column set and values) as the
-    /// materialized fine matrix would.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MarkovError::InvalidArgument`] if the operator is not
-    /// square or the partition does not cover its state space.
-    pub fn from_op(op: &dyn TransitionOp, partition: &Partition) -> Result<LumpPlan> {
-        let n = op.rows();
-        if op.cols() != n {
-            return Err(MarkovError::InvalidArgument(
-                "operator must be square".into(),
-            ));
-        }
+    /// The traversal plan for a matrix-free chain: the coarse pattern
+    /// from one pass over its rows, block by block.
+    fn traverse(fine: &dyn StochasticOp, partition: &Partition) -> Result<LumpPlan> {
+        let n = fine.rows();
         if partition.n() != n {
             return Err(MarkovError::InvalidArgument(
                 "partition size does not match state count".into(),
@@ -501,7 +477,7 @@ impl LumpPlan {
         for b in 0..nb {
             scratch.clear();
             for &i in partition.block_members(b) {
-                op.for_each_in_row(i, &mut |j, _| {
+                fine.for_each_in_row(i, &mut |j, _| {
                     scratch.push(partition.block_of(j) as u32);
                 });
             }
@@ -512,50 +488,101 @@ impl LumpPlan {
             c_indices.extend_from_slice(&scratch);
             c_indptr.push(c_indices.len());
         }
-        let (t_indptr, t_indices, t_from) = transpose_placement(nb, &c_indptr, &c_indices);
-        Ok(LumpPlan {
-            fine_n: n,
-            fine_nnz: row_cost[nb],
+        Ok(LumpPlan::with_pattern(
+            n,
+            row_cost[nb],
+            c_indptr,
+            c_indices,
+            Refresh::Traverse {
+                row_cost,
+                max_row_entries,
+            },
+        ))
+    }
+
+    /// Completes a plan from its coarse pattern with the transpose
+    /// placement — a counting sort by coarse column, rows ascending,
+    /// mirroring `CsrMatrix::transpose`.
+    fn with_pattern(
+        fine_n: usize,
+        fine_nnz: usize,
+        indptr: Vec<usize>,
+        indices: Vec<u32>,
+        refresh: Refresh,
+    ) -> LumpPlan {
+        let nb = indptr.len() - 1;
+        let mut t_counts = vec![0usize; nb + 1];
+        for &c in &indices {
+            t_counts[c as usize + 1] += 1;
+        }
+        for b in 0..nb {
+            t_counts[b + 1] += t_counts[b];
+        }
+        let t_indptr = t_counts.clone();
+        let mut t_indices = vec![0u32; indices.len()];
+        let mut t_from = vec![0u32; indices.len()];
+        let mut t_next = t_counts;
+        for r in 0..nb {
+            for (k, &c) in indices
+                .iter()
+                .enumerate()
+                .take(indptr[r + 1])
+                .skip(indptr[r])
+            {
+                let slot = t_next[c as usize];
+                t_indices[slot] = r as u32;
+                t_from[slot] = k as u32;
+                t_next[c as usize] += 1;
+            }
+        }
+        LumpPlan {
+            fine_n,
+            fine_nnz,
             nb,
-            indptr: c_indptr,
-            indices: c_indices,
-            gather_ptr: vec![0],
-            gather_src: Vec::new(),
-            gather_row: Vec::new(),
+            indptr,
+            indices,
             t_indptr,
             t_indices,
             t_from,
-            row_cost,
-            max_row_entries,
-            gather_part: par::RowPartition::from_weight_prefix(&[0]),
-        })
+            refresh,
+        }
     }
 
-    /// Whether this plan was built from an operator traversal
-    /// ([`from_op`](Self::from_op)) and must refresh through
-    /// [`lump_op_weighted_into`] rather than the gather-map path.
-    pub fn is_operator_plan(&self) -> bool {
-        self.gather_ptr.len() != self.nnz() + 1
-    }
-
-    /// Builds the plan stack for a whole coarsening hierarchy: plan `k`
-    /// lumps level `k`'s pattern with `partitions[k]`, and level `k + 1`
-    /// plans from plan `k`'s coarse pattern — no numeric matrices needed.
+    /// Builds the plan stack for a whole coarsening hierarchy: plan `0`
+    /// lumps `fine` with `partitions[0]` ([`new`](Self::new)), and each
+    /// level `k + 1` gather-plans from plan `k`'s coarse pattern — coarse
+    /// levels are always materialized, and no numeric matrices are
+    /// needed.
     ///
     /// # Errors
     ///
     /// Returns [`MarkovError::InvalidArgument`] if any partition does not
     /// chain (`partitions[k].n()` must equal the previous block count).
-    pub fn build_stack(p: &StochasticMatrix, partitions: &[Partition]) -> Result<Vec<LumpPlan>> {
+    pub fn build_stack(fine: &dyn StochasticOp, partitions: &[Partition]) -> Result<Vec<LumpPlan>> {
         let mut plans: Vec<LumpPlan> = Vec::with_capacity(partitions.len());
         for part in partitions {
             let plan = match plans.last() {
-                None => LumpPlan::build(p, part)?,
-                Some(prev) => LumpPlan::from_pattern(prev.nb, &prev.indptr, &prev.indices, part)?,
+                None => LumpPlan::new(fine, part)?,
+                Some(prev) => LumpPlan::gather(prev.nb, &prev.indptr, &prev.indices, part)?,
             };
             plans.push(plan);
         }
         Ok(plans)
+    }
+
+    /// Whether this plan can refresh from `fine`: the same state count,
+    /// and a refresh that fits the chain's storage — a gather plan needs
+    /// a materialized chain with the planned entry count, a traversal
+    /// plan a matrix-free chain. Values never matter; a matrix-free
+    /// chain's pattern cannot be cross-checked cheaply, so callers keep
+    /// it fixed across reuse.
+    pub fn matches(&self, fine: &dyn StochasticOp) -> bool {
+        self.fine_n == fine.rows()
+            && match (&self.refresh, fine.csr()) {
+                (Refresh::Gather { .. }, Some(m)) => m.nnz() == self.fine_nnz,
+                (Refresh::Traverse { .. }, None) => true,
+                _ => false,
+            }
     }
 
     /// Fine state count the plan was built for.
@@ -563,7 +590,8 @@ impl LumpPlan {
         self.fine_n
     }
 
-    /// Fine stored-entry count the plan was built for.
+    /// Fine entries the plan folds: the stored count of a materialized
+    /// chain, the traversed count of a matrix-free one.
     pub fn fine_nnz(&self) -> usize {
         self.fine_nnz
     }
@@ -584,43 +612,6 @@ impl LumpPlan {
     }
 }
 
-/// Transpose placement for a coarse CSR pattern — counting sort by
-/// coarse column, rows ascending, mirroring `CsrMatrix::transpose`.
-/// Returns `(t_indptr, t_indices, t_from)` with
-/// `pt.data[m] = data[t_from[m]]`.
-fn transpose_placement(
-    nb: usize,
-    c_indptr: &[usize],
-    c_indices: &[u32],
-) -> (Vec<usize>, Vec<u32>, Vec<u32>) {
-    let nnz_c = c_indices.len();
-    let mut t_counts = vec![0usize; nb + 1];
-    for &c in c_indices {
-        t_counts[c as usize + 1] += 1;
-    }
-    for b in 0..nb {
-        t_counts[b + 1] += t_counts[b];
-    }
-    let t_indptr = t_counts.clone();
-    let mut t_indices = vec![0u32; nnz_c];
-    let mut t_from = vec![0u32; nnz_c];
-    let mut t_next = t_counts;
-    for r in 0..nb {
-        for (k, &c) in c_indices
-            .iter()
-            .enumerate()
-            .take(c_indptr[r + 1])
-            .skip(c_indptr[r])
-        {
-            let slot = t_next[c as usize];
-            t_indices[slot] = r as u32;
-            t_from[slot] = k as u32;
-            t_next[c as usize] += 1;
-        }
-    }
-    (t_indptr, t_indices, t_from)
-}
-
 /// Preallocated numeric buffers for [`lump_weighted_into`].
 ///
 /// After a refresh with weights `w`, the buffers double as the
@@ -634,24 +625,23 @@ fn transpose_placement(
 pub struct LumpWorkspace {
     block_weight: Vec<f64>,
     wscale: Vec<f64>,
-    /// Per-worker sort buffers for the operator refresh path
-    /// ([`lump_op_weighted_into`]); empty for gather-map plans. Each
-    /// slot is preallocated to the plan's largest coarse row, so the
-    /// refresh never grows them.
+    /// Per-worker sort buffers for the traversal refresh of a matrix-free
+    /// chain; empty for gather plans. Each slot is preallocated to the
+    /// plan's largest coarse row, so the refresh never grows them.
     row_scratch: Vec<Vec<(u32, f64)>>,
 }
 
 impl LumpWorkspace {
-    /// Allocates buffers sized for `plan`. Operator-built plans
-    /// ([`LumpPlan::from_op`]) additionally get one sort buffer per
-    /// worker thread for the traversal refresh.
+    /// Allocates buffers sized for `plan`, including one sort buffer per
+    /// worker thread when the plan refreshes by traversal.
     pub fn for_plan(plan: &LumpPlan) -> Self {
-        let row_scratch = if plan.is_operator_plan() {
-            (0..par::threads().max(1))
-                .map(|_| Vec::with_capacity(plan.max_row_entries))
-                .collect()
-        } else {
-            Vec::new()
+        let row_scratch = match plan.refresh {
+            Refresh::Traverse {
+                max_row_entries, ..
+            } => (0..par::threads().max(1))
+                .map(|_| Vec::with_capacity(max_row_entries))
+                .collect(),
+            Refresh::Gather { .. } => Vec::new(),
         };
         LumpWorkspace {
             block_weight: vec![0.0; plan.nb],
@@ -671,7 +661,7 @@ impl LumpWorkspace {
     }
 }
 
-/// Shared weight validation of the numeric-refresh entry points.
+/// Weight validation shared by the from-scratch lumping and the refresh.
 fn validate_weights(n: usize, w: &[f64]) -> Result<()> {
     if w.len() != n {
         return Err(MarkovError::InvalidArgument(
@@ -686,9 +676,9 @@ fn validate_weights(n: usize, w: &[f64]) -> Result<()> {
     Ok(())
 }
 
-/// Phases 1–2 of every numeric refresh: per-block weight totals
-/// (gathered in ascending member order, same as [`block_weights`]) and
-/// per-state shares (zero-weight blocks fall back to uniform).
+/// Phases 1–2 of the numeric refresh: per-block weight totals (gathered
+/// in ascending member order, same as [`block_weights`]) and per-state
+/// shares (zero-weight blocks fall back to uniform).
 fn refresh_shares(partition: &Partition, w: &[f64], ws: &mut LumpWorkspace) {
     par::for_each_chunk_mut(&mut ws.block_weight, |b0, chunk| {
         for (k, acc) in chunk.iter_mut().enumerate() {
@@ -714,36 +704,40 @@ fn refresh_shares(partition: &Partition, w: &[f64], ws: &mut LumpWorkspace) {
 }
 
 /// Numeric-only refresh of a weighted lumping: recomputes the values of
-/// `out` (pattern fixed by `plan`) from the fine matrix `p` and weights
-/// `w`, with **zero heap allocations**.
+/// `out` (pattern fixed by `plan`) from the fine chain and weights `w`,
+/// with **zero heap allocations**.
 ///
-/// Bit-identical to a from-scratch [`lump_weighted`] for strictly
-/// positive weights (see [`LumpPlan`] for the zero-weight caveat); the
-/// parallel slot gather is nnz-balanced and, per the determinism
-/// contract, produces the same bits at any thread count.
+/// A materialized fine chain refreshes by the plan's slot gather over its
+/// stored values, nnz-balanced across workers. A matrix-free one rebuilds
+/// each coarse row by re-traversing its member rows (ascending members,
+/// entries in column order), pushing `(coarse column, wscale_i · value)`
+/// pairs into a preallocated per-worker buffer, sorting with the same
+/// unstable key sort the from-scratch COO assembly runs, and summing
+/// runs in place; its chunks are group-aligned per coarse row. Either
+/// way the summation order is the from-scratch one, so the result is
+/// bit-identical to [`lump_weighted`] for strictly positive weights (see
+/// [`LumpPlan`] for the zero-weight caveat) and, per the determinism
+/// contract, the same bits at any thread count.
 ///
 /// # Errors
 ///
 /// Returns [`MarkovError::InvalidArgument`] for the same malformed-weight
-/// conditions as [`lump_weighted`], or if `out`/`plan`/`p` shapes are
-/// inconsistent.
+/// conditions as [`lump_weighted`], if the plan does not
+/// [match](LumpPlan::matches) `fine` or the partition, if `out` does not
+/// have the plan's coarse pattern, or if a traversal refresh gets a
+/// workspace without per-worker scratch.
 pub fn lump_weighted_into(
-    p: &StochasticMatrix,
+    fine: &dyn StochasticOp,
     partition: &Partition,
     w: &[f64],
     plan: &LumpPlan,
     ws: &mut LumpWorkspace,
     out: &mut StochasticMatrix,
 ) -> Result<()> {
-    let n = p.n();
-    if partition.n() != n || plan.fine_n != n || plan.fine_nnz != p.nnz() {
+    let n = fine.rows();
+    if partition.n() != n || !plan.matches(fine) {
         return Err(MarkovError::InvalidArgument(
-            "lump plan does not match the fine matrix/partition".into(),
-        ));
-    }
-    if plan.is_operator_plan() {
-        return Err(MarkovError::InvalidArgument(
-            "plan was built from an operator; refresh with lump_op_weighted_into".into(),
+            "lump plan does not match the fine chain/partition".into(),
         ));
     }
     validate_weights(n, w)?;
@@ -752,35 +746,82 @@ pub fn lump_weighted_into(
             "output matrix does not match the plan's coarse pattern".into(),
         ));
     }
+    if matches!(plan.refresh, Refresh::Traverse { .. }) && ws.row_scratch.is_empty() {
+        return Err(MarkovError::InvalidArgument(
+            "workspace lacks row scratch; build it with LumpWorkspace::for_plan".into(),
+        ));
+    }
     debug_assert_eq!(ws.block_weight.len(), plan.nb);
     debug_assert_eq!(ws.wscale.len(), n);
     refresh_shares(partition, w, ws);
-    // Phase 3: slot gather — each coarse value is the sum of its fine
-    // entries in the recorded from-scratch order. Parallel over the
-    // plan's precomputed gather blocking (weights = gather-list
-    // lengths); each slot is summed wholly by one worker inside a fixed
-    // block, so the refresh is bit-identical at any thread count.
-    let fine = p.matrix().data();
+    // Phase 3: each coarse value is the sum of its fine entries in the
+    // recorded from-scratch order; every slot is summed wholly by one
+    // worker inside a fixed block.
     let (pm, ptm) = out.parts_mut();
     let data = pm.data_mut();
-    {
-        let wscale = &ws.wscale;
-        par::for_each_partition_mut(data, &plan.gather_part, |start, chunk| {
-            for (k, slot) in chunk.iter_mut().enumerate() {
-                let s = start + k;
-                let mut sum = 0.0;
-                for m in plan.gather_ptr[s]..plan.gather_ptr[s + 1] {
-                    sum += wscale[plan.gather_row[m] as usize] * fine[plan.gather_src[m] as usize];
+    let wscale = &ws.wscale;
+    match (&plan.refresh, fine.csr()) {
+        (
+            Refresh::Gather {
+                ptr,
+                src,
+                row,
+                part,
+            },
+            Some(m),
+        ) => {
+            let vals = m.data();
+            par::for_each_partition_mut(data, part, |start, chunk| {
+                for (k, slot) in chunk.iter_mut().enumerate() {
+                    let s = start + k;
+                    let mut sum = 0.0;
+                    for t in ptr[s]..ptr[s + 1] {
+                        sum += wscale[row[t] as usize] * vals[src[t] as usize];
+                    }
+                    *slot = sum;
                 }
-                *slot = sum;
-            }
-        });
+            });
+        }
+        (Refresh::Traverse { row_cost, .. }, None) => {
+            par::for_each_grouped_chunk_mut(
+                data,
+                &plan.indptr,
+                row_cost,
+                &mut ws.row_scratch,
+                |rows, chunk, scratch| {
+                    let base = plan.indptr[rows.start];
+                    for b in rows {
+                        scratch.clear();
+                        for &i in partition.block_members(b) {
+                            let wi = wscale[i];
+                            fine.for_each_in_row(i, &mut |j, v| {
+                                scratch.push((partition.block_of(j) as u32, wi * v));
+                            });
+                        }
+                        scratch.sort_unstable_by_key(|&(c, _)| c);
+                        let row_out = &mut chunk[plan.indptr[b] - base..plan.indptr[b + 1] - base];
+                        let mut s = 0usize;
+                        for slot in row_out.iter_mut() {
+                            let c = scratch[s].0;
+                            let mut sum = 0.0;
+                            while s < scratch.len() && scratch[s].0 == c {
+                                sum += scratch[s].1;
+                                s += 1;
+                            }
+                            *slot = sum;
+                        }
+                        debug_assert_eq!(s, scratch.len(), "coarse row {b} out of sync");
+                    }
+                },
+            );
+        }
+        _ => unreachable!("LumpPlan::matches pairs each refresh with its storage"),
     }
     renorm_and_refresh_transpose(plan, pm, ptm);
     Ok(())
 }
 
-/// Phases 4–5 of every numeric refresh. Phase 4: the two row-scaling
+/// Phases 4–5 of the numeric refresh. Phase 4: the two row-scaling
 /// passes of the from-scratch path, in order — `fix_row_sums` (guarded
 /// inverse) then the unconditional renormalization
 /// `StochasticMatrix::with_tolerance` performs; serial, O(coarse nnz).
@@ -811,132 +852,6 @@ fn renorm_and_refresh_transpose(plan: &LumpPlan, pm: &mut CsrMatrix, ptm: &mut C
     });
 }
 
-/// Numeric refresh of a weighted lumping straight from a
-/// [`TransitionOp`] — the implicit-path twin of [`lump_weighted_into`]
-/// for plans built with [`LumpPlan::from_op`], with **zero heap
-/// allocations** per call.
-///
-/// Each coarse row is rebuilt by re-traversing its member rows
-/// (ascending members, entries in column order), pushing
-/// `(coarse column, wscale_i · value)` pairs into a preallocated
-/// per-worker buffer, sorting with the same unstable key sort the
-/// from-scratch COO assembly runs, and summing runs in place. Because
-/// the sort's permutation depends only on the key sequence (and the
-/// element type matches the recorded-gather path deliberately), the
-/// summation order — and therefore every bit of the result — equals
-/// what [`lump_weighted_into`] produces on the materialized fine matrix
-/// whose entries the operator serves. Parallel chunking is group-aligned
-/// per coarse row, so results are bit-identical at any thread count.
-///
-/// # Errors
-///
-/// Returns [`MarkovError::InvalidArgument`] for the same malformed-weight
-/// conditions as [`lump_weighted`], a non-operator plan, shape
-/// mismatches, or a workspace without per-worker scratch.
-pub fn lump_op_weighted_into(
-    op: &dyn TransitionOp,
-    partition: &Partition,
-    w: &[f64],
-    plan: &LumpPlan,
-    ws: &mut LumpWorkspace,
-    out: &mut StochasticMatrix,
-) -> Result<()> {
-    let n = op.rows();
-    if op.cols() != n || partition.n() != n || plan.fine_n != n {
-        return Err(MarkovError::InvalidArgument(
-            "lump plan does not match the operator/partition".into(),
-        ));
-    }
-    if !plan.is_operator_plan() {
-        return Err(MarkovError::InvalidArgument(
-            "plan carries a gather map; refresh with lump_weighted_into".into(),
-        ));
-    }
-    validate_weights(n, w)?;
-    if out.n() != plan.nb || out.nnz() != plan.nnz() {
-        return Err(MarkovError::InvalidArgument(
-            "output matrix does not match the plan's coarse pattern".into(),
-        ));
-    }
-    if ws.row_scratch.is_empty() {
-        return Err(MarkovError::InvalidArgument(
-            "workspace lacks row scratch; build it with LumpWorkspace::for_plan".into(),
-        ));
-    }
-    debug_assert_eq!(ws.block_weight.len(), plan.nb);
-    debug_assert_eq!(ws.wscale.len(), n);
-    refresh_shares(partition, w, ws);
-    // Phase 3: per-coarse-row traversal, sort, and run-length sum. Group
-    // boundaries are coarse rows; the per-group cost prefix is the fine
-    // entry count recorded at plan time.
-    let (pm, ptm) = out.parts_mut();
-    {
-        let data = pm.data_mut();
-        let wscale = &ws.wscale;
-        par::for_each_grouped_chunk_mut(
-            data,
-            &plan.indptr,
-            &plan.row_cost,
-            &mut ws.row_scratch,
-            |rows, chunk, scratch| {
-                let base = plan.indptr[rows.start];
-                for b in rows {
-                    scratch.clear();
-                    for &i in partition.block_members(b) {
-                        let wi = wscale[i];
-                        op.for_each_in_row(i, &mut |j, v| {
-                            scratch.push((partition.block_of(j) as u32, wi * v));
-                        });
-                    }
-                    scratch.sort_unstable_by_key(|&(c, _)| c);
-                    let row_out = &mut chunk[plan.indptr[b] - base..plan.indptr[b + 1] - base];
-                    let mut s = 0usize;
-                    for slot in row_out.iter_mut() {
-                        let c = scratch[s].0;
-                        let mut sum = 0.0;
-                        while s < scratch.len() && scratch[s].0 == c {
-                            sum += scratch[s].1;
-                            s += 1;
-                        }
-                        *slot = sum;
-                    }
-                    debug_assert_eq!(s, scratch.len(), "coarse row {b} out of sync");
-                }
-            },
-        );
-    }
-    renorm_and_refresh_transpose(plan, pm, ptm);
-    Ok(())
-}
-
-/// Allocates a coarse matrix from an operator plan's pattern and
-/// refreshes it via [`lump_op_weighted_into`] — the allocating entry
-/// point of the implicit path (hierarchy setup).
-///
-/// # Errors
-///
-/// Same as [`lump_op_weighted_into`].
-pub fn lump_op_with_plan(
-    op: &dyn TransitionOp,
-    partition: &Partition,
-    w: &[f64],
-    plan: &LumpPlan,
-    ws: &mut LumpWorkspace,
-) -> Result<StochasticMatrix> {
-    let csr = CsrMatrix::from_sorted_parts(
-        plan.nb,
-        plan.nb,
-        plan.indptr.clone(),
-        plan.indices.clone(),
-        vec![0.0; plan.nnz()],
-    )
-    .map_err(|e| MarkovError::InvalidArgument(format!("corrupt lump plan: {e}")))?;
-    let pt = csr.transpose();
-    let mut out = StochasticMatrix::from_parts_unchecked(csr, pt);
-    lump_op_weighted_into(op, partition, w, plan, ws, &mut out)?;
-    Ok(out)
-}
-
 /// Allocates a coarse matrix from the plan's pattern and refreshes it via
 /// [`lump_weighted_into`] — the allocating entry point for callers that
 /// hold a plan but no matrix yet (hierarchy setup).
@@ -945,7 +860,7 @@ pub fn lump_op_with_plan(
 ///
 /// Same as [`lump_weighted_into`].
 pub fn lump_with_plan(
-    p: &StochasticMatrix,
+    fine: &dyn StochasticOp,
     partition: &Partition,
     w: &[f64],
     plan: &LumpPlan,
@@ -961,7 +876,7 @@ pub fn lump_with_plan(
     .map_err(|e| MarkovError::InvalidArgument(format!("corrupt lump plan: {e}")))?;
     let pt = csr.transpose();
     let mut out = StochasticMatrix::from_parts_unchecked(csr, pt);
-    lump_weighted_into(p, partition, w, plan, ws, &mut out)?;
+    lump_weighted_into(fine, partition, w, plan, ws, &mut out)?;
     Ok(out)
 }
 
@@ -1056,6 +971,7 @@ pub fn aggregate(partition: &Partition, x: &[f64]) -> Vec<f64> {
 mod tests {
     use super::*;
     use crate::stationary::{GthSolver, StationarySolver};
+    use crate::ImplicitStochastic;
     use stochcdr_linalg::vecops;
 
     fn chain(n: usize, edges: &[(usize, usize, f64)]) -> StochasticMatrix {
@@ -1186,7 +1102,7 @@ mod tests {
             let part =
                 Partition::from_labels((0..n).map(|i| (i * 11 + seed as usize) % 9).collect())
                     .unwrap();
-            let plan = LumpPlan::build(&p, &part).unwrap();
+            let plan = LumpPlan::new(&p, &part).unwrap();
             let mut ws = LumpWorkspace::for_plan(&plan);
             // Strictly positive weights: the bit-identity regime.
             let w: Vec<f64> = (0..n).map(|i| 0.01 + (i as f64 * 0.37).fract()).collect();
@@ -1220,7 +1136,7 @@ mod tests {
         let n = 40;
         let p = random_chain(n, 5);
         let part = Partition::from_labels((0..n).map(|i| i / 8).collect()).unwrap();
-        let plan = LumpPlan::build(&p, &part).unwrap();
+        let plan = LumpPlan::new(&p, &part).unwrap();
         let mut ws = LumpWorkspace::for_plan(&plan);
         let w1: Vec<f64> = (0..n).map(|i| 1.0 + i as f64).collect();
         let mut out = lump_with_plan(&p, &part, &w1, &plan, &mut ws).unwrap();
@@ -1283,7 +1199,7 @@ mod tests {
     fn plan_rejects_mismatched_inputs() {
         let p = lumpable_chain();
         let part = Partition::from_labels(vec![0, 0, 1, 1]).unwrap();
-        let plan = LumpPlan::build(&p, &part).unwrap();
+        let plan = LumpPlan::new(&p, &part).unwrap();
         let mut ws = LumpWorkspace::for_plan(&plan);
         // Wrong weight length.
         let mut out = lump_with_plan(&p, &part, &[1.0; 4], &plan, &mut ws).unwrap();
@@ -1295,7 +1211,7 @@ mod tests {
         );
         // Plan built for a different partition size.
         let small = Partition::from_labels(vec![0, 1]).unwrap();
-        assert!(LumpPlan::from_pattern(4, &[0, 1, 2], &[0, 1], &small).is_err());
+        assert!(LumpPlan::new(&p, &small).is_err());
     }
 
     /// Serializes tests that override the global worker-thread count.
@@ -1305,22 +1221,25 @@ mod tests {
     fn operator_plan_matches_gather_plan_bitwise() {
         let _g = THREADS_LOCK.lock().unwrap();
         let n = 60;
-        let p = random_chain(n, 11);
+        // A matrix-free chain and its materialized twin over one raw CSR:
+        // the implicit wrapper serves exactly the values the matrix stores.
+        let raw = random_chain(n, 11).matrix().clone();
+        let rawt = raw.transpose();
+        let mat = StochasticMatrix::with_tolerance(raw.clone(), 1e-6).unwrap();
+        let imp = ImplicitStochastic::with_tolerance(&raw, &rawt, 1e-6).unwrap();
         let part = Partition::from_labels((0..n).map(|i| (i * 13 + 4) % 7).collect()).unwrap();
-        let gplan = LumpPlan::build(&p, &part).unwrap();
-        // The chain itself is the operator: same pattern, same values.
-        let oplan = LumpPlan::from_op(&p, &part).unwrap();
-        assert!(!gplan.is_operator_plan());
-        assert!(oplan.is_operator_plan());
+        let gplan = LumpPlan::new(&mat, &part).unwrap();
+        let oplan = LumpPlan::new(&imp, &part).unwrap();
+        assert_ne!(gplan, oplan, "storage picks the refresh kind");
         assert_eq!(gplan.pattern(), oplan.pattern());
         assert_eq!(gplan.fine_nnz(), oplan.fine_nnz());
         let mut gws = LumpWorkspace::for_plan(&gplan);
         let mut ows = LumpWorkspace::for_plan(&oplan);
         let w: Vec<f64> = (0..n).map(|i| 0.05 + (i as f64 * 0.61).fract()).collect();
-        let reference = lump_with_plan(&p, &part, &w, &gplan, &mut gws).unwrap();
+        let reference = lump_with_plan(&mat, &part, &w, &gplan, &mut gws).unwrap();
         for t in [1usize, 4] {
             par::set_threads(Some(t));
-            let got = lump_op_with_plan(&p, &part, &w, &oplan, &mut ows).unwrap();
+            let got = lump_with_plan(&imp, &part, &w, &oplan, &mut ows).unwrap();
             par::set_threads(None);
             assert!(
                 got.matrix()
@@ -1343,21 +1262,26 @@ mod tests {
 
     #[test]
     fn plan_kinds_reject_the_wrong_refresh() {
-        let p = lumpable_chain();
+        let raw = lumpable_chain().matrix().clone();
+        let rawt = raw.transpose();
+        let mat = StochasticMatrix::with_tolerance(raw.clone(), 1e-6).unwrap();
+        let imp = ImplicitStochastic::with_tolerance(&raw, &rawt, 1e-6).unwrap();
         let part = Partition::from_labels(vec![0, 0, 1, 1]).unwrap();
-        let gplan = LumpPlan::build(&p, &part).unwrap();
-        let oplan = LumpPlan::from_op(&p, &part).unwrap();
+        let gplan = LumpPlan::new(&mat, &part).unwrap();
+        let oplan = LumpPlan::new(&imp, &part).unwrap();
+        assert!(gplan.matches(&mat) && !gplan.matches(&imp));
+        assert!(oplan.matches(&imp) && !oplan.matches(&mat));
         let mut gws = LumpWorkspace::for_plan(&gplan);
         let mut ows = LumpWorkspace::for_plan(&oplan);
         let w = [1.0; 4];
-        let mut out = lump_with_plan(&p, &part, &w, &gplan, &mut gws).unwrap();
-        // Gather plan through the operator entry point and vice versa.
-        assert!(lump_op_weighted_into(&p, &part, &w, &gplan, &mut ows, &mut out).is_err());
-        assert!(lump_weighted_into(&p, &part, &w, &oplan, &mut gws, &mut out).is_err());
-        // Workspace built for the gather plan lacks operator scratch.
-        assert!(lump_op_weighted_into(&p, &part, &w, &oplan, &mut gws, &mut out).is_err());
+        let mut out = lump_with_plan(&mat, &part, &w, &gplan, &mut gws).unwrap();
+        // Each plan against the other storage kind.
+        assert!(lump_weighted_into(&imp, &part, &w, &gplan, &mut ows, &mut out).is_err());
+        assert!(lump_weighted_into(&mat, &part, &w, &oplan, &mut gws, &mut out).is_err());
+        // Workspace built for the gather plan lacks traversal scratch.
+        assert!(lump_weighted_into(&imp, &part, &w, &oplan, &mut gws, &mut out).is_err());
         // The proper pairing works.
-        assert!(lump_op_weighted_into(&p, &part, &w, &oplan, &mut ows, &mut out).is_ok());
+        assert!(lump_weighted_into(&imp, &part, &w, &oplan, &mut ows, &mut out).is_ok());
     }
 
     #[test]

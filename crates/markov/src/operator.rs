@@ -4,8 +4,7 @@
 //! sparse storage entirely, using "hierarchical generalized
 //! Kronecker-algebra and/or probability decision diagram representations".
 //! The workspace-wide interface for that is
-//! [`TransitionOp`](stochcdr_linalg::TransitionOp), which every
-//! [`StationarySolver`](crate::stationary::StationarySolver) consumes via
+//! [`TransitionOp`], which every [`StationarySolver`] consumes via
 //! `solve_op`. This module keeps two conveniences on top of it:
 //!
 //! * [`FnOp`] — wraps a closure as a left-apply-only operator (tests and

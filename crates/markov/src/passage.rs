@@ -14,7 +14,7 @@
 //!   state before absorption, from a given start distribution.
 //!
 //! All entry points take the operator abstraction
-//! [`TransitionOp`](stochcdr_linalg::TransitionOp), so they work with any
+//! [`TransitionOp`], so they work with any
 //! backend — [`StochasticMatrix`](crate::StochasticMatrix) (which coerces at
 //! the call site), bare CSR, dense, or product-form operators with row
 //! access. Backends without a cached transpose are materialized once for the

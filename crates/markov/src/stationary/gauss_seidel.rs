@@ -66,33 +66,33 @@ impl GaussSeidelSolver {
     ///
     /// Panics if `x.len() != p.n()`.
     pub fn sweep_once(&self, p: &StochasticMatrix, x: &mut [f64]) -> f64 {
-        assert_eq!(x.len(), p.n(), "vector length must match state count");
-        sweep_transposed(p.transposed(), x)
+        GaussSeidelSolver::sweep_transposed(p.transposed(), x)
     }
 
-    /// One forward sweep over the rows of a transposed [`TransitionOp`]
-    /// (e.g. [`crate::ImplicitStochastic::transposed_view`]) — the
-    /// implicit-path twin of [`sweep_once`](Self::sweep_once), with
-    /// identical arithmetic per state.
+    /// One forward sweep in place over the rows of a cached CSR transpose
+    /// `P^T` ([`TransitionOp::transpose_csr`]); returns the L1 change.
+    /// Same arithmetic as [`sweep_once`](Self::sweep_once), for callers
+    /// that hold the chain as a trait object.
+    ///
+    /// Inherently sequential: each state's update reads the freshest
+    /// values of the states swept before it, so this kernel does not
+    /// parallelize.
     ///
     /// # Panics
     ///
     /// Panics if `x.len() != pt.rows()`.
-    pub fn sweep_transposed_op(pt: &dyn TransitionOp, x: &mut [f64]) -> f64 {
+    pub fn sweep_transposed(pt: &CsrMatrix, x: &mut [f64]) -> f64 {
         assert_eq!(x.len(), pt.rows(), "vector length must match state count");
         let mut change = 0.0;
         for i in 0..x.len() {
             let mut acc = 0.0;
             let mut pii = 0.0;
-            {
-                let xr: &[f64] = x;
-                pt.for_each_in_row(i, &mut |j, v| {
-                    if j == i {
-                        pii = v;
-                    } else {
-                        acc += v * xr[j];
-                    }
-                });
+            for (j, v) in pt.row(i) {
+                if j == i {
+                    pii = v;
+                } else {
+                    acc += v * x[j];
+                }
             }
             let denom = 1.0 - pii;
             if denom > f64::EPSILON {
@@ -106,21 +106,23 @@ impl GaussSeidelSolver {
     }
 }
 
-/// One forward Gauss–Seidel sweep over the rows of `P^T`.
-///
-/// Inherently sequential: each state's update reads the freshest values of
-/// the states swept before it, so this kernel does not parallelize.
-pub(crate) fn sweep_transposed(pt: &CsrMatrix, x: &mut [f64]) -> f64 {
+/// [`GaussSeidelSolver::sweep_transposed`] over a transposed operator
+/// served by row traversal (a Kronecker product's transposed twin), for
+/// `solve_op` on backends without a cached CSR transpose.
+fn sweep_by_traversal(pt: &dyn TransitionOp, x: &mut [f64]) -> f64 {
     let mut change = 0.0;
     for i in 0..x.len() {
         let mut acc = 0.0;
         let mut pii = 0.0;
-        for (j, v) in pt.row(i) {
-            if j == i {
-                pii = v;
-            } else {
-                acc += v * x[j];
-            }
+        {
+            let xr: &[f64] = x;
+            pt.for_each_in_row(i, &mut |j, v| {
+                if j == i {
+                    pii = v;
+                } else {
+                    acc += v * xr[j];
+                }
+            });
         }
         let denom = 1.0 - pii;
         if denom > f64::EPSILON {
@@ -165,8 +167,8 @@ impl StationarySolver for GaussSeidelSolver {
         let heartbeat = obs::Heartbeat::new("gauss-seidel");
         for it in 1..=self.opts.max_iters {
             let change = match &pt {
-                Pt::Csr(m) => sweep_transposed(m, &mut x),
-                Pt::Op(t) => GaussSeidelSolver::sweep_transposed_op(*t, &mut x),
+                Pt::Csr(m) => GaussSeidelSolver::sweep_transposed(m, &mut x),
+                Pt::Op(t) => sweep_by_traversal(*t, &mut x),
             };
             if vecops::sum(&x) == 0.0 {
                 // The sweep annihilated the iterate (possible for

@@ -83,56 +83,22 @@ impl JacobiSolver {
     /// operator's main diagonal (hoisted by callers that sweep repeatedly).
     pub(crate) fn sweep_op(&self, op: &dyn TransitionOp, diag: &[f64], x: &mut [f64]) -> f64 {
         let mut y = vec![0.0; x.len()];
-        self.sweep_op_into(op, diag, x, &mut y)
+        self.sweep_with_scratch(op, diag, x, &mut y)
     }
 
-    /// Allocation-free sweep with caller-provided diagonal and scratch.
+    /// Allocation-free sweep against any operator, materialized or
+    /// matrix-free, with caller-provided diagonal and scratch.
     ///
-    /// `diag` must be `p`'s main diagonal and `y` a scratch vector of the
-    /// same length as `x`. Same bits as [`sweep_once`](Self::sweep_once);
-    /// multigrid smoothing hoists both buffers out of the cycle loop.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slice lengths are inconsistent.
-    pub fn sweep_with_scratch(
-        &self,
-        p: &StochasticMatrix,
-        diag: &[f64],
-        x: &mut [f64],
-        y: &mut [f64],
-    ) -> f64 {
-        assert_eq!(x.len(), p.n(), "vector length must match state count");
-        assert_eq!(diag.len(), p.n(), "diagonal length must match state count");
-        self.sweep_op_into(p, diag, x, y)
-    }
-
-    /// Allocation-free sweep against any operator: like
-    /// [`sweep_with_scratch`](Self::sweep_with_scratch) but on a
-    /// [`TransitionOp`] (the implicit Kronecker path). `diag` must be the
-    /// operator's main diagonal; same bits as the materialized sweep when
-    /// the operator serves the materialized chain's values.
+    /// `diag` must be `op`'s main diagonal and `y` a scratch vector of the
+    /// same length as `x`. Same bits as [`sweep_once`](Self::sweep_once),
+    /// and the same bits on a matrix-free operator as on the materialized
+    /// chain whose values it serves; multigrid smoothing hoists both
+    /// buffers out of the cycle loop.
     ///
     /// # Panics
     ///
     /// Panics if the slice lengths are inconsistent with the operator.
-    pub fn sweep_op_with_scratch(
-        &self,
-        op: &dyn TransitionOp,
-        diag: &[f64],
-        x: &mut [f64],
-        y: &mut [f64],
-    ) -> f64 {
-        assert_eq!(x.len(), op.rows(), "vector length must match state count");
-        assert_eq!(
-            diag.len(),
-            op.rows(),
-            "diagonal length must match state count"
-        );
-        self.sweep_op_into(op, diag, x, y)
-    }
-
-    fn sweep_op_into(
+    pub fn sweep_with_scratch(
         &self,
         op: &dyn TransitionOp,
         diag: &[f64],
@@ -140,6 +106,8 @@ impl JacobiSolver {
         y: &mut [f64],
     ) -> f64 {
         let n = x.len();
+        assert_eq!(n, op.rows(), "vector length must match state count");
+        assert_eq!(diag.len(), n, "diagonal length must match state count");
         assert_eq!(y.len(), n, "scratch length must match vector length");
         // y_i = Σ_j x_j p_ji = (x P)_i.
         op.mul_left_into(x, y);

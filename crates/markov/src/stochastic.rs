@@ -170,7 +170,9 @@ impl StochasticMatrix {
         }
     }
 
-    /// Residual `|| x P - x ||_1` of a candidate stationary vector.
+    /// Residual `|| x P - x ||_1` of a candidate stationary vector
+    /// (allocating; [`StochasticOp::stationary_residual_with`] is the
+    /// allocation-free variant with the same bits).
     ///
     /// # Panics
     ///
@@ -178,18 +180,6 @@ impl StochasticMatrix {
     pub fn stationary_residual(&self, x: &[f64]) -> f64 {
         let y = self.step(x);
         vecops::dist1(&y, x)
-    }
-
-    /// Allocation-free variant of
-    /// [`stationary_residual`](Self::stationary_residual): `scratch`
-    /// receives `x P`. Same bits as the allocating path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either slice length differs from `n()`.
-    pub fn stationary_residual_with(&self, x: &[f64], scratch: &mut [f64]) -> f64 {
-        self.step_into(x, scratch);
-        vecops::dist1(scratch, x)
     }
 
     /// The transition probability `P(i -> j)`.
@@ -234,8 +224,8 @@ impl TransitionOp for StochasticMatrix {
         }
     }
 
-    fn diagonal(&self) -> Vec<f64> {
-        self.p.diagonal()
+    fn diagonal_into(&self, out: &mut [f64]) {
+        self.p.diagonal_into(out);
     }
 
     fn transpose_csr(&self) -> Option<&CsrMatrix> {
@@ -249,6 +239,43 @@ impl TransitionOp for StochasticMatrix {
     fn materialize_dense(&self) -> stochcdr_linalg::DenseMatrix {
         self.p.to_dense()
     }
+}
+
+/// A validated chain: a [`TransitionOp`] whose rows are probability
+/// distributions, checked once at construction. This is what the
+/// multigrid solver and the lumping refresh consume, so an unvalidated
+/// operator cannot reach them; the trait is sealed to the two validated
+/// chain types, [`StochasticMatrix`] and the matrix-free
+/// [`ImplicitStochastic`](crate::ImplicitStochastic).
+pub trait StochasticOp: TransitionOp + sealed::Sealed {
+    /// The stored row-ordered values `P`, or `None` for a matrix-free
+    /// chain. Kernels that can read stored values directly (the lumping
+    /// gather, Gauss–Seidel on the cached transpose, the dense coarse
+    /// fill) choose their path from this once, never per entry.
+    fn csr(&self) -> Option<&CsrMatrix>;
+
+    /// Residual `|| x P - x ||_1` of a candidate stationary vector;
+    /// `scratch` receives `x P`. Allocation-free.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either slice length differs from the state count.
+    fn stationary_residual_with(&self, x: &[f64], scratch: &mut [f64]) -> f64 {
+        self.mul_left_into(x, scratch);
+        vecops::dist1(scratch, x)
+    }
+}
+
+impl StochasticOp for StochasticMatrix {
+    fn csr(&self) -> Option<&CsrMatrix> {
+        Some(&self.p)
+    }
+}
+
+mod sealed {
+    pub trait Sealed {}
+    impl Sealed for super::StochasticMatrix {}
+    impl Sealed for crate::ImplicitStochastic<'_> {}
 }
 
 #[cfg(test)]

@@ -69,7 +69,7 @@ proptest! {
         w in prop::collection::vec(0.01f64..10.0, N),
     ) {
         let reference = lump_weighted(&p, &part, &w).expect("from-scratch lumping");
-        let plan = LumpPlan::build(&p, &part).expect("plan");
+        let plan = LumpPlan::new(&p, &part).expect("plan");
         for threads in [1usize, 4] {
             par::set_threads(Some(threads));
             let mut ws = LumpWorkspace::for_plan(&plan);

@@ -31,11 +31,9 @@
 
 use std::sync::Arc;
 
-use stochcdr_linalg::{DenseMatrix, TransitionOp};
-use stochcdr_markov::lumping::{
-    lump_op_with_plan, lump_with_plan, LumpPlan, LumpWorkspace, Partition,
-};
-use stochcdr_markov::{ImplicitStochastic, MarkovError, Result, StochasticMatrix};
+use stochcdr_linalg::DenseMatrix;
+use stochcdr_markov::lumping::{lump_with_plan, LumpPlan, LumpWorkspace, Partition};
+use stochcdr_markov::{MarkovError, Result, StochasticMatrix, StochasticOp};
 
 /// Wall-clock seconds accumulated per multigrid phase.
 ///
@@ -115,12 +113,11 @@ pub struct MgHierarchy {
     /// Fine-level residual scratch.
     pub(crate) resid: Vec<f64>,
     pub(crate) fine_n: usize,
-    pub(crate) fine_nnz: usize,
     /// Fine-level apply cost in scalar multiply-adds, the weight the
-    /// cycle-equivalents accounting uses for level 0. Equals `fine_nnz`
-    /// for materialized chains; for the implicit path it is the
-    /// operator's true per-apply work ([`TransitionOp::apply_cost`]),
-    /// which the compact `nnz` badly understates.
+    /// cycle-equivalents accounting uses for level 0: the stored nnz of a
+    /// materialized chain; for a matrix-free one the operator's true
+    /// per-apply work ([`apply_cost`](stochcdr_linalg::TransitionOp::apply_cost)),
+    /// which its compact `nnz` badly understates.
     pub(crate) fine_work: usize,
     pub(crate) phases: MgPhases,
 }
@@ -128,9 +125,10 @@ pub struct MgHierarchy {
 impl MgHierarchy {
     /// Builds the numeric side of a hierarchy from prevalidated plans:
     /// allocates every level's storage and refreshes each coarse chain
-    /// with uniform weights.
+    /// with uniform weights. The fine chain may be materialized or
+    /// matrix-free; every coarse level is materialized.
     pub(crate) fn build(
-        p: &StochasticMatrix,
+        fine: &dyn StochasticOp,
         partitions: &[Partition],
         plans: Arc<Vec<LumpPlan>>,
     ) -> Result<Self> {
@@ -143,26 +141,21 @@ impl MgHierarchy {
         }
         let mut levels: Vec<MgLevel> = Vec::with_capacity(plans.len());
         for (k, plan) in plans.iter().enumerate() {
-            let (fine_n, fine_nnz) = match levels.last() {
-                None => (p.n(), p.nnz()),
-                Some(prev) => (prev.coarse.n(), prev.coarse.nnz()),
+            let level: &dyn StochasticOp = match levels.last() {
+                None => fine,
+                Some(prev) => &prev.coarse,
             };
-            if plan.fine_n() != fine_n || plan.fine_nnz() != fine_nnz {
+            if !plan.matches(level) {
                 return Err(MarkovError::InvalidArgument(format!(
-                    "plan {k} expects a {}-state/{}-entry fine chain, level has {fine_n}/{fine_nnz}",
+                    "plan {k} expects a {}-state/{}-entry fine chain, level has {} states",
                     plan.fine_n(),
-                    plan.fine_nnz()
+                    plan.fine_nnz(),
+                    level.rows()
                 )));
             }
             let mut ws = LumpWorkspace::for_plan(plan);
             let ones = vec![1.0; plan.fine_n()];
-            let coarse = {
-                let fine = match levels.last() {
-                    None => p,
-                    Some(prev) => &prev.coarse,
-                };
-                lump_with_plan(fine, &partitions[k], &ones, plan, &mut ws)?
-            };
+            let coarse = lump_with_plan(level, &partitions[k], &ones, plan, &mut ws)?;
             levels.push(MgLevel {
                 coarse,
                 ws,
@@ -171,7 +164,8 @@ impl MgHierarchy {
                 sm: vec![0.0; plan.fine_n()],
             });
         }
-        let nc = levels.last().map_or(p.n(), |l| l.coarse.n());
+        let n = fine.rows();
+        let nc = levels.last().map_or(n, |l| l.coarse.n());
         Ok(MgHierarchy {
             plans,
             levels,
@@ -181,122 +175,9 @@ impl MgHierarchy {
                 diag: vec![0.0; nc],
                 sm: vec![0.0; nc],
             },
-            resid: vec![0.0; p.n()],
-            fine_n: p.n(),
-            fine_nnz: p.nnz(),
-            fine_work: p.nnz(),
-            phases: MgPhases::default(),
-        })
-    }
-
-    /// Builds a hierarchy whose finest level is a matrix-free
-    /// [`ImplicitStochastic`] chain: the level-0 transfer uses an
-    /// operator-built plan ([`LumpPlan::from_op`]) that re-traverses the
-    /// operator's rows instead of gathering from materialized storage, so
-    /// only the coarse levels are ever materialized. When `injected` is
-    /// `None` the symbolic analysis runs here, interleaved with the coarse
-    /// chain construction (each plan needs the previous level's pattern).
-    ///
-    /// The level-0 smoothing diagonal is filled once from the operator —
-    /// the implicit chain's values are fixed for the borrow's lifetime, so
-    /// cycles never recompute it (and the Kronecker diagonal expansion
-    /// allocates, which the allocation-free cycle loop must avoid).
-    pub(crate) fn build_op(
-        imp: &ImplicitStochastic<'_>,
-        partitions: &[Partition],
-        injected: Option<Arc<Vec<LumpPlan>>>,
-    ) -> Result<Self> {
-        if partitions.is_empty() {
-            return Err(MarkovError::InvalidArgument(
-                "implicit fine grid needs at least one coarsening level: the coarsest \
-                 level must be materialized for the direct solve"
-                    .into(),
-            ));
-        }
-        if let Some(pl) = &injected {
-            if pl.len() != partitions.len() {
-                return Err(MarkovError::InvalidArgument(format!(
-                    "hierarchy has {} plans for {} partitions",
-                    pl.len(),
-                    partitions.len()
-                )));
-            }
-        }
-        let mut built: Vec<LumpPlan> = Vec::with_capacity(partitions.len());
-        let mut levels: Vec<MgLevel> = Vec::with_capacity(partitions.len());
-        for (k, part) in partitions.iter().enumerate() {
-            let plan: &LumpPlan = match &injected {
-                Some(pl) => &pl[k],
-                None => {
-                    let p = if k == 0 {
-                        LumpPlan::from_op(imp, part)?
-                    } else {
-                        LumpPlan::build(&levels[k - 1].coarse, part)?
-                    };
-                    built.push(p);
-                    built.last().expect("just pushed")
-                }
-            };
-            if plan.is_operator_plan() != (k == 0) {
-                return Err(MarkovError::InvalidArgument(format!(
-                    "plan {k}: the finest plan must be operator-built (LumpPlan::from_op), \
-                     coarser plans gather-built"
-                )));
-            }
-            let fine_n = match levels.last() {
-                None => imp.n(),
-                Some(prev) => prev.coarse.n(),
-            };
-            if plan.fine_n() != fine_n {
-                return Err(MarkovError::InvalidArgument(format!(
-                    "plan {k} expects a {}-state fine chain, level has {fine_n}",
-                    plan.fine_n()
-                )));
-            }
-            if let Some(prev_nnz) = levels.last().map(|l| l.coarse.nnz()) {
-                if plan.fine_nnz() != prev_nnz {
-                    return Err(MarkovError::InvalidArgument(format!(
-                        "plan {k} expects {} fine entries, level has {prev_nnz}",
-                        plan.fine_nnz()
-                    )));
-                }
-            }
-            let mut ws = LumpWorkspace::for_plan(plan);
-            let ones = vec![1.0; plan.fine_n()];
-            let coarse = if k == 0 {
-                lump_op_with_plan(imp, part, &ones, plan, &mut ws)?
-            } else {
-                let fine = &levels[k - 1].coarse;
-                lump_with_plan(fine, part, &ones, plan, &mut ws)?
-            };
-            levels.push(MgLevel {
-                coarse,
-                ws,
-                xc: vec![0.0; plan.block_count()],
-                diag: vec![0.0; plan.fine_n()],
-                sm: vec![0.0; plan.fine_n()],
-            });
-        }
-        imp.diagonal_into(&mut levels[0].diag);
-        let plans = match injected {
-            Some(pl) => pl,
-            None => Arc::new(built),
-        };
-        let fine_nnz = plans[0].fine_nnz();
-        let nc = levels.last().expect("non-empty").coarse.n();
-        Ok(MgHierarchy {
-            plans,
-            levels,
-            gth: CoarseWs {
-                dense: DenseMatrix::zeros(nc, nc),
-                resid: vec![0.0; nc],
-                diag: vec![0.0; nc],
-                sm: vec![0.0; nc],
-            },
-            resid: vec![0.0; imp.n()],
-            fine_n: imp.n(),
-            fine_nnz,
-            fine_work: imp.apply_cost(),
+            resid: vec![0.0; n],
+            fine_n: n,
+            fine_work: fine.apply_cost(),
             phases: MgPhases::default(),
         })
     }
@@ -319,22 +200,14 @@ impl MgHierarchy {
         &self.plans
     }
 
-    /// Whether this hierarchy is valid for `p`: same state count and same
-    /// sparsity-pattern size as the chain it was prepared for. (Values may
-    /// differ freely — the symbolic side only depends on the pattern.)
-    pub fn matches(&self, p: &StochasticMatrix) -> bool {
-        self.fine_n == p.n() && self.fine_nnz == p.nnz()
-    }
-
-    /// Whether this hierarchy is valid for the implicit chain `imp`: same
-    /// state count and an operator-built finest plan. The entry count
-    /// cannot be cross-checked cheaply (product-form operators report
-    /// their compact storage size, while the plan counts the logical
-    /// entries it traverses), so callers must keep the operator's sparsity
-    /// pattern fixed across reuse — the same contract
-    /// [`matches`](Self::matches) states for values vs. patterns.
-    pub fn matches_op(&self, imp: &ImplicitStochastic<'_>) -> bool {
-        self.fine_n == imp.n() && self.plans.first().is_some_and(LumpPlan::is_operator_plan)
+    /// Whether this hierarchy is valid for `fine`: the same state count
+    /// and a finest plan that [matches](LumpPlan::matches) the chain's
+    /// storage and pattern size. (Values may differ freely — the symbolic
+    /// side only depends on the pattern.)
+    pub fn matches(&self, fine: &dyn StochasticOp) -> bool {
+        self.plans
+            .first()
+            .map_or(self.fine_n == fine.rows(), |plan| plan.matches(fine))
     }
 
     /// Phase-time totals accumulated so far (setup plus all cycles run

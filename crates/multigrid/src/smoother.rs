@@ -1,19 +1,21 @@
 //! Smoothers used between grid transfers.
 //!
-//! Every sweep's hot product routes through the chain's cached transpose
-//! (`StochasticMatrix::step_into` → `CsrMatrix::mul_right_into`), so
-//! smoothing inherits the nnz-balanced `RowPartition` blocking and the
-//! persistent `linalg::par` worker pool on levels large enough to clear
-//! the parallel nnz gate; coarse levels stay serial by the same gate.
+//! Every sweep's hot product routes through the chain's own kernels: a
+//! materialized level's cached transpose (`StochasticMatrix::step_into`
+//! → `CsrMatrix::mul_right_into`) inherits the nnz-balanced
+//! `RowPartition` blocking and the persistent `linalg::par` worker pool on
+//! levels large enough to clear the parallel nnz gate, and coarse levels
+//! stay serial by the same gate; a matrix-free fine level runs its
+//! operator's gather kernel.
 
 use stochcdr_markov::stationary::{GaussSeidelSolver, JacobiSolver};
-use stochcdr_markov::{ImplicitStochastic, StochasticMatrix};
+use stochcdr_markov::{StochasticMatrix, StochasticOp};
 
 /// The relaxation applied before and after each coarse-grid correction.
 ///
 /// The paper interleaves "simple Gauss–Jacobi iterations" with the lumping
 /// and expanding steps; Gauss–Seidel is provided as the standard stronger
-/// alternative.
+/// alternative on materialized chains.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Smoother {
     /// Damped Jacobi with relaxation factor `ω ∈ (0, 1]`.
@@ -21,10 +23,9 @@ pub enum Smoother {
         /// Damping factor.
         omega: f64,
     },
-    /// Forward Gauss–Seidel sweeps.
+    /// Forward Gauss–Seidel sweeps over the cached transpose `P^T`, so
+    /// only chains that store one (materialized ones) can use it.
     GaussSeidel,
-    /// Plain power steps `x ← x P` (the weakest but cheapest smoother).
-    Power,
 }
 
 impl Smoother {
@@ -47,28 +48,25 @@ impl Smoother {
                     g.sweep_once(p, x);
                 }
             }
-            Smoother::Power => {
-                let mut buf = vec![0.0; x.len()];
-                for _ in 0..sweeps {
-                    p.step_into(x, &mut buf);
-                    x.copy_from_slice(&buf);
-                    stochcdr_linalg::vecops::normalize_l1(x);
-                }
-            }
         }
     }
 
-    /// Allocation-free variant of [`apply`](Self::apply) with caller-owned
-    /// scratch: `diag` receives `p`'s main diagonal (Jacobi only) and
-    /// `scratch` is a work vector, both of length `p.n()`. Same bits as
-    /// `apply`; the cycle loop hoists both buffers into the hierarchy.
+    /// Allocation-free variant of [`apply`](Self::apply) on any validated
+    /// chain, with caller-owned scratch: `diag` receives the chain's main
+    /// diagonal (Jacobi only) and `scratch` is a work vector, both of
+    /// length `fine.rows()`. Same bits as `apply` on a materialized
+    /// chain, and on a matrix-free chain the same bits as on its
+    /// materialized twin; the cycle loop hoists both buffers into the
+    /// hierarchy.
     ///
     /// # Panics
     ///
-    /// Panics if the buffer lengths disagree with `p.n()`.
+    /// Panics if the buffer lengths disagree with `fine.rows()`, or for
+    /// Gauss–Seidel on a chain without a cached transpose (the solver
+    /// rejects that pairing before any cycle runs).
     pub(crate) fn apply_ws(
         &self,
-        p: &StochasticMatrix,
+        fine: &dyn StochasticOp,
         x: &mut [f64],
         sweeps: usize,
         diag: &mut [f64],
@@ -80,68 +78,18 @@ impl Smoother {
         match self {
             Smoother::Jacobi { omega } => {
                 // The diagonal is constant across sweeps: hoist it once.
-                p.matrix().diagonal_into(diag);
+                fine.diagonal_into(diag);
                 let j = JacobiSolver::new(f64::MIN_POSITIVE, 1, *omega);
                 for _ in 0..sweeps {
-                    j.sweep_with_scratch(p, diag, x, scratch);
+                    j.sweep_with_scratch(fine, diag, x, scratch);
                 }
             }
             Smoother::GaussSeidel => {
-                let g = GaussSeidelSolver::new(f64::MIN_POSITIVE, 1);
+                let pt = fine
+                    .transpose_csr()
+                    .expect("Gauss–Seidel smoothing needs the chain's cached transpose");
                 for _ in 0..sweeps {
-                    g.sweep_once(p, x);
-                }
-            }
-            Smoother::Power => {
-                for _ in 0..sweeps {
-                    p.step_into(x, scratch);
-                    x.copy_from_slice(&scratch[..x.len()]);
-                    stochcdr_linalg::vecops::normalize_l1(x);
-                }
-            }
-        }
-    }
-
-    /// Implicit-path twin of [`apply_ws`](Self::apply_ws): smooths against
-    /// a matrix-free [`ImplicitStochastic`] chain. `diag` must hold the
-    /// chain's main diagonal (hoisted once at hierarchy build — the
-    /// operator's values are fixed for the lifetime of the borrow, so the
-    /// diagonal never changes) and `scratch` a work vector of length
-    /// `imp.n()`. Produces the same bits as `apply_ws` on the materialized
-    /// twin of the same operator, at any thread count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the buffer lengths disagree with `imp.n()`.
-    pub(crate) fn apply_op_ws(
-        &self,
-        imp: &ImplicitStochastic<'_>,
-        x: &mut [f64],
-        sweeps: usize,
-        diag: &[f64],
-        scratch: &mut [f64],
-    ) {
-        if sweeps == 0 {
-            return;
-        }
-        match self {
-            Smoother::Jacobi { omega } => {
-                let j = JacobiSolver::new(f64::MIN_POSITIVE, 1, *omega);
-                for _ in 0..sweeps {
-                    j.sweep_op_with_scratch(imp, diag, x, scratch);
-                }
-            }
-            Smoother::GaussSeidel => {
-                let pt = imp.transposed_view();
-                for _ in 0..sweeps {
-                    GaussSeidelSolver::sweep_transposed_op(&pt, x);
-                }
-            }
-            Smoother::Power => {
-                for _ in 0..sweeps {
-                    imp.step_into(x, scratch);
-                    x.copy_from_slice(&scratch[..x.len()]);
-                    stochcdr_linalg::vecops::normalize_l1(x);
+                    GaussSeidelSolver::sweep_transposed(pt, x);
                 }
             }
         }
@@ -159,6 +107,7 @@ impl Default for Smoother {
 mod tests {
     use super::*;
     use stochcdr_linalg::{vecops, CooMatrix};
+    use stochcdr_markov::ImplicitStochastic;
 
     fn chain() -> StochasticMatrix {
         let n = 16;
@@ -174,11 +123,7 @@ mod tests {
     #[test]
     fn all_smoothers_reduce_residual() {
         let p = chain();
-        for s in [
-            Smoother::Jacobi { omega: 0.8 },
-            Smoother::GaussSeidel,
-            Smoother::Power,
-        ] {
+        for s in [Smoother::Jacobi { omega: 0.8 }, Smoother::GaussSeidel] {
             let mut x: Vec<f64> = (0..16).map(|i| (i + 1) as f64).collect();
             vecops::normalize_l1(&mut x);
             let before = p.stationary_residual(&x);
@@ -192,11 +137,7 @@ mod tests {
     #[test]
     fn apply_ws_matches_apply_bitwise() {
         let p = chain();
-        for s in [
-            Smoother::Jacobi { omega: 0.8 },
-            Smoother::GaussSeidel,
-            Smoother::Power,
-        ] {
+        for s in [Smoother::Jacobi { omega: 0.8 }, Smoother::GaussSeidel] {
             let mut a: Vec<f64> = (0..16).map(|i| (i + 1) as f64).collect();
             vecops::normalize_l1(&mut a);
             let mut b = a.clone();
@@ -211,7 +152,8 @@ mod tests {
     #[test]
     fn apply_op_ws_matches_apply_ws_bitwise() {
         // The implicit chain wraps the same raw CSR the materialized chain
-        // validated; every smoother must produce identical bits.
+        // validated; Jacobi, the one smoother a matrix-free chain admits,
+        // must produce identical bits on both.
         let n = 16;
         let mut coo = CooMatrix::new(n, n);
         for i in 0..n {
@@ -223,23 +165,16 @@ mod tests {
         let p = StochasticMatrix::with_tolerance(raw.clone(), 1e-6).unwrap();
         let rawt = raw.transpose();
         let imp = ImplicitStochastic::with_tolerance(&raw, &rawt, 1e-6).unwrap();
-        let mut diag = vec![0.0; n];
-        stochcdr_linalg::TransitionOp::diagonal_into(&imp, &mut diag);
-        for s in [
-            Smoother::Jacobi { omega: 0.8 },
-            Smoother::GaussSeidel,
-            Smoother::Power,
-        ] {
-            let mut a: Vec<f64> = (0..n).map(|i| (i + 1) as f64).collect();
-            vecops::normalize_l1(&mut a);
-            let mut b = a.clone();
-            let mut mdiag = vec![0.0; n];
-            let mut sa = vec![f64::NAN; n];
-            let mut sb = vec![f64::NAN; n];
-            s.apply_ws(&p, &mut a, 5, &mut mdiag, &mut sa);
-            s.apply_op_ws(&imp, &mut b, 5, &diag, &mut sb);
-            assert_eq!(a, b, "{s:?}");
-        }
+        let s = Smoother::Jacobi { omega: 0.8 };
+        let mut a: Vec<f64> = (0..n).map(|i| (i + 1) as f64).collect();
+        vecops::normalize_l1(&mut a);
+        let mut b = a.clone();
+        let (mut da, mut db) = (vec![0.0; n], vec![0.0; n]);
+        let (mut sa, mut sb) = (vec![f64::NAN; n], vec![f64::NAN; n]);
+        s.apply_ws(&p, &mut a, 5, &mut da, &mut sa);
+        s.apply_ws(&imp, &mut b, 5, &mut db, &mut sb);
+        assert_eq!(da, db, "diagonals diverge");
+        assert_eq!(a, b);
     }
 
     #[test]

@@ -1,24 +1,23 @@
 //! The multi-level aggregation/disaggregation solver.
 //!
-//! Threading: the grid-transfer kernels (`lump_weighted_into` /
-//! `lump_op_weighted_into`) fan out over the `LumpPlan`'s precomputed
-//! gather-weight `RowPartition`, and every smoothing/residual product
-//! rides the operator's own partition through `mul_right_into` — all on
-//! the persistent `linalg::par` pool, with block fences that are a pure
-//! function of the operator, never of the thread count.
+//! Threading: the grid-transfer kernel (`lump_weighted_into`) fans out
+//! over the `LumpPlan`'s precomputed blocking — gather weights on a
+//! materialized level, coarse-row traversal costs on a matrix-free fine
+//! grid — and every smoothing/residual product rides the chain's own
+//! partition — all on the persistent `linalg::par` pool, with block
+//! fences that are a pure function of the operator, never of the thread
+//! count.
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use stochcdr_linalg::{vecops, TransitionOp};
-use stochcdr_markov::lumping::{
-    disaggregate_scaled, lump_op_weighted_into, lump_weighted_into, LumpPlan, Partition,
-};
+use stochcdr_markov::lumping::{disaggregate_scaled, lump_weighted_into, LumpPlan, Partition};
 use stochcdr_markov::stationary::{
     ConvergenceSummary, ConvergenceTrace, GthSolver, SolveReport, StationaryResult,
     StationarySolver,
 };
-use stochcdr_markov::{ImplicitStochastic, MarkovError, Result, StochasticMatrix};
+use stochcdr_markov::{MarkovError, Result, StochasticMatrix, StochasticOp};
 use stochcdr_obs as obs;
 
 use crate::hierarchy::{CoarseWs, MgHierarchy, MgLevel, MgPhases};
@@ -43,30 +42,6 @@ const LEVEL_SPANS: [&str; 12] = [
 
 fn level_span(level: usize) -> &'static str {
     LEVEL_SPANS[level.min(LEVEL_SPANS.len() - 1)]
-}
-
-/// The finest level's chain backend. Coarse levels are always materialized
-/// (`StochasticMatrix`); the fine grid is either materialized too, or a
-/// matrix-free [`ImplicitStochastic`] wrapper around a product-form
-/// operator whose joint TPM never exists in memory. All value-level
-/// arithmetic is shared between the two arms, so a solve through `Op` is
-/// bit-identical to one through `Mat` whenever the operator serves the
-/// materialized chain's values.
-#[derive(Clone, Copy)]
-enum FineLevel<'a, 'b> {
-    /// Materialized fine chain.
-    Mat(&'a StochasticMatrix),
-    /// Implicit (matrix-free) fine chain.
-    Op(&'a ImplicitStochastic<'b>),
-}
-
-impl FineLevel<'_, '_> {
-    fn n(&self) -> usize {
-        match self {
-            FineLevel::Mat(p) => p.n(),
-            FineLevel::Op(imp) => imp.n(),
-        }
-    }
 }
 
 /// Recursion pattern of the multigrid cycle.
@@ -477,44 +452,51 @@ impl MultigridSolver {
         self.partitions.len() + 1
     }
 
-    /// Solves and returns per-cycle diagnostics alongside the result.
+    /// Prepares and solves in one call, returning per-cycle diagnostics
+    /// alongside the result.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`StationarySolver::solve`].
+    /// Same conditions as [`prepare`](Self::prepare) and
+    /// [`solve_prepared`](Self::solve_prepared).
     pub fn solve_with_stats(
         &self,
-        p: &StochasticMatrix,
+        fine: &dyn StochasticOp,
         init: Option<&[f64]>,
     ) -> Result<(StationaryResult, MultigridStats)> {
-        let mut h = self.prepare(p)?;
-        self.solve_prepared(p, &mut h, init)
+        let mut h = self.prepare(fine)?;
+        self.solve_prepared(fine, &mut h, init)
     }
 
-    /// One-time symbolic + storage setup for `p`: validates the partition
-    /// sequence, runs (or adopts injected) symbolic lumping plans, and
-    /// allocates every buffer the cycle loop needs. The returned hierarchy
-    /// is valid for any chain sharing `p`'s sparsity pattern — value
-    /// changes never require re-preparation.
+    /// One-time symbolic + storage setup for the fine chain: validates the
+    /// partition sequence, runs (or adopts injected) symbolic lumping
+    /// plans, and allocates every buffer the cycle loop needs. The fine
+    /// chain may be materialized or matrix-free; only coarse levels are
+    /// ever materialized, and a matrix-free chain with no partitions is
+    /// solved directly. The returned hierarchy is valid for any chain
+    /// sharing `fine`'s sparsity pattern — value changes never require
+    /// re-preparation.
     ///
     /// Instrumented as the `mg.setup` span.
     ///
     /// # Errors
     ///
     /// Returns [`MarkovError::InvalidArgument`] when the finest partition
-    /// does not cover `p`, when the coarsest level exceeds the
-    /// direct-solve cap, or when injected plans do not match.
-    pub fn prepare(&self, p: &StochasticMatrix) -> Result<MgHierarchy> {
+    /// does not cover `fine`, when the coarsest level exceeds the
+    /// direct-solve cap, when Gauss–Seidel smoothing meets a matrix-free
+    /// chain (its sweeps need the cached transpose only a materialized
+    /// chain stores), or when injected plans do not match.
+    pub fn prepare(&self, fine: &dyn StochasticOp) -> Result<MgHierarchy> {
+        let n = fine.rows();
         if let Some(part) = self.partitions.first() {
-            if part.n() != p.n() {
+            if part.n() != n {
                 return Err(MarkovError::InvalidArgument(format!(
-                    "finest partition covers {} states, chain has {}",
-                    part.n(),
-                    p.n()
+                    "finest partition covers {} states, chain has {n}",
+                    part.n()
                 )));
             }
         }
-        let coarsest = self.partitions.last().map_or(p.n(), Partition::block_count);
+        let coarsest = self.partitions.last().map_or(n, Partition::block_count);
         if coarsest > self.coarse_direct_max {
             return Err(MarkovError::InvalidArgument(format!(
                 "coarsest level has {coarsest} states, exceeding the direct-solve cap {}; \
@@ -522,56 +504,30 @@ impl MultigridSolver {
                 self.coarse_direct_max
             )));
         }
+        self.check_smoother(fine)?;
         let t0 = Instant::now();
         let _span = obs::span("mg.setup");
         let plans = match &self.plans {
             Some(pl) => Arc::clone(pl),
-            None => Arc::new(LumpPlan::build_stack(p, &self.partitions)?),
+            None => Arc::new(LumpPlan::build_stack(fine, &self.partitions)?),
         };
-        let mut h = MgHierarchy::build(p, &self.partitions, plans)?;
+        let mut h = MgHierarchy::build(fine, &self.partitions, plans)?;
         h.phases.setup_secs = t0.elapsed().as_secs_f64();
         Ok(h)
     }
 
-    /// Implicit-path twin of [`prepare`](Self::prepare): one-time setup
-    /// for a matrix-free fine grid. The finest symbolic plan is built by
-    /// traversing the operator's rows ([`LumpPlan::from_op`]); only the
-    /// coarse levels are materialized. Injected plans
-    /// ([`MultigridBuilder::plans`]) must have an operator-built finest
-    /// plan.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MarkovError::InvalidArgument`] when the partition
-    /// sequence is empty (the coarsest direct solve needs a materialized
-    /// chain), does not cover the operator, or exceeds the direct-solve
-    /// cap; plan mismatches are rejected as in `prepare`.
-    pub fn prepare_op(&self, imp: &ImplicitStochastic<'_>) -> Result<MgHierarchy> {
-        if let Some(part) = self.partitions.first() {
-            if part.n() != imp.n() {
-                return Err(MarkovError::InvalidArgument(format!(
-                    "finest partition covers {} states, chain has {}",
-                    part.n(),
-                    imp.n()
-                )));
-            }
+    /// Rejects Gauss–Seidel smoothing of a chain without a cached
+    /// transpose: its sweeps run over the rows of `P^T`, which only a
+    /// materialized chain stores.
+    fn check_smoother(&self, fine: &dyn StochasticOp) -> Result<()> {
+        if self.smoother == Smoother::GaussSeidel && fine.transpose_csr().is_none() {
+            return Err(MarkovError::InvalidArgument(
+                "Gauss–Seidel smoothing needs a materialized fine chain; \
+                 smooth a matrix-free chain with Jacobi"
+                    .into(),
+            ));
         }
-        let coarsest = self
-            .partitions
-            .last()
-            .map_or(imp.n(), Partition::block_count);
-        if coarsest > self.coarse_direct_max {
-            return Err(MarkovError::InvalidArgument(format!(
-                "coarsest level has {coarsest} states, exceeding the direct-solve cap {}; \
-                 add more coarsening levels",
-                self.coarse_direct_max
-            )));
-        }
-        let t0 = Instant::now();
-        let _span = obs::span("mg.setup");
-        let mut h = MgHierarchy::build_op(imp, &self.partitions, self.plans.clone())?;
-        h.phases.setup_secs = t0.elapsed().as_secs_f64();
-        Ok(h)
+        Ok(())
     }
 
     /// Runs one multigrid cycle against a prepared hierarchy and returns
@@ -590,30 +546,32 @@ impl MultigridSolver {
     /// # Errors
     ///
     /// Returns [`MarkovError::InvalidArgument`] if `h` was prepared for a
-    /// different pattern, or propagates coarse-solve failures.
-    pub fn cycle(&self, p: &StochasticMatrix, h: &mut MgHierarchy, x: &mut [f64]) -> Result<f64> {
-        self.cycle_with(self.schedule.initial(), p, h, x)
+    /// different chain or the smoother cannot run on this one, or
+    /// propagates coarse-solve failures.
+    pub fn cycle(
+        &self,
+        fine: &dyn StochasticOp,
+        h: &mut MgHierarchy,
+        x: &mut [f64],
+    ) -> Result<f64> {
+        self.cycle_with(self.schedule.initial(), fine, h, x)
     }
 
     /// [`cycle`](Self::cycle) with an explicit cycle kind, overriding the
-    /// schedule for this one cycle. The adaptive solve loop drives this
-    /// directly; it shares the workspace-reuse guarantees of `cycle`.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`cycle`](Self::cycle).
-    pub fn cycle_with(
+    /// schedule for this one cycle — what the adaptive solve loop runs.
+    fn cycle_with(
         &self,
         kind: CycleKind,
-        p: &StochasticMatrix,
+        fine: &dyn StochasticOp,
         h: &mut MgHierarchy,
         x: &mut [f64],
     ) -> Result<f64> {
-        if !h.matches(p) {
+        if !h.matches(fine) {
             return Err(MarkovError::InvalidArgument(
                 "hierarchy was prepared for a different chain".into(),
             ));
         }
+        self.check_smoother(fine)?;
         let MgHierarchy {
             plans,
             levels,
@@ -622,63 +580,9 @@ impl MultigridSolver {
             phases,
             ..
         } = h;
-        self.run_cycle(FineLevel::Mat(p), kind, 0, plans, levels, gth, phases, x)?;
+        self.run_cycle(fine, kind, 0, plans, levels, gth, phases, x)?;
         let t0 = Instant::now();
-        let res = p.stationary_residual_with(x, resid);
-        phases.residual_secs += t0.elapsed().as_secs_f64();
-        Ok(res)
-    }
-
-    /// Implicit-path twin of [`cycle`](Self::cycle): runs one multigrid
-    /// cycle with a matrix-free fine grid. The fine-level aggregation
-    /// re-traverses the operator's rows (no materialized storage), fine
-    /// smoothing runs on the operator's product kernels, and the residual
-    /// is evaluated matrix-free; everything below level 0 is the exact
-    /// materialized cycle. Allocation-free after
-    /// [`prepare_op`](Self::prepare_op), like the materialized path.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MarkovError::InvalidArgument`] if `h` was not prepared
-    /// for this operator's shape, or propagates coarse-solve failures.
-    pub fn cycle_op(
-        &self,
-        imp: &ImplicitStochastic<'_>,
-        h: &mut MgHierarchy,
-        x: &mut [f64],
-    ) -> Result<f64> {
-        self.cycle_op_with(self.schedule.initial(), imp, h, x)
-    }
-
-    /// [`cycle_op`](Self::cycle_op) with an explicit cycle kind — the
-    /// implicit twin of [`cycle_with`](Self::cycle_with).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`cycle_op`](Self::cycle_op).
-    pub fn cycle_op_with(
-        &self,
-        kind: CycleKind,
-        imp: &ImplicitStochastic<'_>,
-        h: &mut MgHierarchy,
-        x: &mut [f64],
-    ) -> Result<f64> {
-        if !h.matches_op(imp) {
-            return Err(MarkovError::InvalidArgument(
-                "hierarchy was prepared for a different chain".into(),
-            ));
-        }
-        let MgHierarchy {
-            plans,
-            levels,
-            gth,
-            resid,
-            phases,
-            ..
-        } = h;
-        self.run_cycle(FineLevel::Op(imp), kind, 0, plans, levels, gth, phases, x)?;
-        let t0 = Instant::now();
-        let res = imp.stationary_residual_with(x, resid);
+        let res = fine.stationary_residual_with(x, resid);
         phases.residual_secs += t0.elapsed().as_secs_f64();
         Ok(res)
     }
@@ -686,79 +590,39 @@ impl MultigridSolver {
     /// Cycles a prepared hierarchy to convergence. Same contract as
     /// [`solve_with_stats`](Self::solve_with_stats), minus the setup work:
     /// callers that solve many chains with one pattern (parameter sweeps)
-    /// prepare once and reuse `h`.
+    /// prepare once and reuse `h`. A matrix-free chain that serves the
+    /// same values as a materialized one returns the same distribution,
+    /// cycle count and residuals, bit for bit, at any thread count.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`StationarySolver::solve`].
+    /// Same conditions as [`StationarySolver::solve`], plus a hierarchy
+    /// prepared for a different chain.
     pub fn solve_prepared(
         &self,
-        p: &StochasticMatrix,
+        fine: &dyn StochasticOp,
         h: &mut MgHierarchy,
         init: Option<&[f64]>,
     ) -> Result<(StationaryResult, MultigridStats)> {
-        if !h.matches(p) {
+        if !h.matches(fine) {
             return Err(MarkovError::InvalidArgument(
                 "hierarchy was prepared for a different chain".into(),
             ));
         }
+        let n = fine.rows();
         let x = match init {
-            None => vecops::uniform(p.n()),
-            Some(v) => checked_init(p.n(), v)?,
+            None => vecops::uniform(n),
+            Some(v) => checked_init(n, v)?,
         };
-        self.solve_loop(FineLevel::Mat(p), h, x)
+        self.solve_loop(fine, h, x)
     }
 
-    /// Implicit-path twin of [`solve_prepared`](Self::solve_prepared):
-    /// cycles a hierarchy prepared by [`prepare_op`](Self::prepare_op) to
-    /// convergence against a matrix-free fine grid. When the operator
-    /// serves the same values a materialized chain would, the returned
-    /// distribution, cycle count and residuals are bit-identical to the
-    /// materialized solve, at any thread count.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`solve_prepared`](Self::solve_prepared).
-    pub fn solve_op_prepared(
-        &self,
-        imp: &ImplicitStochastic<'_>,
-        h: &mut MgHierarchy,
-        init: Option<&[f64]>,
-    ) -> Result<(StationaryResult, MultigridStats)> {
-        if !h.matches_op(imp) {
-            return Err(MarkovError::InvalidArgument(
-                "hierarchy was prepared for a different chain".into(),
-            ));
-        }
-        let x = match init {
-            None => vecops::uniform(imp.n()),
-            Some(v) => checked_init(imp.n(), v)?,
-        };
-        self.solve_loop(FineLevel::Op(imp), h, x)
-    }
-
-    /// Prepares and solves against a matrix-free fine grid in one call —
-    /// the implicit twin of [`solve_with_stats`](Self::solve_with_stats).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`prepare_op`](Self::prepare_op) and
-    /// [`solve_op_prepared`](Self::solve_op_prepared).
-    pub fn solve_op_with_stats(
-        &self,
-        imp: &ImplicitStochastic<'_>,
-        init: Option<&[f64]>,
-    ) -> Result<(StationaryResult, MultigridStats)> {
-        let mut h = self.prepare_op(imp)?;
-        self.solve_op_prepared(imp, &mut h, init)
-    }
-
-    /// The shared cycle loop: identical control flow for both fine-grid
-    /// backends, so the materialized path's bits are untouched by the
-    /// implicit path's existence.
+    /// The cycle loop shared by every fine chain: a matrix-free chain runs
+    /// the same control flow as its materialized twin, so the two produce
+    /// the same bits.
     fn solve_loop(
         &self,
-        fine: FineLevel<'_, '_>,
+        fine: &dyn StochasticOp,
         h: &mut MgHierarchy,
         mut x: Vec<f64>,
     ) -> Result<(StationaryResult, MultigridStats)> {
@@ -770,11 +634,11 @@ impl MultigridSolver {
             "multigrid.hierarchy",
             &[
                 ("levels", self.levels().into()),
-                ("fine_states", fine.n().into()),
+                ("fine_states", fine.rows().into()),
                 ("coarsest_states", coarsest_size.into()),
                 (
                     "coarsening_ratio",
-                    (fine.n() as f64 / coarsest_size.max(1) as f64).into(),
+                    (fine.rows() as f64 / coarsest_size.max(1) as f64).into(),
                 ),
             ],
         );
@@ -811,7 +675,9 @@ impl MultigridSolver {
         let mut cycle_equivalents = 0.0;
 
         let mut kind = self.schedule.initial();
-        let mut krylov = self.accel.map(|a| KrylovWindow::new(fine.n(), a.restart));
+        let mut krylov = self
+            .accel
+            .map(|a| KrylovWindow::new(fine.rows(), a.restart));
         let mut krylov_windows = 0u64;
         let mut krylov_accepts = 0u64;
 
@@ -830,10 +696,7 @@ impl MultigridSolver {
             }
             let cycle_t0 = obs::enabled().then(Instant::now);
             let cycle_span = obs::span("cycle");
-            let mut res = match fine {
-                FineLevel::Mat(p) => self.cycle_with(kind, p, h, &mut x)?,
-                FineLevel::Op(imp) => self.cycle_op_with(kind, imp, h, &mut x)?,
-            };
+            let mut res = self.cycle_with(kind, fine, h, &mut x)?;
             drop(cycle_span);
             cycle_equivalents += kind_cost(kind);
             if let Some(w) = krylov.as_mut() {
@@ -847,10 +710,7 @@ impl MultigridSolver {
                     if w.extrapolate() {
                         // Safeguard: one true fine-grid residual for the
                         // candidate (priced like any other fine apply).
-                        let res_y = match fine {
-                            FineLevel::Mat(p) => p.stationary_residual_with(&w.y, &mut h.resid),
-                            FineLevel::Op(imp) => imp.stationary_residual_with(&w.y, &mut h.resid),
-                        };
+                        let res_y = fine.stationary_residual_with(&w.y, &mut h.resid);
                         cycle_equivalents += fine_apply_cost;
                         if res_y < res {
                             krylov_accepts += 1;
@@ -892,10 +752,7 @@ impl MultigridSolver {
                 // Clamping perturbs the iterate, so the pre-clamp residual
                 // no longer describes the distribution actually returned:
                 // recompute it and keep history's last entry in sync.
-                let final_res = match fine {
-                    FineLevel::Mat(p) => p.stationary_residual_with(&x, &mut h.resid),
-                    FineLevel::Op(imp) => imp.stationary_residual_with(&x, &mut h.resid),
-                };
+                let final_res = fine.stationary_residual_with(&x, &mut h.resid);
                 *history.last_mut().expect("pushed above") = final_res;
                 obs::event(
                     "multigrid.converged",
@@ -946,7 +803,7 @@ impl MultigridSolver {
     #[allow(clippy::too_many_arguments)]
     fn smooth_ws(
         &self,
-        chain: &StochasticMatrix,
+        chain: &dyn StochasticOp,
         x: &mut [f64],
         sweeps: usize,
         level: usize,
@@ -973,40 +830,6 @@ impl MultigridSolver {
         obs::histogram(&format!("multigrid.smooth.ns.level{level}"), ns);
     }
 
-    /// Implicit twin of [`smooth_ws`](Self::smooth_ws): identical
-    /// accounting, smoothing against the matrix-free fine chain. `diag` is
-    /// read-only — the operator's diagonal was hoisted once at hierarchy
-    /// build (recomputing it from a Kronecker operator allocates).
-    #[allow(clippy::too_many_arguments)]
-    fn smooth_op_ws(
-        &self,
-        imp: &ImplicitStochastic<'_>,
-        x: &mut [f64],
-        sweeps: usize,
-        level: usize,
-        diag: &[f64],
-        scratch: &mut [f64],
-        ph: &mut MgPhases,
-    ) {
-        let t0 = Instant::now();
-        if !obs::enabled() {
-            self.smoother.apply_op_ws(imp, x, sweeps, diag, scratch);
-            ph.smooth_secs += t0.elapsed().as_secs_f64();
-            return;
-        }
-        {
-            let _span = obs::span("smooth");
-            self.smoother.apply_op_ws(imp, x, sweeps, diag, scratch);
-        }
-        let ns = t0.elapsed().as_nanos() as f64;
-        ph.smooth_secs += ns * 1e-9;
-        obs::counter(
-            &format!("multigrid.smooth_sweeps.level{level}"),
-            sweeps as u64,
-        );
-        obs::histogram(&format!("multigrid.smooth.ns.level{level}"), ns);
-    }
-
     /// One multigrid cycle at `level`, updating `x` in place. Numeric
     /// only: the coarse chain's values are refreshed through the cached
     /// plan, the restriction is the block-weight vector the refresh
@@ -1014,7 +837,7 @@ impl MultigridSolver {
     #[allow(clippy::too_many_arguments)]
     fn run_cycle(
         &self,
-        chain: FineLevel<'_, '_>,
+        chain: &dyn StochasticOp,
         kind: CycleKind,
         level: usize,
         plans: &[LumpPlan],
@@ -1025,42 +848,28 @@ impl MultigridSolver {
     ) -> Result<()> {
         let _level_span = obs::span(level_span(level));
         let Some((lvl, rest)) = levels.split_first_mut() else {
-            let FineLevel::Mat(chain) = chain else {
-                // `prepare_op` rejects empty partition sequences, so the
-                // implicit fine grid never reaches the coarsest arm.
-                return Err(MarkovError::InvalidArgument(
-                    "implicit fine grid cannot be the coarsest level".into(),
-                ));
-            };
             let t0 = Instant::now();
             let _span = obs::span("coarse_solve");
             let r = self.solve_coarsest_ws(chain, cw, x);
             ph.coarse_solve_secs += t0.elapsed().as_secs_f64();
             return r;
         };
-        match chain {
-            FineLevel::Mat(p) => {
-                self.smooth_ws(p, x, self.pre_sweeps, level, &mut lvl.diag, &mut lvl.sm, ph)
-            }
-            FineLevel::Op(imp) => {
-                self.smooth_op_ws(imp, x, self.pre_sweeps, level, &lvl.diag, &mut lvl.sm, ph)
-            }
-        }
+        self.smooth_ws(
+            chain,
+            x,
+            self.pre_sweeps,
+            level,
+            &mut lvl.diag,
+            &mut lvl.sm,
+            ph,
+        );
 
         let part = &self.partitions[level];
-        let plan = &plans[level];
         let t0 = Instant::now();
         let agg_span = obs::span("aggregate");
         {
             let _refresh = obs::span("mg.refresh");
-            match chain {
-                FineLevel::Mat(p) => {
-                    lump_weighted_into(p, part, x, plan, &mut lvl.ws, &mut lvl.coarse)?
-                }
-                FineLevel::Op(imp) => {
-                    lump_op_weighted_into(imp, part, x, plan, &mut lvl.ws, &mut lvl.coarse)?
-                }
-            }
+            lump_weighted_into(chain, part, x, &plans[level], &mut lvl.ws, &mut lvl.coarse)?;
         }
         // The refresh's block-weight pass *is* the restriction: same block
         // sums, same order, same bits as `aggregate(part, x)`.
@@ -1070,7 +879,7 @@ impl MultigridSolver {
         ph.aggregate_secs += t0.elapsed().as_secs_f64();
         for child in kind.children(level).into_iter().flatten() {
             self.run_cycle(
-                FineLevel::Mat(&lvl.coarse),
+                &lvl.coarse,
                 child,
                 level + 1,
                 plans,
@@ -1087,40 +896,37 @@ impl MultigridSolver {
         drop(disagg_span);
         ph.disaggregate_secs += t0.elapsed().as_secs_f64();
 
-        match chain {
-            FineLevel::Mat(p) => self.smooth_ws(
-                p,
-                x,
-                self.post_sweeps,
-                level,
-                &mut lvl.diag,
-                &mut lvl.sm,
-                ph,
-            ),
-            FineLevel::Op(imp) => {
-                self.smooth_op_ws(imp, x, self.post_sweeps, level, &lvl.diag, &mut lvl.sm, ph)
-            }
-        }
+        self.smooth_ws(
+            chain,
+            x,
+            self.post_sweeps,
+            level,
+            &mut lvl.diag,
+            &mut lvl.sm,
+            ph,
+        );
         Ok(())
     }
 
     /// Direct solve at the coarsest level; falls back to smoothing sweeps
     /// when the (weight-dependent) coarse chain is numerically reducible.
     /// The dense scratch is reused across cycles: zero it, scatter the
-    /// chain's entries (what `to_dense` builds), eliminate in place.
+    /// chain's entries (stored values when materialized, row traversal
+    /// when matrix-free), eliminate in place.
     fn solve_coarsest_ws(
         &self,
-        chain: &StochasticMatrix,
+        chain: &dyn StochasticOp,
         cw: &mut CoarseWs,
         x: &mut [f64],
     ) -> Result<()> {
         let gth_span = obs::span("markov.gth");
         cw.dense.fill(0.0);
-        let m = chain.matrix();
-        for r in 0..chain.n() {
+        let stored = chain.csr();
+        for r in 0..chain.rows() {
             let row = cw.dense.row_mut(r);
-            for (c, v) in m.row(r) {
-                row[c] = v;
+            match stored {
+                Some(m) => m.row(r).for_each(|(c, v)| row[c] = v),
+                None => chain.for_each_in_row(r, &mut |c, v| row[c] = v),
             }
         }
         match GthSolver::new().solve_dense_in_place(&mut cw.dense, x) {
@@ -1129,7 +935,10 @@ impl MultigridSolver {
                     let residual = chain.stationary_residual_with(x, &mut cw.resid);
                     obs::event(
                         "markov.gth",
-                        &[("states", chain.n().into()), ("residual", residual.into())],
+                        &[
+                            ("states", chain.rows().into()),
+                            ("residual", residual.into()),
+                        ],
                     );
                 }
                 Ok(())
@@ -1320,6 +1129,7 @@ mod tests {
     use crate::{GeometricCoarsening, PairwiseCoarsening};
     use stochcdr_linalg::CooMatrix;
     use stochcdr_markov::stationary::PowerIteration;
+    use stochcdr_markov::ImplicitStochastic;
 
     /// Birth–death chain of `n` states with up-probability `up`.
     fn birth_death(n: usize, up: f64) -> StochasticMatrix {
@@ -1449,29 +1259,23 @@ mod tests {
         let mat = StochasticMatrix::with_tolerance(raw.clone(), 1e-6).unwrap();
         let rawt = raw.transpose();
         let imp = ImplicitStochastic::with_tolerance(&raw, &rawt, 1e-6).unwrap();
-        for smoother in [Smoother::Jacobi { omega: 0.8 }, Smoother::GaussSeidel] {
-            let solver = MultigridSolver::builder(PairwiseCoarsening::until(4).levels(32))
-                .cycle(CycleKind::W)
-                .smoother(smoother.clone())
-                .tol(1e-12)
-                .build();
-            let (rm, sm) = solver.solve_with_stats(&mat, None).unwrap();
-            let (ri, si) = solver.solve_op_with_stats(&imp, None).unwrap();
-            assert_eq!(rm.iterations(), ri.iterations(), "{smoother:?}");
-            assert_eq!(
-                rm.residual().to_bits(),
-                ri.residual().to_bits(),
-                "{smoother:?}"
-            );
-            let same = rm
-                .distribution
-                .iter()
-                .zip(&ri.distribution)
-                .all(|(a, b)| a.to_bits() == b.to_bits());
-            assert!(same, "{smoother:?}: distributions diverge");
-            assert_eq!(sm.residual_history, si.residual_history, "{smoother:?}");
-            assert_eq!(sm.level_sizes, si.level_sizes);
-        }
+        let solver = MultigridSolver::builder(PairwiseCoarsening::until(4).levels(32))
+            .cycle(CycleKind::W)
+            .smoother(Smoother::Jacobi { omega: 0.8 })
+            .tol(1e-12)
+            .build();
+        let (rm, sm) = solver.solve_with_stats(&mat, None).unwrap();
+        let (ri, si) = solver.solve_with_stats(&imp, None).unwrap();
+        assert_eq!(rm.iterations(), ri.iterations());
+        assert_eq!(rm.residual().to_bits(), ri.residual().to_bits());
+        let same = rm
+            .distribution
+            .iter()
+            .zip(&ri.distribution)
+            .all(|(a, b)| a.to_bits() == b.to_bits());
+        assert!(same, "distributions diverge");
+        assert_eq!(sm.residual_history, si.residual_history);
+        assert_eq!(sm.level_sizes, si.level_sizes);
     }
 
     #[test]
@@ -1482,16 +1286,16 @@ mod tests {
         let solver = MultigridSolver::builder(PairwiseCoarsening::until(4).levels(32))
             .tol(1e-11)
             .build();
-        let mut h = solver.prepare_op(&imp).unwrap();
-        let (a, _) = solver.solve_op_prepared(&imp, &mut h, None).unwrap();
-        let (b, _) = solver.solve_op_prepared(&imp, &mut h, None).unwrap();
+        let mut h = solver.prepare(&imp).unwrap();
+        let (a, _) = solver.solve_prepared(&imp, &mut h, None).unwrap();
+        let (b, _) = solver.solve_prepared(&imp, &mut h, None).unwrap();
         assert_eq!(a.distribution, b.distribution);
         // Cached plans can seed a second solver instance.
         let reuse = MultigridSolver::builder(PairwiseCoarsening::until(4).levels(32))
             .tol(1e-11)
             .plans(Arc::clone(h.plans()))
             .build();
-        let (c, _) = reuse.solve_op_with_stats(&imp, None).unwrap();
+        let (c, _) = reuse.solve_with_stats(&imp, None).unwrap();
         assert_eq!(a.distribution, c.distribution);
     }
 
@@ -1500,20 +1304,28 @@ mod tests {
         let raw = birth_death(16, 0.4).matrix().clone();
         let rawt = raw.transpose();
         let imp = ImplicitStochastic::with_tolerance(&raw, &rawt, 1e-6).unwrap();
-        // No coarsening levels: the coarsest solve needs a materialized chain.
-        let direct = MultigridSolver::builder(vec![]).build();
+        let parts = PairwiseCoarsening::until(4).levels(16);
+        // Gauss–Seidel sweeps a cached transpose a matrix-free chain lacks.
+        let gs = MultigridSolver::builder(parts.clone())
+            .smoother(Smoother::GaussSeidel)
+            .build();
         assert!(matches!(
-            direct.prepare_op(&imp),
+            gs.prepare(&imp),
             Err(MarkovError::InvalidArgument(_))
         ));
+        // Nor can it cycle a hierarchy prepared for the materialized twin.
+        let mat = StochasticMatrix::with_tolerance(raw.clone(), 1e-6).unwrap();
+        let mut h = gs.prepare(&mat).unwrap();
+        let mut x = vecops::uniform(16);
+        assert!(gs.cycle(&imp, &mut h, &mut x).is_err());
         // Mismatched hierarchy rejected.
-        let solver = MultigridSolver::builder(PairwiseCoarsening::until(4).levels(16)).build();
-        let mut h = solver.prepare_op(&imp).unwrap();
+        let solver = MultigridSolver::builder(parts).build();
+        let mut h = solver.prepare(&imp).unwrap();
         let other_raw = birth_death(32, 0.4).matrix().clone();
         let other_t = other_raw.transpose();
         let other = ImplicitStochastic::with_tolerance(&other_raw, &other_t, 1e-6).unwrap();
         let mut x = vecops::uniform(32);
-        assert!(solver.cycle_op(&other, &mut h, &mut x).is_err());
+        assert!(solver.cycle(&other, &mut h, &mut x).is_err());
     }
 
     #[test]
@@ -1523,6 +1335,16 @@ mod tests {
         let r = solver.solve(&p, None).unwrap();
         assert!(p.stationary_residual(&r.distribution) < 1e-12);
         assert_eq!(r.iterations(), 1);
+        // A matrix-free chain solves directly too, filling the dense
+        // elimination by row traversal: its materialized twin's bits.
+        let raw = p.matrix().clone();
+        let rawt = raw.transpose();
+        let mat = StochasticMatrix::with_tolerance(raw.clone(), 1e-6).unwrap();
+        let imp = ImplicitStochastic::with_tolerance(&raw, &rawt, 1e-6).unwrap();
+        let (rm, _) = solver.solve_with_stats(&mat, None).unwrap();
+        let (ri, _) = solver.solve_with_stats(&imp, None).unwrap();
+        assert_eq!(ri.distribution, rm.distribution);
+        assert_eq!(ri.residual().to_bits(), rm.residual().to_bits());
     }
 
     #[test]

@@ -227,8 +227,7 @@ where
     // too (`mg.plan` kind): points that only move transition values share
     // one plan stack, so their solves skip the symbolic setup entirely.
     let (result, solve_time, solver_name, mg_phases) = if choice.is_multigrid() {
-        let schedule = choice.mg_schedule().expect("multigrid choice");
-        let plans = chain.mg_plans_cached(cache, &parts, schedule);
+        let plans = chain.mg_plans_cached(cache, &parts);
         let solver = chain.multigrid_solver(choice, spec.tol, parts, Some(plans));
         let solve_start = Instant::now();
         let (result, stats) = solver.solve_with_stats(chain.tpm(), init.as_deref())?;
@@ -434,5 +433,21 @@ mod tests {
             assert_eq!(stats.by_kind[kind].misses, 1, "kind {kind}");
             assert_eq!(stats.by_kind[kind].hits, 3, "kind {kind}");
         }
+    }
+
+    #[test]
+    fn solver_axis_shares_one_plan_stack() {
+        // Plans depend on the pattern and partitions only, so the three
+        // multigrid variants at one configuration build one plan stack.
+        let spec = SweepSpec::new(base())
+            .axis(SweepAxis::Solver(vec![
+                SolverChoice::Multigrid,
+                SolverChoice::MultigridW,
+                SolverChoice::MgKrylov,
+            ]))
+            .tol(1e-10);
+        let sweep = run(&spec).unwrap();
+        let plan = &sweep.cache.by_kind["mg.plan"];
+        assert_eq!((plan.misses, plan.hits), (1, 2));
     }
 }

@@ -106,7 +106,8 @@ pub struct SweepSpec {
 
 impl SweepSpec {
     /// A single-point sweep of `base` with the default solver policy
-    /// (multigrid V-cycles at [`stochcdr::DEFAULT_TOL`], warm starts on).
+    /// (multigrid V-cycles at [`stochcdr::analysis::DEFAULT_TOL`], warm
+    /// starts on).
     pub fn new(base: CdrConfig) -> Self {
         SweepSpec {
             base,

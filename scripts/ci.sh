@@ -1,8 +1,9 @@
 #!/usr/bin/env sh
-# Tier-1 verification: formatting, release build, full test suite, and
-# clippy with warnings denied. Everything runs offline — the workspace
-# resolves its external dev-dependencies (rand/proptest/criterion) to
-# local shims.
+# Tier-1 verification: formatting, release build, full test suite,
+# clippy with warnings denied, and rustdoc with warnings denied on the
+# library crates (a broken intra-doc link fails the run). Everything runs
+# offline — the workspace resolves its external dev-dependencies
+# (rand/proptest/criterion) to local shims.
 #
 # The test suite runs twice, pinned to 1 and 4 worker threads, so the
 # determinism contract of the parallel kernels (bit-identical results for
@@ -30,6 +31,7 @@ for t in 2 8; do
     STOCHCDR_THREADS=$t cargo test -q --offline -p stochcdr-bench --test mg_invariance
 done
 cargo clippy --offline --all-targets -- -D warnings
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline -p stochcdr-linalg -p stochcdr-markov -p stochcdr-multigrid -p stochcdr-fsm -p stochcdr -p stochcdr-sweep -p stochcdr-obs -p stochcdr-noise
 ./scripts/trace_smoke.sh
 ./scripts/mem_smoke.sh
 ./scripts/profile_smoke.sh
