@@ -27,6 +27,10 @@ use stochcdr_noise::sonet::DataSpec;
 use stochcdr_obs as obs;
 use stochcdr_sweep::{run_map, FactorCache, SweepAxis, SweepSpec};
 
+/// Counts heap bytes so each implicit row can report its own peak.
+#[global_allocator]
+static GLOBAL: obs::mem::TrackingAlloc = obs::mem::TrackingAlloc::new();
+
 /// Solvers benchmarked on the smooth scaling family. Adding a solver to
 /// either table is one line here — the solve/print plumbing below goes
 /// through the `SolverChoice` registry.
@@ -90,7 +94,7 @@ fn bench_solvers(
     }
 }
 
-/// Process peak RSS in the table's glued `MiB` format — the golden
+/// A byte count in the table's glued `MiB` format — the golden
 /// comparator masks this token shape (machine-dependent, like timings).
 fn fmt_mib(bytes: u64) -> String {
     format!("{:.1}MiB", bytes as f64 / (1024.0 * 1024.0))
@@ -99,14 +103,19 @@ fn fmt_mib(bytes: u64) -> String {
 /// One row of the implicit Kronecker section: `lanes` replicas of a
 /// single-lane chain solved matrix-free on the product-form fine grid.
 /// The joint TPM is never materialized — "dense nnz" reports what it
-/// *would* store — and peak RSS shows the footprint the implicit path
-/// actually pays. Cycles, cycle-equivalents, the final cycle kind, the
-/// Krylov accept ratio, and the residual are deterministic (the implicit
-/// path runs the default V-cycle schedule with always-on Krylov
-/// extrapolation); solve time and RSS are masked in the golden diff. The family grows by widening the
-/// lane's loop counter (the refinement is pinned at 8, the coarsest grid
-/// the Fig.-5 drift still resolves).
+/// *would* store — and the peak heap shows the footprint the implicit
+/// path actually pays. Cycles, cycle-equivalents, the final cycle kind,
+/// the Krylov accept ratio, and the residual are deterministic (the
+/// implicit path runs the default V-cycle schedule with always-on Krylov
+/// extrapolation); solve time and peak heap are masked in the golden
+/// diff. The family grows by widening the lane's loop counter (the
+/// refinement is pinned at 8, the coarsest grid the Fig.-5 drift still
+/// resolves).
 fn bench_implicit(out: &mut String, counter: usize, lanes: usize, tol: f64) {
+    // The row's own heap high-water mark: the peak since this reset,
+    // less what the earlier sections still hold live.
+    obs::mem::reset_peak();
+    let base = obs::mem::live_bytes();
     let config = CdrConfig::builder()
         .phases(8)
         .grid_refinement(8)
@@ -117,9 +126,6 @@ fn bench_implicit(out: &mut String, counter: usize, lanes: usize, tol: f64) {
         .expect("implicit lane config");
     let lane = CdrModel::new(config).build_chain().expect("lane chain");
     let product = lane.replicate(lanes).expect("product chain");
-    // Restart the RSS high-water mark so the column reports this row's
-    // footprint, not the residue of the materialized sections above.
-    obs::mem::reset_peak_rss();
     let t0 = Instant::now();
     let solve = product.solve_implicit(tol).expect("implicit solve");
     let secs = t0.elapsed().as_secs_f64();
@@ -137,7 +143,7 @@ fn bench_implicit(out: &mut String, counter: usize, lanes: usize, tol: f64) {
         solve.stats.krylov_windows,
         solve.result.residual(),
         secs,
-        fmt_mib(obs::mem::peak_rss_bytes()),
+        fmt_mib(obs::mem::peak_bytes().saturating_sub(base)),
     );
 }
 
@@ -203,7 +209,7 @@ fn render(large: bool) -> String {
 
     // Part 3: the implicit Kronecker path — multi-lane product-form
     // chains whose fine grid is never materialized. The interesting
-    // columns are the stored-vs-dense nonzero gap and the peak RSS: the
+    // columns are the stored-vs-dense nonzero gap and the peak heap: the
     // million-state row's materialized TPM would need gigabytes, while
     // the matrix-free solve completes in well under one.
     let _ = writeln!(
@@ -223,7 +229,7 @@ fn render(large: bool) -> String {
         "krylov",
         "residual",
         "solve",
-        "peak-RSS"
+        "peak-heap"
     );
     for counter in [2usize, 3, 5] {
         bench_implicit(&mut out, counter, 2, 1e-8);

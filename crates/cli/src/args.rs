@@ -87,7 +87,7 @@ pub fn usage() -> String {
      \x20            materialized (default auto: implicit is selected when\n\
      \x20            materializing would cross --mem-budget)\n\
      \x20 report     render a recorded artifact (--in FILE): a stochcdr-obs\n\
-     \x20            metrics JSONL stream (schema /1../4) or a Chrome trace\n\
+     \x20            metrics JSONL stream (schema /4) or a Chrome trace\n\
      \x20            from --trace; --check-folded PATH verifies a folded\n\
      \x20            profile against the artifact's span paths\n\
      \x20 diff       compare two metrics artifacts (--baseline A --fresh B):\n\
@@ -150,7 +150,7 @@ pub enum MetricsFormat {
     /// Aggregated human-readable table.
     #[default]
     Summary,
-    /// One JSON object per record (`stochcdr-obs/2` schema).
+    /// One JSON object per record (`stochcdr-obs/4` schema).
     Jsonl,
 }
 
@@ -199,9 +199,9 @@ pub struct Options {
     pub metrics_format: MetricsFormat,
     /// Where to write a Chrome Trace Event file (`--trace`), if anywhere.
     pub trace: Option<String>,
-    /// Soft live-heap budget in bytes (`--mem-budget`), if any: published
-    /// to [`stochcdr_obs::mem`] so budget-aware paths (the Kronecker
-    /// materialization) can refuse oversized intermediates.
+    /// Soft live-heap budget in bytes (`--mem-budget`), if any: `scale`
+    /// passes it to the Kronecker materialization, which refuses
+    /// oversized intermediates.
     pub mem_budget: Option<u64>,
     /// Heartbeat interval in seconds (`--progress`); `None` = off.
     pub progress: Option<f64>,

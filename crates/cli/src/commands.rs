@@ -120,9 +120,9 @@ fn diff_cmd(opts: &Options) -> Result<String, CliError> {
 /// `stochcdr report --in FILE`: renders a recorded artifact — either a
 /// `--metrics ... --metrics-format jsonl` stream or a `--trace` Chrome
 /// trace — as a human-readable table, validating its structure. Memory
-/// attribution (schema `stochcdr-obs/3`) and profile stacks (`/4`)
-/// render only when present, so older artifacts print exactly as they
-/// used to. `--check-folded PATH` additionally validates a folded
+/// attribution and profile stacks render only when present (a run
+/// without the tracking allocator or the profiler has none).
+/// `--check-folded PATH` additionally validates a folded
 /// profile file against the artifact: every frame of every stack must
 /// resolve to a span name recorded in the artifact's span paths (the
 /// CI profile smoke test's gate).
@@ -180,8 +180,8 @@ fn report_cmd(opts: &Options) -> Result<String, CliError> {
                 );
             }
         }
-        // Memory attribution arrived with stochcdr-obs/3; older artifacts
-        // carry all-zero fields and skip the section entirely.
+        // Without a tracking allocator every span carries zero
+        // allocations; such artifacts skip the section entirely.
         if art.spans.values().any(|s| s.allocs > 0) {
             let _ = writeln!(out, "\nspan memory (path, bytes, allocs):");
             for (p, s) in &art.spans {
@@ -607,9 +607,9 @@ fn scale(opts: &Options) -> Result<String, CliError> {
     let solver = product.solver_tuned(opts.tol, opts.cycle, accel);
     let solver_name = solver.name();
     let solve = match opts.extra.get("path").map(String::as_str) {
-        None | Some("auto") => product.solve_auto_with(solver)?,
+        None | Some("auto") => product.solve_auto_with(solver, opts.mem_budget)?,
         Some("implicit") => product.solve_implicit_with(solver)?,
-        Some("materialized") => product.solve_materialized_with(solver)?,
+        Some("materialized") => product.solve_materialized_with(solver, opts.mem_budget)?,
         Some(v) => {
             return Err(CliError::BadValue {
                 flag: "--path".into(),
@@ -634,7 +634,7 @@ fn scale(opts: &Options) -> Result<String, CliError> {
         product.materialized_nnz() as f64,
         fmt_bytes(product.materialize_cost_bytes()),
     );
-    let budget = match obs::mem::budget() {
+    let budget = match opts.mem_budget {
         Some(b) => format!("budget {}", fmt_bytes(b)),
         None => "no budget".to_string(),
     };
@@ -780,37 +780,37 @@ mod tests {
     #[test]
     fn report_renders_memory_only_when_artifact_has_it() {
         let dir = std::env::temp_dir();
-        // A /3 artifact with span memory attribution...
-        let v3 = dir.join("stochcdr_cli_report_v3.jsonl");
+        // An artifact with span memory attribution...
+        let tracked = dir.join("stochcdr_cli_report_tracked.jsonl");
         std::fs::write(
-            &v3,
-            "{\"kind\":\"meta\",\"schema\":\"stochcdr-obs/3\"}\n\
+            &tracked,
+            "{\"kind\":\"meta\",\"schema\":\"stochcdr-obs/4\"}\n\
              {\"kind\":\"span\",\"path\":\"solve\",\"name\":\"solve\",\"nanos\":1200,\
               \"alloc_bytes\":65536,\"allocs\":3}\n",
         )
         .unwrap();
-        let out = run(&argv(&format!("report --in {}", v3.display()))).unwrap();
-        assert!(out.contains("stochcdr-obs/3"), "{out}");
+        let out = run(&argv(&format!("report --in {}", tracked.display()))).unwrap();
+        assert!(out.contains("stochcdr-obs/4"), "{out}");
         assert!(out.contains("span memory"), "{out}");
         assert!(out.contains("64.0KiB"), "{out}");
 
-        // ...and a pre-/3 artifact renders exactly as before: no memory
-        // section, no error.
-        let v2 = dir.join("stochcdr_cli_report_v2.jsonl");
+        // ...and one without (no tracking allocator): no memory section,
+        // no error.
+        let untracked = dir.join("stochcdr_cli_report_untracked.jsonl");
         std::fs::write(
-            &v2,
-            "{\"kind\":\"meta\",\"schema\":\"stochcdr-obs/2\"}\n\
+            &untracked,
+            "{\"kind\":\"meta\",\"schema\":\"stochcdr-obs/4\"}\n\
              {\"kind\":\"span\",\"path\":\"solve\",\"name\":\"solve\",\"nanos\":1200}\n\
              {\"kind\":\"counter\",\"name\":\"sweeps\",\"delta\":3}\n",
         )
         .unwrap();
-        let out = run(&argv(&format!("report --in {}", v2.display()))).unwrap();
-        assert!(out.contains("stochcdr-obs/2"), "{out}");
+        let out = run(&argv(&format!("report --in {}", untracked.display()))).unwrap();
+        assert!(out.contains("stochcdr-obs/4"), "{out}");
         assert!(!out.contains("span memory"), "{out}");
         assert!(out.contains("sweeps"), "{out}");
 
-        std::fs::remove_file(&v3).ok();
-        std::fs::remove_file(&v2).ok();
+        std::fs::remove_file(&tracked).ok();
+        std::fs::remove_file(&untracked).ok();
     }
 
     #[test]

@@ -52,9 +52,6 @@ pub fn run(argv: &[String]) -> Result<String, CliError> {
     if parsed.options.threads > 0 {
         stochcdr_linalg::par::set_threads(Some(parsed.options.threads));
     }
-    // `--mem-budget` (re)publishes the soft live-heap budget every run so
-    // a previous invocation's budget never leaks into this one.
-    obs::mem::set_budget(parsed.options.mem_budget);
     // `--progress` (re)arms the heartbeat every run, including the
     // disarmed default, so a previous invocation's interval never leaks.
     obs::heartbeat::configure(

@@ -13,10 +13,10 @@
 //!
 //! # Path selection
 //!
-//! [`solve_auto`](ProductChain::solve_auto) picks the backend from the
-//! soft memory budget ([`stochcdr_obs::mem::set_budget`], `--mem-budget`
-//! on the CLI): when [`KroneckerOp::materialize_cost_bytes`] would push
-//! the live heap past the budget, the solve runs implicitly; otherwise
+//! [`solve_auto`](ProductChain::solve_auto) picks the backend from a
+//! soft memory budget (`--mem-budget` on the CLI): when
+//! [`KroneckerOp::materialize_cost_bytes`] would push the live heap past
+//! the budget, the solve runs implicitly; otherwise
 //! the product is materialized and solved on the ordinary path. Both
 //! backends share one solver configuration and one hierarchy, so on any
 //! model small enough to run both, the stationary vector, cycle count,
@@ -332,29 +332,34 @@ impl ProductChain {
     }
 
     /// Solves on the materialized joint TPM (the reference path for
-    /// models small enough to afford it).
+    /// models small enough to afford it), with no memory budget.
     ///
     /// # Errors
     ///
-    /// Returns [`CdrError::Config`] when the soft memory budget refuses
-    /// the materialization ([`KroneckerOp::try_materialize`]); use
-    /// [`solve_implicit`](Self::solve_implicit) or
-    /// [`solve_auto`](Self::solve_auto) instead. Propagates TPM
-    /// validation and solver failures.
+    /// Propagates TPM validation and solver failures.
     pub fn solve_materialized(&self, tol: f64) -> Result<ProductSolve> {
-        self.solve_materialized_with(self.solver(tol))
+        self.solve_materialized_with(self.solver(tol), None)
     }
 
     /// [`solve_materialized`](Self::solve_materialized) with an
     /// explicitly configured solver (see
-    /// [`solver_tuned`](Self::solver_tuned)).
+    /// [`solver_tuned`](Self::solver_tuned)) under a soft memory
+    /// `budget`.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`solve_materialized`](Self::solve_materialized).
-    pub fn solve_materialized_with(&self, solver: MultigridSolver) -> Result<ProductSolve> {
+    /// Returns [`CdrError::Config`] when `budget` refuses the
+    /// materialization ([`KroneckerOp::try_materialize`]); use
+    /// [`solve_implicit`](Self::solve_implicit) or
+    /// [`solve_auto`](Self::solve_auto) instead. Propagates TPM
+    /// validation and solver failures.
+    pub fn solve_materialized_with(
+        &self,
+        solver: MultigridSolver,
+        budget: Option<u64>,
+    ) -> Result<ProductSolve> {
         let _span = obs::span("core.product_solve");
-        let csr = self.op.try_materialize().ok_or_else(|| {
+        let csr = self.op.try_materialize(budget).ok_or_else(|| {
             CdrError::Config(format!(
                 "materializing the {}-state product TPM needs {} bytes, over the memory \
                  budget; use the implicit path",
@@ -374,15 +379,15 @@ impl ProductChain {
 
     /// Budget-driven backend selection: runs
     /// [`solve_implicit`](Self::solve_implicit) when materializing the
-    /// joint TPM would cross the soft memory budget, and
+    /// joint TPM would cross the soft memory `budget`, and
     /// [`solve_materialized`](Self::solve_materialized) otherwise. With
-    /// no budget set, the materialized path always wins.
+    /// no budget, the materialized path always wins.
     ///
     /// # Errors
     ///
     /// Same conditions as the selected backend.
-    pub fn solve_auto(&self, tol: f64) -> Result<ProductSolve> {
-        self.solve_auto_with(self.solver(tol))
+    pub fn solve_auto(&self, tol: f64, budget: Option<u64>) -> Result<ProductSolve> {
+        self.solve_auto_with(self.solver(tol), budget)
     }
 
     /// [`solve_auto`](Self::solve_auto) with an explicitly configured
@@ -391,20 +396,24 @@ impl ProductChain {
     /// # Errors
     ///
     /// Same conditions as the selected backend.
-    pub fn solve_auto_with(&self, solver: MultigridSolver) -> Result<ProductSolve> {
-        if obs::mem::would_exceed(self.op.materialize_cost_bytes()) {
+    pub fn solve_auto_with(
+        &self,
+        solver: MultigridSolver,
+        budget: Option<u64>,
+    ) -> Result<ProductSolve> {
+        if obs::mem::would_exceed(self.op.materialize_cost_bytes(), budget) {
             obs::event(
                 "core.product_path",
                 &[
                     ("path", "implicit".into()),
                     ("states", self.op.dim().into()),
                     ("materialize_bytes", self.op.materialize_cost_bytes().into()),
-                    ("budget_bytes", obs::mem::budget().unwrap_or(0).into()),
+                    ("budget_bytes", budget.unwrap_or(0).into()),
                 ],
             );
             self.solve_implicit_with(solver)
         } else {
-            self.solve_materialized_with(solver)
+            self.solve_materialized_with(solver, budget)
         }
     }
 
@@ -546,14 +555,11 @@ mod tests {
 
     #[test]
     fn solve_auto_selects_by_budget() {
-        // The budget is global process state; run both arms in one test
-        // so no parallel test observes a half-configured budget.
         let p = ProductChain::replicated(&tiny_lane(), 2).unwrap();
-        obs::mem::set_budget(Some(1)); // anything materialized exceeds this
-        let implicit = p.solve_auto(1e-8);
-        obs::mem::set_budget(None);
+        // Anything materialized exceeds a one-byte budget.
+        let implicit = p.solve_auto(1e-8, Some(1));
         assert!(implicit.unwrap().implicit, "tight budget must go implicit");
-        let materialized = p.solve_auto(1e-8).unwrap();
+        let materialized = p.solve_auto(1e-8, None).unwrap();
         assert!(!materialized.implicit, "no budget must materialize");
     }
 

@@ -237,20 +237,19 @@ impl KroneckerOp {
 
     /// Budget-aware [`materialize`](Self::materialize): refuses (returns
     /// `None`) when the estimated product size would push the live heap
-    /// past the soft memory budget ([`stochcdr_obs::mem::set_budget`],
-    /// `--mem-budget` on the CLI). The first refusal emits a
-    /// `mem.budget_exceeded` event; repeat refusals on the same op (sweep
-    /// loops retry per axis point) stay silent so artifacts record one
-    /// line per op, not one per retry. With no budget set this always
-    /// materializes.
-    pub fn try_materialize(&self) -> Option<CsrMatrix> {
+    /// past the soft memory `budget` (`--mem-budget` on the CLI). The
+    /// first refusal emits a `mem.budget_exceeded` event; repeat refusals
+    /// on the same op (sweep loops retry per axis point) stay silent so
+    /// artifacts record one line per op, not one per retry. With no
+    /// budget this always materializes.
+    pub fn try_materialize(&self, budget: Option<u64>) -> Option<CsrMatrix> {
         let bytes = self.materialize_cost_bytes();
         if self.budget_reported.load(Ordering::Relaxed) {
             // Already reported for this op: check silently.
-            if obs::mem::would_exceed(bytes) {
+            if obs::mem::would_exceed(bytes, budget) {
                 return None;
             }
-        } else if !obs::mem::check_budget("fsm.kron_materialize", bytes) {
+        } else if !obs::mem::check_budget("fsm.kron_materialize", bytes, budget) {
             self.budget_reported.store(true, Ordering::Relaxed);
             return None;
         }
@@ -622,13 +621,12 @@ mod tests {
         assert!(y.iter().all(|&v| v >= 0.0));
     }
 
-    /// Serializes tests that mutate the process-global soft budget or
-    /// install an obs sink.
+    /// Serializes tests whose refusals emit events into an installed obs
+    /// sink.
     static OBS_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
     #[test]
     fn try_materialize_honors_the_soft_budget() {
-        use stochcdr_obs::mem;
         let _g = OBS_LOCK.lock().unwrap();
         let op = KroneckerOp::new(vec![stochastic2(0.3); 10]);
         assert_eq!(op.materialized_nnz(), 4usize.pow(10));
@@ -636,32 +634,33 @@ mod tests {
 
         // ~16 MiB estimated; a 1 MiB budget must refuse it, no budget
         // (or a generous one) must not.
-        mem::set_budget(Some(1 << 20));
-        assert!(op.try_materialize().is_none(), "oversized product built");
-        mem::set_budget(None);
-        let m = op.try_materialize().expect("no budget, must materialize");
+        assert!(
+            op.try_materialize(Some(1 << 20)).is_none(),
+            "oversized product built"
+        );
+        let m = op
+            .try_materialize(None)
+            .expect("no budget, must materialize");
         assert_eq!(m.nnz(), op.materialized_nnz());
     }
 
     #[test]
     fn budget_refusal_reports_once_per_op() {
         use stochcdr_obs as obs;
-        use stochcdr_obs::mem;
         let _g = OBS_LOCK.lock().unwrap();
         let _ = obs::uninstall();
         let (sink, buf) = obs::JsonLinesSink::to_shared_buffer();
         obs::install(Box::new(sink));
-        mem::set_budget(Some(1 << 20));
+        let budget = Some(1 << 20);
         let op = KroneckerOp::new(vec![stochastic2(0.3); 10]);
         // A sweep loop retries per axis point; only the first refusal may
         // emit the event.
         for _ in 0..5 {
-            assert!(op.try_materialize().is_none());
+            assert!(op.try_materialize(budget).is_none());
         }
         // A fresh clone is a fresh op: it reports once more.
         let clone = op.clone();
-        assert!(clone.try_materialize().is_none());
-        mem::set_budget(None);
+        assert!(clone.try_materialize(budget).is_none());
         obs::uninstall();
         let text = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
         let hits = text

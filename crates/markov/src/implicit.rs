@@ -156,16 +156,6 @@ impl<'a> ImplicitStochastic<'a> {
         self.fwd.nnz()
     }
 
-    /// The wrapped forward operator (raw, unscaled values).
-    pub fn forward_op(&self) -> &'a dyn TransitionOp {
-        self.fwd
-    }
-
-    /// The per-row renormalization factors.
-    pub fn scale(&self) -> &[f64] {
-        &self.scale
-    }
-
     /// One step of the chain: writes `x P` into `out`.
     ///
     /// Computed as the row-parallel gather `P^T x` over the transposed

@@ -305,9 +305,7 @@ pub struct LumpPlan {
     /// Coarse CSR pattern.
     indptr: Vec<usize>,
     indices: Vec<u32>,
-    /// Transpose pattern and permutation: `pt.data[m] = data[t_from[m]]`.
-    t_indptr: Vec<usize>,
-    t_indices: Vec<u32>,
+    /// Transpose permutation: `pt.data[m] = data[t_from[m]]`.
     t_from: Vec<u32>,
     refresh: Refresh,
 }
@@ -518,22 +516,12 @@ impl LumpPlan {
         for b in 0..nb {
             t_counts[b + 1] += t_counts[b];
         }
-        let t_indptr = t_counts.clone();
-        let mut t_indices = vec![0u32; indices.len()];
         let mut t_from = vec![0u32; indices.len()];
         let mut t_next = t_counts;
-        for r in 0..nb {
-            for (k, &c) in indices
-                .iter()
-                .enumerate()
-                .take(indptr[r + 1])
-                .skip(indptr[r])
-            {
-                let slot = t_next[c as usize];
-                t_indices[slot] = r as u32;
-                t_from[slot] = k as u32;
-                t_next[c as usize] += 1;
-            }
+        for (k, &c) in indices.iter().enumerate() {
+            let slot = t_next[c as usize];
+            t_from[slot] = k as u32;
+            t_next[c as usize] += 1;
         }
         LumpPlan {
             fine_n,
@@ -541,8 +529,6 @@ impl LumpPlan {
             nb,
             indptr,
             indices,
-            t_indptr,
-            t_indices,
             t_from,
             refresh,
         }

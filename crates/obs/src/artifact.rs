@@ -1,7 +1,7 @@
 //! Loading and validating recorded observability artifacts.
 //!
 //! Two artifact shapes exist: the JSONL metrics stream written by
-//! [`crate::JsonLinesSink`] (`stochcdr-obs/1` through `/4`) and the
+//! [`crate::JsonLinesSink`] ([`crate::SCHEMA_VERSION`]) and the
 //! Chrome Trace Event array written by [`crate::ChromeTraceSink`]. This
 //! module parses both — [`Artifact`] aggregates a metrics stream for
 //! reporting, and [`check_trace`] validates a trace file's structure
@@ -20,7 +20,7 @@ use crate::json::Json;
 /// Aggregated view of one JSONL metrics artifact.
 #[derive(Debug, Default, Clone)]
 pub struct Artifact {
-    /// Schema tag from the meta line (`stochcdr-obs/1` through `/4`).
+    /// Schema tag from the meta line ([`crate::SCHEMA_VERSION`]).
     pub schema: String,
     /// Counter name → summed deltas.
     pub counters: BTreeMap<String, u64>,
@@ -32,8 +32,8 @@ pub struct Artifact {
     pub spans: BTreeMap<String, SpanStat>,
     /// Histogram name → reconstructed histogram.
     pub hists: BTreeMap<String, LogHist>,
-    /// Folded profiler stack → sample count (`/4`; empty for older
-    /// schemas and unprofiled runs). Sample counts are scheduling-
+    /// Folded profiler stack → sample count (empty for unprofiled
+    /// runs). Sample counts are scheduling-
     /// dependent, so [`diff`] treats the whole section as advisory.
     pub profile: BTreeMap<String, u64>,
 }
@@ -88,11 +88,9 @@ fn need_str<'a>(v: &'a Json, key: &str, line_no: usize) -> Result<&'a str, Strin
 impl Artifact {
     /// Parses a JSONL metrics stream produced by [`crate::JsonLinesSink`].
     ///
-    /// Accepts `stochcdr-obs/1` through `/4`: `/1` streams simply lack
-    /// span identity and `hist` lines, pre-`/3` span lines lack the
-    /// memory fields (read as zero), and pre-`/4` streams have no
-    /// `profile` lines (the section stays empty). Unknown record kinds
-    /// are an error so schema drift is caught loudly.
+    /// Accepts only [`crate::SCHEMA_VERSION`]. Span lines without the
+    /// memory fields read them as zero. Other schemas and unknown record
+    /// kinds are an error so schema drift is caught loudly.
     pub fn load_jsonl(text: &str) -> Result<Artifact, String> {
         let mut art = Artifact::default();
         let mut lines = text
@@ -105,11 +103,7 @@ impl Artifact {
             return Err("first line is not a meta record".into());
         }
         let schema = need_str(&meta, "schema", 1)?;
-        if schema != "stochcdr-obs/1"
-            && schema != "stochcdr-obs/2"
-            && schema != "stochcdr-obs/3"
-            && schema != crate::SCHEMA_VERSION
-        {
+        if schema != crate::SCHEMA_VERSION {
             return Err(format!("unsupported schema \"{schema}\""));
         }
         art.schema = schema.to_string();
@@ -120,7 +114,8 @@ impl Artifact {
                 "span" => {
                     let path = need_str(&v, "path", line_no)?;
                     let nanos = need_u64(&v, "nanos", line_no)?;
-                    // Memory fields are new in /3; older spans read zero.
+                    // Memory fields are absent without a tracking
+                    // allocator; such spans read zero.
                     let opt = |key: &str| {
                         v.get(key)
                             .and_then(Json::as_f64)
@@ -584,23 +579,13 @@ mod tests {
     fn rejects_wrong_schema_and_garbage() {
         assert!(Artifact::load_jsonl("").is_err());
         assert!(Artifact::load_jsonl("{\"kind\":\"meta\",\"schema\":\"other/9\"}\n").is_err());
+        assert!(
+            Artifact::load_jsonl("{\"kind\":\"meta\",\"schema\":\"stochcdr-obs/3\"}\n").is_err()
+        );
         assert!(Artifact::load_jsonl("not json\n").is_err());
         let bad_kind =
-            "{\"kind\":\"meta\",\"schema\":\"stochcdr-obs/2\"}\n{\"kind\":\"mystery\"}\n";
+            "{\"kind\":\"meta\",\"schema\":\"stochcdr-obs/4\"}\n{\"kind\":\"mystery\"}\n";
         assert!(Artifact::load_jsonl(bad_kind).is_err());
-    }
-
-    #[test]
-    fn accepts_schema_one_streams() {
-        let text = concat!(
-            "{\"kind\":\"meta\",\"schema\":\"stochcdr-obs/1\"}\n",
-            "{\"kind\":\"span\",\"path\":\"a/b\",\"nanos\":10,\"depth\":2,\"t\":1}\n",
-            "{\"kind\":\"counter\",\"name\":\"c\",\"delta\":4,\"t\":2}\n",
-        );
-        let art = Artifact::load_jsonl(text).unwrap();
-        assert_eq!(art.schema, "stochcdr-obs/1");
-        assert_eq!(art.spans["a/b"].count, 1);
-        assert_eq!(art.counters["c"], 4);
     }
 
     #[test]
@@ -623,7 +608,7 @@ mod tests {
         let make = |count: u64, nanos: u64, reduction: f64| {
             let text = format!(
                 concat!(
-                    "{{\"kind\":\"meta\",\"schema\":\"stochcdr-obs/3\"}}\n",
+                    "{{\"kind\":\"meta\",\"schema\":\"stochcdr-obs/4\"}}\n",
                     "{{\"kind\":\"span\",\"path\":\"solve\",\"name\":\"solve\",",
                     "\"id\":1,\"parent\":0,\"tid\":0,\"nanos\":{nanos},\"depth\":1,",
                     "\"alloc_bytes\":1024,\"allocs\":4,\"t\":1}}\n",
@@ -675,8 +660,10 @@ mod tests {
 
     #[test]
     fn diff_tolerates_pre_schema3_artifacts() {
+        // Spans without memory fields (no tracking allocator) read zero
+        // allocations, and the diff then omits its span-memory section.
         let old = Artifact::load_jsonl(concat!(
-            "{\"kind\":\"meta\",\"schema\":\"stochcdr-obs/2\"}\n",
+            "{\"kind\":\"meta\",\"schema\":\"stochcdr-obs/4\"}\n",
             "{\"kind\":\"span\",\"path\":\"solve\",\"name\":\"solve\",\"id\":1,",
             "\"parent\":0,\"tid\":0,\"nanos\":500,\"depth\":1,\"t\":1}\n",
         ))
@@ -689,12 +676,12 @@ mod tests {
 
     #[test]
     fn diff_spans_mixed_schema_versions() {
-        // The same facts recorded under /2, /3, and /4 metas: sections
-        // that a schema lacks (memory fields, profile lines) must
-        // default to empty, never error, and never fail the diff.
-        let stream = |schema: &str, profile: bool| {
-            let mut text = format!("{{\"kind\":\"meta\",\"schema\":\"{schema}\"}}\n");
-            text.push_str(concat!(
+        // The same facts with and without profile lines: the missing
+        // section defaults to empty, never errors, and never fails the
+        // diff.
+        let stream = |profile: bool| {
+            let mut text = String::from(concat!(
+                "{\"kind\":\"meta\",\"schema\":\"stochcdr-obs/4\"}\n",
                 "{\"kind\":\"span\",\"path\":\"solve\",\"name\":\"solve\",\"id\":1,",
                 "\"parent\":0,\"tid\":0,\"nanos\":500,\"depth\":1,\"t\":1}\n",
                 "{\"kind\":\"counter\",\"name\":\"iters\",\"delta\":3,\"t\":2}\n",
@@ -706,31 +693,24 @@ mod tests {
             }
             Artifact::load_jsonl(&text).unwrap()
         };
-        let v2 = stream("stochcdr-obs/2", false);
-        let v3 = stream("stochcdr-obs/3", false);
-        let v4 = stream("stochcdr-obs/4", true);
-        assert!(v2.profile.is_empty() && v3.profile.is_empty());
-        assert_eq!(v4.profile["solve;cycle"], 40);
+        let plain = stream(false);
+        let profiled = stream(true);
+        assert!(plain.profile.is_empty());
+        assert_eq!(profiled.profile["solve;cycle"], 40);
 
-        for (base, fresh) in [(&v2, &v3), (&v2, &v4), (&v3, &v4), (&v4, &v2)] {
+        for (base, fresh) in [(&plain, &profiled), (&profiled, &plain)] {
             let report = diff(base, fresh, &DiffOptions::default());
-            assert!(
-                report.ok(),
-                "{} vs {} must not fail:\n{}",
-                base.schema,
-                fresh.schema,
-                report.text
-            );
+            assert!(report.ok(), "{}", report.text);
         }
         // A profile-bearing diff renders its advisory section; one
         // without profile data on either side omits it entirely.
-        let report = diff(&v3, &v4, &DiffOptions::default());
+        let report = diff(&plain, &profiled, &DiffOptions::default());
         assert!(
             report.text.contains("profile (advisory)"),
             "{}",
             report.text
         );
-        let report = diff(&v2, &v3, &DiffOptions::default());
+        let report = diff(&plain, &plain, &DiffOptions::default());
         assert!(!report.text.contains("profile"), "{}", report.text);
     }
 

@@ -1,5 +1,5 @@
 //! Memory accounting: a zero-dependency tracking allocator and a soft
-//! memory budget.
+//! memory-budget check.
 //!
 //! [`TrackingAlloc`] wraps the system allocator and maintains process
 //! totals (live bytes, cumulative bytes, allocation count, high-water
@@ -21,11 +21,11 @@
 //! the fields are inert. Attribution is per-thread: work a span hands to
 //! pool workers is charged to the workers' own `par.worker` spans.
 //!
-//! The *soft* memory budget ([`set_budget`]) never fails allocations —
-//! callers that are about to materialize a large intermediate (the
-//! Kronecker path) ask [`check_budget`] first and refuse on their own
-//! terms; the check emits a `mem.budget_exceeded` event so the refusal
-//! is visible in artifacts.
+//! A *soft* memory budget never fails allocations — callers that are
+//! about to materialize a large intermediate (the Kronecker path) pass
+//! their budget to [`check_budget`] first and refuse on their own terms;
+//! the check emits a `mem.budget_exceeded` event so the refusal is
+//! visible in artifacts.
 //!
 //! The `alloc-track` cargo feature (default on) compiles the accounting
 //! in; with the feature disabled [`TrackingAlloc`] degrades to a plain
@@ -44,8 +44,6 @@ static PEAK_BYTES: AtomicU64 = AtomicU64::new(0);
 static ALLOC_COUNT: AtomicU64 = AtomicU64::new(0);
 /// Cumulative allocated bytes (monotone).
 static TOTAL_BYTES: AtomicU64 = AtomicU64::new(0);
-/// Soft budget in bytes; 0 = unset.
-static BUDGET_BYTES: AtomicU64 = AtomicU64::new(0);
 
 #[cfg(feature = "alloc-track")]
 thread_local! {
@@ -206,40 +204,18 @@ impl ThreadAllocMark {
     }
 }
 
-/// Sets (or clears, with `None`) the process-wide soft memory budget.
-///
-/// When instrumentation is enabled the new value is published as the
-/// `mem.budget_bytes` gauge (0 on clear).
-pub fn set_budget(bytes: Option<u64>) {
-    BUDGET_BYTES.store(bytes.unwrap_or(0), Ordering::Relaxed);
-    if crate::enabled() {
-        crate::gauge("mem.budget_bytes", bytes.unwrap_or(0) as f64);
-    }
-}
-
-/// The current soft budget, if one is set.
-pub fn budget() -> Option<u64> {
-    match BUDGET_BYTES.load(Ordering::Relaxed) {
-        0 => None,
-        b => Some(b),
-    }
-}
-
 /// Whether allocating `extra_bytes` on top of the current live size
-/// would cross the soft budget. Always `false` with no budget set.
-pub fn would_exceed(extra_bytes: u64) -> bool {
-    match budget() {
-        Some(b) => live_bytes().saturating_add(extra_bytes) > b,
-        None => false,
-    }
+/// would cross `budget`. Always `false` with no budget.
+pub fn would_exceed(extra_bytes: u64, budget: Option<u64>) -> bool {
+    budget.is_some_and(|b| live_bytes().saturating_add(extra_bytes) > b)
 }
 
 /// Soft-limit check for a caller about to allocate `extra_bytes` for
-/// `what`: returns `true` when within budget (or no budget is set).
+/// `what`: returns `true` when within `budget` (or with no budget).
 /// On a would-exceed it emits a `mem.budget_exceeded` event and returns
 /// `false` — the caller decides whether to refuse; nothing is enforced.
-pub fn check_budget(what: &str, extra_bytes: u64) -> bool {
-    if !would_exceed(extra_bytes) {
+pub fn check_budget(what: &str, extra_bytes: u64, budget: Option<u64>) -> bool {
+    if !would_exceed(extra_bytes, budget) {
         return true;
     }
     if crate::enabled() {
@@ -249,7 +225,7 @@ pub fn check_budget(what: &str, extra_bytes: u64) -> bool {
                 ("what", what.into()),
                 ("requested_bytes", extra_bytes.into()),
                 ("live_bytes", live_bytes().into()),
-                ("budget_bytes", budget().unwrap_or(0).into()),
+                ("budget_bytes", budget.unwrap_or(0).into()),
             ],
         );
     }
@@ -270,23 +246,6 @@ pub fn peak_rss_bytes() -> u64 {
     }
 }
 
-/// Resets the kernel's resident-set high-water mark so a following
-/// [`peak_rss_bytes`] reads the peak of *this phase* rather than the
-/// whole process history (writes `5` to `/proc/self/clear_refs`).
-/// Returns `true` on success; `false` (and changes nothing) where the
-/// mechanism is unavailable. The current RSS is untouched — only the
-/// recorded maximum restarts from it.
-pub fn reset_peak_rss() -> bool {
-    #[cfg(target_os = "linux")]
-    {
-        std::fs::write("/proc/self/clear_refs", "5").is_ok()
-    }
-    #[cfg(not(target_os = "linux"))]
-    {
-        false
-    }
-}
-
 #[cfg(target_os = "linux")]
 fn proc_status_kib(key: &str) -> Option<u64> {
     let text = std::fs::read_to_string("/proc/self/status").ok()?;
@@ -295,9 +254,8 @@ fn proc_status_kib(key: &str) -> Option<u64> {
 }
 
 /// Publishes the process memory gauges (`mem.live_bytes`,
-/// `mem.peak_bytes`, `mem.alloc_count`, `mem.peak_rss`, and
-/// `mem.budget_bytes` when a budget is set) to the installed sink.
-/// No-op when instrumentation is disabled.
+/// `mem.peak_bytes`, `mem.alloc_count`, `mem.peak_rss`) to the installed
+/// sink. No-op when instrumentation is disabled.
 pub fn publish() {
     if !crate::enabled() {
         return;
@@ -306,9 +264,6 @@ pub fn publish() {
     crate::gauge("mem.peak_bytes", peak_bytes() as f64);
     crate::gauge("mem.alloc_count", alloc_count() as f64);
     crate::gauge("mem.peak_rss", peak_rss_bytes() as f64);
-    if let Some(b) = budget() {
-        crate::gauge("mem.budget_bytes", b as f64);
-    }
 }
 
 /// Smallest allocation-count delta observed across `attempts` runs of
@@ -344,41 +299,15 @@ mod tests {
     // system allocator); allocator-integration coverage lives in
     // `tests/no_alloc.rs`, which does install [`TrackingAlloc`].
 
-    #[cfg(target_os = "linux")]
-    #[test]
-    fn peak_rss_reset_restarts_the_high_water_mark() {
-        // Push the high-water mark well above steady state, release, and
-        // reset: the recorded peak must fall back toward current RSS
-        // (large frees return to the kernel via munmap). Generous bound —
-        // other tests in this process allocate too.
-        let before_alloc = peak_rss_bytes();
-        let big = vec![1u8; 256 << 20];
-        std::hint::black_box(&big[128 << 20]);
-        let inflated = peak_rss_bytes();
-        assert!(inflated >= before_alloc + (200 << 20));
-        drop(big);
-        assert!(reset_peak_rss(), "clear_refs unavailable");
-        let after = peak_rss_bytes();
-        assert!(after > 0);
-        assert!(
-            after < inflated - (200 << 20),
-            "peak did not drop: {inflated} -> {after}"
-        );
-    }
-
     #[test]
     fn budget_round_trips_and_checks() {
-        set_budget(None);
-        assert_eq!(budget(), None);
-        assert!(!would_exceed(u64::MAX / 2));
-        assert!(check_budget("anything", u64::MAX / 2));
+        assert!(!would_exceed(u64::MAX / 2, None));
+        assert!(check_budget("anything", u64::MAX / 2, None));
 
-        set_budget(Some(1 << 20));
-        assert_eq!(budget(), Some(1 << 20));
-        assert!(would_exceed(u64::MAX / 2));
-        assert!(!check_budget("huge", u64::MAX / 2));
-        assert!(check_budget("tiny", 0));
-        set_budget(None);
+        let budget = Some(1 << 20);
+        assert!(would_exceed(u64::MAX / 2, budget));
+        assert!(!check_budget("huge", u64::MAX / 2, budget));
+        assert!(check_budget("tiny", 0, budget));
     }
 
     #[test]

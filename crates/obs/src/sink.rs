@@ -354,7 +354,7 @@ impl Sink for SummarySink {
 /// Streams each record as one JSON object per line.
 ///
 /// The first line is a meta record carrying [`SCHEMA_VERSION`]:
-/// `{"kind":"meta","schema":"stochcdr-obs/3"}`. Subsequent lines have
+/// `{"kind":"meta","schema":"stochcdr-obs/4"}`. Subsequent lines have
 /// `kind` of `span`, `counter`, `gauge`, or `event`, a `t` field
 /// (nanoseconds since install), and kind-specific fields. Histogram
 /// observations are aggregated in memory and flushed as `hist` lines

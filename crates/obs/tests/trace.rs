@@ -1,6 +1,6 @@
 //! Integration tests for the hierarchical tracing layer: parent/child
 //! id linkage, cross-thread attribution, Chrome trace structure, and
-//! the `stochcdr-obs/2` JSONL round-trip through [`artifact`].
+//! the JSONL round-trip through [`artifact`].
 //!
 //! The recorder is a process-wide singleton, so everything runs inside
 //! one `#[test]` function, sequenced.

@@ -15,7 +15,8 @@
 # (scripts/mem_smoke.sh) re-proves the zero-allocation claims under the
 # tracking allocator and renders an obs diff regression report, and the
 # profile smoke (scripts/profile_smoke.sh) validates a sampled folded-
-# stack profile against the artifact's span registry.
+# stack profile against the artifact's span registry. The smokes leave
+# their artifacts in target/ for CI to upload.
 set -eu
 
 cd "$(dirname "$0")/.."

@@ -27,7 +27,7 @@ cargo build --release --offline -p stochcdr-cli
 ./target/release/stochcdr diff --baseline target/MEM_SMOKE_A.jsonl \
     --fresh target/MEM_SMOKE_B.jsonl --out target/MEM_SMOKE_DIFF.txt
 
-# The artifacts must really carry stochcdr-obs/3 memory telemetry: span
+# The artifacts must really carry memory telemetry: span
 # attribution from the tracking allocator and the process gauges.
 grep -q '"alloc_bytes"' target/MEM_SMOKE_A.jsonl
 grep -q 'mem.peak_rss' target/MEM_SMOKE_A.jsonl
