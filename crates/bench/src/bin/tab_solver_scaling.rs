@@ -104,11 +104,10 @@ fn fmt_mib(bytes: u64) -> String {
 /// single-lane chain solved matrix-free on the product-form fine grid.
 /// The joint TPM is never materialized — "dense nnz" reports what it
 /// *would* store — and the peak heap shows the footprint the implicit
-/// path actually pays. Cycles, cycle-equivalents, the final cycle kind,
-/// the Krylov accept ratio, and the residual are deterministic (the
-/// implicit path runs the default V-cycle schedule with always-on Krylov
-/// extrapolation); solve time and peak heap are masked in the golden
-/// diff. The family grows by widening the lane's loop counter (the
+/// path actually pays. Cycles, cycle-equivalents, the Krylov accept
+/// ratio, and the residual are deterministic (the implicit path runs
+/// V-cycles with always-on Krylov extrapolation); solve time and peak
+/// heap are masked in the golden diff. The family grows by widening the lane's loop counter (the
 /// refinement is pinned at 8, the coarsest grid the Fig.-5 drift still
 /// resolves).
 fn bench_implicit(out: &mut String, counter: usize, lanes: usize, tol: f64) {
@@ -131,14 +130,13 @@ fn bench_implicit(out: &mut String, counter: usize, lanes: usize, tol: f64) {
     let secs = t0.elapsed().as_secs_f64();
     let _ = writeln!(
         out,
-        "{lanes} x {:<6} {:>12} {:>11} {:>12.3e} {:>7} {:>10.2} {:>6} {:>5}/{:<2} {:>12.2e} {:>9.2}s {:>10}",
+        "{lanes} x {:<6} {:>12} {:>11} {:>12.3e} {:>7} {:>10.2} {:>5}/{:<2} {:>12.2e} {:>9.2}s {:>10}",
         lane.state_count(),
         product.state_count(),
         product.compact_nnz(),
         product.materialized_nnz() as f64,
         solve.result.iterations(),
         solve.stats.cycle_equivalents,
-        solve.stats.final_cycle.cli_name(),
         solve.stats.krylov_accepts,
         solve.stats.krylov_windows,
         solve.result.residual(),
@@ -218,14 +216,13 @@ fn render(large: bool) -> String {
     );
     let _ = writeln!(
         out,
-        "{:<10} {:>12} {:>11} {:>12} {:>7} {:>10} {:>6} {:>8} {:>12} {:>10} {:>10}",
+        "{:<10} {:>12} {:>11} {:>12} {:>7} {:>10} {:>8} {:>12} {:>10} {:>10}",
         "lanes",
         "jointstates",
         "stored-nnz",
         "dense-nnz",
         "cycles",
         "cyc-equiv",
-        "final",
         "krylov",
         "residual",
         "solve",

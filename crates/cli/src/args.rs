@@ -3,10 +3,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use stochcdr::{
-    CdrConfig, CdrError, CycleSchedule, FilterKind, KrylovAccel, SolverChoice,
-    DEFAULT_KRYLOV_RESTART, MAX_KRYLOV_WINDOW,
-};
+use stochcdr::{CdrConfig, CdrError, FilterKind, SolverChoice};
 use stochcdr_noise::jitter::WhiteJitterSpec;
 use stochcdr_noise::sonet::DataSpec;
 
@@ -107,18 +104,9 @@ pub fn usage() -> String {
      \x20 --density P          data transition density (default 0.5)\n\
      \x20 --run-length N       max identical-bit run (default 4)\n\
      \x20 --solver NAME        power|gs|jacobi|direct|mg|mgw|mgk|gmres\n\
-     \x20                      (default mg; mgk = adaptive multigrid with\n\
-     \x20                      Krylov window acceleration, gmres = restarted\n\
+     \x20                      (default mg; mgk = V-cycles with Krylov\n\
+     \x20                      window acceleration, gmres = restarted\n\
      \x20                      GMRES on the shifted stationarity system)\n\
-     \x20 --cycle KIND         multigrid cycle schedule: v|f|w|adaptive\n\
-     \x20                      (default: solver-specific; adaptive escalates\n\
-     \x20                      V->F->W on stalling reduction factors)\n\
-     \x20 --accel MODE         Krylov acceleration of multigrid solves:\n\
-     \x20                      gmres (always on) | off (default:\n\
-     \x20                      solver-specific)\n\
-     \x20 --restart N          Krylov window length (2..=16 with --accel;\n\
-     \x20                      default 8, scale 12) / gmres Arnoldi\n\
-     \x20                      restart (default 50)\n\
      \x20 --tol X              stationary residual tolerance (default 1e-12)\n\
      \x20 --threads N          worker threads for parallel kernels; 0 = auto\n\
      \x20                      (flag > STOCHCDR_THREADS env > available cores)\n\
@@ -176,18 +164,6 @@ pub struct Options {
     pub config: CdrConfig,
     /// Stationary solver.
     pub solver: SolverChoice,
-    /// Multigrid cycle-schedule override (`--cycle v|f|w|adaptive`);
-    /// `None` keeps each solver's default.
-    pub cycle: Option<CycleSchedule>,
-    /// Krylov-acceleration override (`--accel gmres|off`): outer
-    /// `None` keeps the solver's default, `Some(None)` forces it off,
-    /// `Some(Some(a))` forces a window configuration (restart length from
-    /// `--restart`).
-    pub accel: Option<Option<KrylovAccel>>,
-    /// Explicit restart length (`--restart`): the Krylov window length
-    /// for accelerated multigrid (2..=16), and the Arnoldi restart of the
-    /// standalone `gmres` solver. `None` keeps each consumer's default.
-    pub restart: Option<usize>,
     /// Residual tolerance.
     pub tol: f64,
     /// Worker-thread count for parallel kernels (`--threads`); 0 means
@@ -210,9 +186,24 @@ pub struct Options {
     pub profile_folded: Option<String>,
     /// Profiler sampling interval in milliseconds (`--profile-interval`).
     pub profile_interval_ms: f64,
-    /// Remaining subcommand-specific flags.
+    /// The subcommand's own flags (each command's list is in `COMMANDS`).
     pub extra: BTreeMap<String, String>,
 }
+
+/// Every subcommand with the flags it reads beyond the model and
+/// observability flags all commands share; [`parse`] rejects any other.
+const COMMANDS: [(&str, &[&str]); 10] = [
+    ("analyze", &[]),
+    ("sweep", &["axes", "knob", "values", "warm-start", "out"]),
+    ("bathtub", &["points", "target"]),
+    ("slip", &[]),
+    ("acquire", &["horizon"]),
+    ("jitter", &["max-lag"]),
+    ("spy", &["size"]),
+    ("scale", &["lanes", "path"]),
+    ("report", &["in", "check-folded"]),
+    ("diff", &["baseline", "fresh", "rel-tol", "out"]),
+];
 
 /// A parsed invocation: the subcommand plus its options.
 #[derive(Debug, Clone, PartialEq)]
@@ -244,9 +235,6 @@ pub fn parse(argv: &[String]) -> Result<ParsedArgs, CliError> {
                 options: Options {
                     config: default_config()?,
                     solver: SolverChoice::Multigrid,
-                    cycle: None,
-                    accel: None,
-                    restart: None,
                     tol: 1e-12,
                     threads: 0,
                     metrics: None,
@@ -262,13 +250,9 @@ pub fn parse(argv: &[String]) -> Result<ParsedArgs, CliError> {
         }
         Some(c) => c.clone(),
     };
-    let known = [
-        "analyze", "sweep", "bathtub", "slip", "acquire", "jitter", "spy", "scale", "report",
-        "diff",
-    ];
-    if !known.contains(&command.as_str()) {
+    let Some(&(_, own_flags)) = COMMANDS.iter().find(|(name, _)| *name == command) else {
         return Err(CliError::UnknownCommand(command));
-    }
+    };
 
     // Collect --flag value pairs.
     let mut flags: BTreeMap<String, String> = BTreeMap::new();
@@ -320,57 +304,6 @@ pub fn parse(argv: &[String]) -> Result<ParsedArgs, CliError> {
             }
         },
     };
-    let cycle = match flags.remove("cycle") {
-        None => None,
-        Some(v) => match CycleSchedule::parse(&v) {
-            Some(s) => Some(s),
-            None => {
-                return Err(CliError::BadValue {
-                    flag: "--cycle".into(),
-                    value: v,
-                    expected: "v|f|w|adaptive",
-                })
-            }
-        },
-    };
-    let restart = match flags.remove("restart") {
-        None => None,
-        Some(v) => match v.parse::<usize>() {
-            Ok(r) if (1..=1024).contains(&r) => Some(r),
-            _ => {
-                return Err(CliError::BadValue {
-                    flag: "--restart".into(),
-                    value: v,
-                    expected: "a window/restart length in 1..=1024",
-                })
-            }
-        },
-    };
-    let accel = match flags.remove("accel") {
-        None => None,
-        Some(v) => {
-            let window = restart.unwrap_or(DEFAULT_KRYLOV_RESTART);
-            if v != "off" && !(2..=MAX_KRYLOV_WINDOW).contains(&window) {
-                return Err(CliError::BadValue {
-                    flag: "--restart".into(),
-                    value: window.to_string(),
-                    expected: "a Krylov window length in 2..=16 when --accel is on",
-                });
-            }
-            match v.as_str() {
-                "off" => Some(None),
-                "gmres" => Some(Some(KrylovAccel::always(window))),
-                _ => {
-                    return Err(CliError::BadValue {
-                        flag: "--accel".into(),
-                        value: v,
-                        expected: "gmres|off",
-                    })
-                }
-            }
-        }
-    };
-
     let metrics = flags.remove("metrics");
     let metrics_format = match flags.remove("metrics-format") {
         None => MetricsFormat::Summary,
@@ -446,6 +379,11 @@ pub fn parse(argv: &[String]) -> Result<ParsedArgs, CliError> {
             ms
         }
     };
+    // Whatever flags remain must be the subcommand's own.
+    let unread = flags.keys().find(|k| !own_flags.contains(&k.as_str()));
+    if let Some(name) = unread {
+        return Err(CliError::UnknownFlag(format!("--{name}")));
+    }
 
     let white = if dj > 0.0 {
         WhiteJitterSpec::from_dual_dirac(dj, sigma)
@@ -464,15 +402,11 @@ pub fn parse(argv: &[String]) -> Result<ParsedArgs, CliError> {
         .drift(drift_mean, drift_dev)
         .build()?;
 
-    // Whatever flags remain belong to the subcommand.
     Ok(ParsedArgs {
         command,
         options: Options {
             config,
             solver,
-            cycle,
-            accel,
-            restart,
             tol,
             threads,
             metrics,
@@ -620,25 +554,6 @@ mod tests {
     }
 
     #[test]
-    fn accel_flag_accepts_gmres_and_off_only() {
-        assert_eq!(
-            parse(&argv("analyze --accel gmres --restart 6"))
-                .unwrap()
-                .options
-                .accel,
-            Some(Some(KrylovAccel::always(6)))
-        );
-        assert_eq!(
-            parse(&argv("analyze --accel off")).unwrap().options.accel,
-            Some(None)
-        );
-        assert!(matches!(
-            parse(&argv("analyze --accel stall")),
-            Err(CliError::BadValue { .. })
-        ));
-    }
-
-    #[test]
     fn solver_parse_goes_through_registry() {
         for choice in SolverChoice::ALL {
             let p = parse(&argv(&format!("analyze --solver {}", choice.cli_name()))).unwrap();
@@ -687,6 +602,16 @@ mod tests {
             parse(&argv("analyze stray")),
             Err(CliError::UnknownFlag(_))
         ));
+        // A subcommand rejects any flag it does not read.
+        for bad in [
+            "analyze --cycle v",
+            "sweep --accel gmres",
+            "analyze --points 3",
+        ] {
+            let e = parse(&argv(bad)).unwrap_err();
+            assert!(matches!(e, CliError::UnknownFlag(_)), "{bad}: {e:?}");
+            assert!(e.to_string().contains("unknown flag"), "{bad}: {e}");
+        }
     }
 
     #[test]

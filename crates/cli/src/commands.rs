@@ -292,8 +292,7 @@ fn check_folded(art: &obs::artifact::Artifact, path: &str) -> Result<String, Cli
 
 fn build_and_solve(opts: &Options) -> Result<(CdrChain, CdrAnalysis), CliError> {
     let chain = CdrModel::new(opts.config.clone()).build_chain()?;
-    let analysis =
-        chain.analyze_tuned(opts.solver, opts.tol, opts.cycle, opts.accel, opts.restart)?;
+    let analysis = chain.analyze_with_tol(opts.solver, opts.tol)?;
     Ok((chain, analysis))
 }
 
@@ -579,37 +578,17 @@ fn spy(opts: &Options) -> Result<String, CliError> {
 /// joint state space multiplies with every lane while the stored
 /// representation only adds one factor CSR.
 fn scale(opts: &Options) -> Result<String, CliError> {
-    use stochcdr::{ProductChain, StationarySolver as _};
+    use stochcdr::ProductChain;
 
     let lanes = extra_usize(opts, "lanes", 2)?.max(1);
     let chain = CdrModel::new(opts.config.clone()).build_chain()?;
     let product: ProductChain = chain.replicate(lanes)?;
 
-    // `--restart N` without `--accel` resizes the default always-on
-    // Krylov window (the `solve` path threads restart through
-    // `analyze_tuned` instead, where it also serves the gmres solver).
-    let accel = match (opts.accel, opts.restart) {
-        (None, Some(r)) => {
-            use stochcdr::{KrylovAccel, MAX_KRYLOV_WINDOW};
-            if !(2..=MAX_KRYLOV_WINDOW).contains(&r) {
-                return Err(CliError::BadValue {
-                    flag: "--restart".into(),
-                    value: r.to_string(),
-                    expected: "a Krylov window length in 2..=16 for scale",
-                });
-            }
-            Some(Some(KrylovAccel::always(r)))
-        }
-        (a, _) => a,
-    };
-
     let start = std::time::Instant::now();
-    let solver = product.solver_tuned(opts.tol, opts.cycle, accel);
-    let solver_name = solver.name();
     let solve = match opts.extra.get("path").map(String::as_str) {
-        None | Some("auto") => product.solve_auto_with(solver, opts.mem_budget)?,
-        Some("implicit") => product.solve_implicit_with(solver)?,
-        Some("materialized") => product.solve_materialized_with(solver, opts.mem_budget)?,
+        None | Some("auto") => product.solve_auto(opts.tol, opts.mem_budget)?,
+        Some("implicit") => product.solve_implicit(opts.tol)?,
+        Some("materialized") => product.solve_materialized(opts.tol, opts.mem_budget)?,
         Some(v) => {
             return Err(CliError::BadValue {
                 flag: "--path".into(),
@@ -647,13 +626,12 @@ fn scale(opts: &Options) -> Result<String, CliError> {
             "materialized"
         }
     );
-    let _ = writeln!(out, "solver              : {solver_name}");
+    let _ = writeln!(out, "solver              : {}", solve.solver_name);
     let _ = writeln!(out, "cycles              : {}", solve.result.iterations());
     let _ = writeln!(
         out,
-        "cycle equivalents   : {:.2} (final {})",
-        solve.stats.cycle_equivalents,
-        solve.stats.final_cycle.cli_name()
+        "cycle equivalents   : {:.2}",
+        solve.stats.cycle_equivalents
     );
     if solve.stats.krylov_windows > 0 {
         let _ = writeln!(

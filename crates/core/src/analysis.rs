@@ -8,10 +8,7 @@ use stochcdr_markov::lumping::{LumpPlan, Partition};
 use stochcdr_markov::stationary::{
     GaussSeidelSolver, GmresStationary, GthSolver, JacobiSolver, PowerIteration, StationarySolver,
 };
-use stochcdr_multigrid::{
-    CycleKind, CycleSchedule, KrylovAccel, MgPhases, MultigridSolver, Smoother,
-    DEFAULT_KRYLOV_RESTART,
-};
+use stochcdr_multigrid::{CycleKind, MgPhases, MultigridSolver, Smoother, DEFAULT_KRYLOV_RESTART};
 use stochcdr_obs as obs;
 
 use crate::ber::{ber_discrete, ber_symmetric_dist};
@@ -38,9 +35,9 @@ pub enum SolverChoice {
     Multigrid,
     /// Multigrid W-cycles (more robust on very stiff operating points).
     MultigridW,
-    /// Adaptive-schedule multigrid with windowed Krylov acceleration: the
-    /// cycle controller escalates V→F→W on stalling reduction factors and
-    /// a minimal-residual extrapolation recombines recent iterates.
+    /// Multigrid V-cycles with windowed Krylov acceleration: a
+    /// minimal-residual extrapolation recombines every
+    /// [`DEFAULT_KRYLOV_RESTART`] successive iterates.
     MgKrylov,
     /// Restarted GMRES on the rank-one-shifted stationarity system
     /// (standalone Krylov baseline, no multigrid preconditioning).
@@ -84,18 +81,6 @@ impl SolverChoice {
             self,
             SolverChoice::Multigrid | SolverChoice::MultigridW | SolverChoice::MgKrylov
         )
-    }
-
-    /// The default cycle schedule of a multigrid choice; `None` for
-    /// one-level solvers. The fixed schedules are what the goldens pin:
-    /// `mg` is exactly the historical V-cycle solver.
-    pub fn mg_schedule(self) -> Option<CycleSchedule> {
-        match self {
-            SolverChoice::Multigrid => Some(CycleSchedule::Fixed(CycleKind::V)),
-            SolverChoice::MultigridW => Some(CycleSchedule::Fixed(CycleKind::W)),
-            SolverChoice::MgKrylov => Some(CycleSchedule::Adaptive),
-            _ => None,
-        }
     }
 
     /// Parses a CLI spelling; `None` for unknown names.
@@ -291,7 +276,8 @@ impl CdrChain {
 
     /// The concrete multigrid solver with the project-standard
     /// configuration (Gauss–Seidel smoothing, 1 pre-/2 post-sweeps, 2000
-    /// cycle budget). Unlike [`solver_from_hierarchy`](Self::solver_from_hierarchy)
+    /// cycle budget): V-cycles for `mg`, W-cycles for `mgw`, and V-cycles
+    /// with a Krylov window of [`DEFAULT_KRYLOV_RESTART`] for `mgk`. Unlike [`solver_from_hierarchy`](Self::solver_from_hierarchy)
     /// this keeps the concrete type, so callers reach
     /// [`MultigridSolver::solve_with_stats`] (phase attribution) and can
     /// inject cached symbolic plans (see
@@ -307,49 +293,21 @@ impl CdrChain {
         parts: Vec<Partition>,
         plans: Option<std::sync::Arc<Vec<LumpPlan>>>,
     ) -> MultigridSolver {
-        self.multigrid_solver_tuned(choice, tol, parts, plans, None, None)
-    }
-
-    /// [`multigrid_solver`](Self::multigrid_solver) with explicit tuning
-    /// overrides: `schedule` replaces the choice's default cycle schedule
-    /// (the CLI `--cycle` flag) and `accel` — two-layered like
-    /// [`crate::ProductChain::solver_tuned`] — replaces the Krylov window
-    /// policy: outer `None` keeps the choice's default (a window for
-    /// `mgk`, none otherwise), `Some(None)` forces it off, `Some(Some(a))`
-    /// forces a configuration (`--accel`/`--restart`). All-`None` keeps
-    /// the defaults — in particular plain `mg` stays the exact historical
-    /// fixed-V solver the goldens pin.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tol <= 0` or `choice` is not a multigrid variant.
-    pub fn multigrid_solver_tuned(
-        &self,
-        choice: SolverChoice,
-        tol: f64,
-        parts: Vec<Partition>,
-        plans: Option<std::sync::Arc<Vec<LumpPlan>>>,
-        schedule: Option<CycleSchedule>,
-        accel: Option<Option<KrylovAccel>>,
-    ) -> MultigridSolver {
         assert!(tol > 0.0, "tolerance must be positive");
-        let default_schedule = choice
-            .mg_schedule()
-            .unwrap_or_else(|| panic!("multigrid_solver called with {choice:?}"));
-        let schedule = schedule.unwrap_or(default_schedule);
-        let accel = accel.unwrap_or(match choice {
-            SolverChoice::MgKrylov => Some(KrylovAccel::always(DEFAULT_KRYLOV_RESTART)),
-            _ => None,
-        });
+        let kind = match choice {
+            SolverChoice::Multigrid | SolverChoice::MgKrylov => CycleKind::V,
+            SolverChoice::MultigridW => CycleKind::W,
+            _ => panic!("multigrid_solver called with {choice:?}"),
+        };
         let mut b = MultigridSolver::builder(parts)
-            .schedule(schedule)
+            .cycle(kind)
             .smoother(Smoother::GaussSeidel)
             .pre_sweeps(1)
             .post_sweeps(2)
             .tol(tol)
             .max_cycles(2_000);
-        if let Some(accel) = accel {
-            b = b.accel(accel);
+        if choice == SolverChoice::MgKrylov {
+            b = b.krylov_window(DEFAULT_KRYLOV_RESTART);
         }
         if let Some(plans) = plans {
             b = b.plans(plans);
@@ -408,27 +366,6 @@ impl CdrChain {
     ///
     /// Propagates solver failures.
     pub fn analyze_with_tol(&self, choice: SolverChoice, tol: f64) -> Result<CdrAnalysis> {
-        self.analyze_tuned(choice, tol, None, None, None)
-    }
-
-    /// [`analyze_with_tol`](Self::analyze_with_tol) with solver tuning
-    /// overrides: `cycle` and `accel` reconfigure multigrid choices (see
-    /// [`multigrid_solver_tuned`](Self::multigrid_solver_tuned)), and
-    /// `restart` overrides the standalone `gmres` solver's Arnoldi
-    /// restart length. All-`None` is exactly
-    /// [`analyze_with_tol`](Self::analyze_with_tol).
-    ///
-    /// # Errors
-    ///
-    /// Propagates solver failures.
-    pub fn analyze_tuned(
-        &self,
-        choice: SolverChoice,
-        tol: f64,
-        cycle: Option<CycleSchedule>,
-        accel: Option<Option<KrylovAccel>>,
-        restart: Option<usize>,
-    ) -> Result<CdrAnalysis> {
         // Multigrid keeps the concrete solver type so the analysis can
         // carry per-phase attribution; other solvers go through the trait
         // object. Same solve, same bits either way.
@@ -437,20 +374,7 @@ impl CdrChain {
             Other(Box<dyn StationarySolver>),
         }
         let prepared = if choice.is_multigrid() {
-            Prepared::Mg(self.multigrid_solver_tuned(
-                choice,
-                tol,
-                self.phase_hierarchy(),
-                None,
-                cycle,
-                accel,
-            ))
-        } else if choice == SolverChoice::Gmres {
-            let mut s = GmresStationary::new(tol, 100_000);
-            if let Some(r) = restart {
-                s = s.with_restart(r);
-            }
-            Prepared::Other(Box::new(s))
+            Prepared::Mg(self.multigrid_solver(choice, tol, self.phase_hierarchy(), None))
         } else {
             Prepared::Other(self.solver_with_tol(choice, tol))
         };

@@ -86,6 +86,4 @@ pub use model::CdrModel;
 pub use product::{ProductChain, ProductSolve};
 pub use stages::{DataSource, FilterKind, LoopCounter, PhaseAccumulator, PhaseDetector};
 pub use stochcdr_markov::stationary::StationarySolver;
-pub use stochcdr_multigrid::{
-    CycleKind, CycleSchedule, KrylovAccel, MgPhases, DEFAULT_KRYLOV_RESTART, MAX_KRYLOV_WINDOW,
-};
+pub use stochcdr_multigrid::{CycleKind, MgPhases};

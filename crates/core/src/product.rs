@@ -27,12 +27,9 @@ use std::sync::Arc;
 
 use stochcdr_fsm::{FactorCache, KroneckerOp};
 use stochcdr_markov::lumping::Partition;
-use stochcdr_markov::stationary::StationaryResult;
+use stochcdr_markov::stationary::{StationaryResult, StationarySolver};
 use stochcdr_markov::{ImplicitStochastic, StochasticMatrix};
-use stochcdr_multigrid::{
-    CycleKind, CycleSchedule, GeometricCoarsening, KrylovAccel, MultigridSolver, MultigridStats,
-    Smoother,
-};
+use stochcdr_multigrid::{GeometricCoarsening, MultigridSolver, MultigridStats, Smoother};
 use stochcdr_obs as obs;
 
 use crate::factors::chain_key;
@@ -75,6 +72,8 @@ pub struct ProductSolve {
     pub result: StationaryResult,
     /// Per-cycle multigrid diagnostics.
     pub stats: MultigridStats,
+    /// Name of the solver that ran ([`StationarySolver::name`]).
+    pub solver_name: &'static str,
     /// Whether the solve ran on the implicit (matrix-free) fine grid.
     pub implicit: bool,
 }
@@ -235,23 +234,29 @@ impl ProductChain {
     /// the acceleration preserves the thread-count determinism
     /// contract.
     ///
-    /// V rather than `Adaptive` is a measured choice: on the deep
-    /// (~14-level) hierarchies these product chains build, one F-cycle
-    /// costs ~1.8 V-equivalents and a (truncated) W-cycle ~2.2+,
-    /// because the first lumped level is as expensive to visit as the
-    /// implicit fine grid itself. With the Krylov window armed the
-    /// deeper schedules no longer buy convergence — on the 574k-state
-    /// two-lane chain at tol 1e-8, V/F/adaptive-to-W all converge in
-    /// 34–37 cycles, so plain V wins outright: 36.2 cycle-equivalents
-    /// and 115 s vs 68.0 / 139 s (F) and 75.5 / 180 s (W). Escalation
-    /// remains available through `schedule`
-    /// (`--cycle adaptive|f|w`).
+    /// V rather than a deeper cycle is a measured choice: on the deep
+    /// (~14-level) hierarchies these product chains build, a (truncated)
+    /// W-cycle costs ~2.2+ V-equivalents, because the first lumped level
+    /// is as expensive to visit as the implicit fine grid itself. With
+    /// the Krylov window armed the deeper cycles no longer buy
+    /// convergence — on the 574k-state two-lane chain at tol 1e-8, plain
+    /// V and a schedule escalating to W both converge in 34–37 cycles,
+    /// so plain V wins outright: 36.2 cycle-equivalents and 115 s vs
+    /// 75.5 / 180 s.
     ///
     /// # Panics
     ///
     /// Panics if `tol <= 0`.
     pub fn solver(&self, tol: f64) -> MultigridSolver {
-        self.solver_tuned(tol, None, None)
+        assert!(tol > 0.0, "tolerance must be positive");
+        MultigridSolver::builder(self.hierarchy())
+            .smoother(Smoother::Jacobi { omega: 0.8 })
+            .pre_sweeps(1)
+            .post_sweeps(2)
+            .tol(tol)
+            .max_cycles(2_000)
+            .krylov_window(Self::KRYLOV_RESTART)
+            .build()
     }
 
     /// Krylov window length for the product-path default accelerator.
@@ -267,39 +272,6 @@ impl ProductChain {
     /// (`restart × n` doubles).
     pub const KRYLOV_RESTART: usize = 12;
 
-    /// [`solver`](Self::solver) with explicit tuning. `schedule`:
-    /// `None` keeps the adaptive default, `Some(s)` forces a schedule
-    /// (the CLI `--cycle` flag). `accel` is two-layered: the outer
-    /// `None` keeps the default always-on Krylov window, `Some(None)`
-    /// disables acceleration outright (the historical plain-V
-    /// configuration), `Some(Some(a))` forces a specific window config
-    /// (`--accel`/`--restart`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tol <= 0`.
-    pub fn solver_tuned(
-        &self,
-        tol: f64,
-        schedule: Option<CycleSchedule>,
-        accel: Option<Option<KrylovAccel>>,
-    ) -> MultigridSolver {
-        assert!(tol > 0.0, "tolerance must be positive");
-        let schedule = schedule.unwrap_or(CycleSchedule::Fixed(CycleKind::V));
-        let accel = accel.unwrap_or(Some(KrylovAccel::always(Self::KRYLOV_RESTART)));
-        let mut b = MultigridSolver::builder(self.hierarchy())
-            .schedule(schedule)
-            .smoother(Smoother::Jacobi { omega: 0.8 })
-            .pre_sweeps(1)
-            .post_sweeps(2)
-            .tol(tol)
-            .max_cycles(2_000);
-        if let Some(accel) = accel {
-            b = b.accel(accel);
-        }
-        b.build()
-    }
-
     /// Solves for the stationary distribution without ever materializing
     /// the joint TPM: the fine grid stays a [`KroneckerOp`] wrapped in an
     /// [`ImplicitStochastic`] view, and only coarse levels exist as CSR.
@@ -309,16 +281,7 @@ impl ProductChain {
     /// Propagates TPM validation (joint row-mass drift) and solver
     /// failures.
     pub fn solve_implicit(&self, tol: f64) -> Result<ProductSolve> {
-        self.solve_implicit_with(self.solver(tol))
-    }
-
-    /// [`solve_implicit`](Self::solve_implicit) with an explicitly
-    /// configured solver (see [`solver_tuned`](Self::solver_tuned)).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`solve_implicit`](Self::solve_implicit).
-    pub fn solve_implicit_with(&self, solver: MultigridSolver) -> Result<ProductSolve> {
+        let solver = self.solver(tol);
         let _span = obs::span("core.product_solve");
         let tr = self.op.transposed();
         let imp = ImplicitStochastic::with_tolerance(&self.op, tr, PRODUCT_TOL)?;
@@ -327,24 +290,13 @@ impl ProductChain {
         Ok(ProductSolve {
             result,
             stats,
+            solver_name: solver.name(),
             implicit: true,
         })
     }
 
     /// Solves on the materialized joint TPM (the reference path for
-    /// models small enough to afford it), with no memory budget.
-    ///
-    /// # Errors
-    ///
-    /// Propagates TPM validation and solver failures.
-    pub fn solve_materialized(&self, tol: f64) -> Result<ProductSolve> {
-        self.solve_materialized_with(self.solver(tol), None)
-    }
-
-    /// [`solve_materialized`](Self::solve_materialized) with an
-    /// explicitly configured solver (see
-    /// [`solver_tuned`](Self::solver_tuned)) under a soft memory
-    /// `budget`.
+    /// models small enough to afford it) under a soft memory `budget`.
     ///
     /// # Errors
     ///
@@ -353,11 +305,8 @@ impl ProductChain {
     /// [`solve_implicit`](Self::solve_implicit) or
     /// [`solve_auto`](Self::solve_auto) instead. Propagates TPM
     /// validation and solver failures.
-    pub fn solve_materialized_with(
-        &self,
-        solver: MultigridSolver,
-        budget: Option<u64>,
-    ) -> Result<ProductSolve> {
+    pub fn solve_materialized(&self, tol: f64, budget: Option<u64>) -> Result<ProductSolve> {
+        let solver = self.solver(tol);
         let _span = obs::span("core.product_solve");
         let csr = self.op.try_materialize(budget).ok_or_else(|| {
             CdrError::Config(format!(
@@ -373,6 +322,7 @@ impl ProductChain {
         Ok(ProductSolve {
             result,
             stats,
+            solver_name: solver.name(),
             implicit: false,
         })
     }
@@ -387,20 +337,6 @@ impl ProductChain {
     ///
     /// Same conditions as the selected backend.
     pub fn solve_auto(&self, tol: f64, budget: Option<u64>) -> Result<ProductSolve> {
-        self.solve_auto_with(self.solver(tol), budget)
-    }
-
-    /// [`solve_auto`](Self::solve_auto) with an explicitly configured
-    /// solver (see [`solver_tuned`](Self::solver_tuned)).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as the selected backend.
-    pub fn solve_auto_with(
-        &self,
-        solver: MultigridSolver,
-        budget: Option<u64>,
-    ) -> Result<ProductSolve> {
         if obs::mem::would_exceed(self.op.materialize_cost_bytes(), budget) {
             obs::event(
                 "core.product_path",
@@ -411,9 +347,9 @@ impl ProductChain {
                     ("budget_bytes", budget.unwrap_or(0).into()),
                 ],
             );
-            self.solve_implicit_with(solver)
+            self.solve_implicit(tol)
         } else {
-            self.solve_materialized_with(solver, budget)
+            self.solve_materialized(tol, budget)
         }
     }
 
@@ -524,7 +460,7 @@ mod tests {
         for threads in [1usize, 4] {
             stochcdr_linalg::par::set_threads(Some(threads));
             runs.push((
-                p.solve_materialized(1e-10).unwrap(),
+                p.solve_materialized(1e-10, None).unwrap(),
                 p.solve_implicit(1e-10).unwrap(),
             ));
         }

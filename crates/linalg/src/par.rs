@@ -108,12 +108,17 @@ pub const PARTITION_BLOCK_WEIGHT: usize = 32_768;
 
 static OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 static ENV: OnceLock<Option<usize>> = OnceLock::new();
+static AVAILABLE: OnceLock<usize> = OnceLock::new();
 
-/// Hardware parallelism as reported by the OS (≥ 1).
+/// Hardware parallelism as reported by the OS (≥ 1), read once per
+/// process: the query reads the cgroup CPU quota and allocates, and
+/// [`threads`] falls back to it on every kernel dispatch.
 pub fn available() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+    *AVAILABLE.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    })
 }
 
 fn env_threads() -> Option<usize> {

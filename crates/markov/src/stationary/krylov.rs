@@ -23,8 +23,9 @@ use crate::{MarkovError, Result, StochasticMatrix};
 
 use super::{ConvergenceTrace, SolveOptions, StationaryResult, StationarySolver};
 
-/// Largest restart length accepted by [`GmresStationary::with_restart`].
-pub const MAX_GMRES_RESTART: usize = 1024;
+/// Arnoldi basis vectors kept before the iteration restarts from the
+/// current residual.
+const RESTART: usize = 50;
 
 /// The shifted operator `B = (I − Pᵀ) + α·1 1ᵀ` as a [`TransitionOp`].
 ///
@@ -105,7 +106,6 @@ impl TransitionOp for ShiftedStationaryOp<'_> {
 #[derive(Debug, Clone, PartialEq)]
 pub struct GmresStationary {
     opts: SolveOptions,
-    restart: usize,
 }
 
 impl GmresStationary {
@@ -121,27 +121,7 @@ impl GmresStationary {
 
     /// Creates a solver from shared [`SolveOptions`].
     pub fn with_options(opts: SolveOptions) -> Self {
-        GmresStationary { opts, restart: 50 }
-    }
-
-    /// Restart length (default 50): Arnoldi basis vectors kept before the
-    /// iteration restarts from the current residual.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `restart` is in `1..=1024`.
-    pub fn with_restart(mut self, restart: usize) -> Self {
-        assert!(
-            (1..=MAX_GMRES_RESTART).contains(&restart),
-            "GMRES restart length must be in 1..={MAX_GMRES_RESTART}"
-        );
-        self.restart = restart;
-        self
-    }
-
-    /// Restart length.
-    pub fn restart(&self) -> usize {
-        self.restart
+        GmresStationary { opts }
     }
 }
 
@@ -171,7 +151,7 @@ impl StationarySolver for GmresStationary {
         // L1 stationarity residual by `√n·‖Bx − b‖₂ = tol` (up to the
         // iterate's Σx drift, which the system itself drives to 1).
         let gopts = GmresOptions {
-            restart: self.restart,
+            restart: RESTART,
             tol: self.opts.tol,
             max_iters: self.opts.max_iters,
         };
@@ -205,7 +185,7 @@ impl StationarySolver for GmresStationary {
             "markov.gmres",
             &[
                 ("iterations", run.iterations.into()),
-                ("restart", self.restart.into()),
+                ("restart", RESTART.into()),
                 ("residual", result.report.residual.into()),
                 ("rel_residual", run.rel_residual.into()),
             ],
@@ -276,13 +256,6 @@ mod tests {
         for (a, b) in y.iter().zip(&y_rows) {
             assert!((a - b).abs() < 1e-12, "{a} vs {b}");
         }
-    }
-
-    #[test]
-    fn restart_knob_validated() {
-        let s = GmresStationary::default().with_restart(20);
-        assert_eq!(s.restart(), 20);
-        assert_eq!(s.name(), "gmres");
     }
 
     #[test]

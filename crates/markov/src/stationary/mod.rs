@@ -32,7 +32,7 @@ pub use convergence::{ConvergenceSummary, ConvergenceTrace};
 pub use gauss_seidel::GaussSeidelSolver;
 pub use gth::GthSolver;
 pub use jacobi::JacobiSolver;
-pub use krylov::{GmresStationary, MAX_GMRES_RESTART};
+pub use krylov::GmresStationary;
 pub use power::PowerIteration;
 
 use stochcdr_linalg::{vecops, TransitionOp};

@@ -66,6 +66,6 @@ pub use coarsen::{GeometricCoarsening, PairwiseCoarsening};
 pub use hierarchy::{MgHierarchy, MgPhases};
 pub use smoother::Smoother;
 pub use solver::{
-    CycleKind, CycleSchedule, KrylovAccel, MultigridBuilder, MultigridSolver, MultigridStats,
-    DEFAULT_KRYLOV_RESTART, ESCALATE_TO_F, ESCALATE_TO_W, MAX_KRYLOV_WINDOW, MAX_W_DEPTH,
+    CycleKind, MultigridBuilder, MultigridSolver, MultigridStats, DEFAULT_KRYLOV_RESTART,
+    MAX_KRYLOV_WINDOW, MAX_W_DEPTH,
 };

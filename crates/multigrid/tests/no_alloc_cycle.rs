@@ -64,7 +64,7 @@ fn warm_cycles_do_not_allocate() {
         mem::tracking_active(),
         "TrackingAlloc must be installed for this proof to mean anything"
     );
-    for kind in [CycleKind::V, CycleKind::F, CycleKind::W] {
+    for kind in [CycleKind::V, CycleKind::W] {
         let solver = MultigridSolver::builder(pair_partitions(n, 3))
             .cycle(kind)
             .smoother(Smoother::GaussSeidel)
@@ -143,4 +143,39 @@ fn warm_implicit_cycles_do_not_allocate() {
         );
     }
     par::set_threads(None);
+}
+
+/// Every kernel dispatch resolves the worker count through
+/// `par::threads()`, which falls back to `par::available()` when neither
+/// `--threads` nor `STOCHCDR_THREADS` is set. Asking the OS allocates
+/// (it reads the cgroup CPU quota), so the answer is cached: after the
+/// first call, neither function touches the heap.
+#[test]
+fn thread_count_lookups_do_not_allocate() {
+    let _serial = serial();
+    let _ = stochcdr_obs::uninstall();
+    par::set_threads(None);
+    assert!(
+        mem::tracking_active(),
+        "TrackingAlloc must be installed for this proof to mean anything"
+    );
+    assert!(par::available() >= 1 && par::threads() >= 1);
+    let available = mem::min_alloc_delta(
+        || {
+            for _ in 0..100 {
+                std::hint::black_box(par::available());
+            }
+        },
+        5,
+    );
+    let threads = mem::min_alloc_delta(
+        || {
+            for _ in 0..100 {
+                std::hint::black_box(par::threads());
+            }
+        },
+        5,
+    );
+    assert_eq!(available, 0, "par::available() allocated {available} times");
+    assert_eq!(threads, 0, "par::threads() allocated {threads} times");
 }

@@ -9,9 +9,11 @@
 # determinism contract of the parallel kernels (bit-identical results for
 # every pool size) is exercised on every CI pass; the two suites most
 # sensitive to partition boundaries (operator equivalence and multigrid
-# invariance) additionally run at 2 and 8 threads. A final trace smoke
-# (scripts/trace_smoke.sh) captures and validates one instrumented run's
-# --trace and --metrics artifacts, the memory smoke
+# invariance) additionally run at 2 and 8 threads. The benchmark harness
+# (bench_e2e/, a package of its own that the workspace commands never
+# compile) is built and tested against the current library API. A final
+# trace smoke (scripts/trace_smoke.sh) captures and validates one
+# instrumented run's --trace and --metrics artifacts, the memory smoke
 # (scripts/mem_smoke.sh) re-proves the zero-allocation claims under the
 # tracking allocator and renders an obs diff regression report, and the
 # profile smoke (scripts/profile_smoke.sh) validates a sampled folded-
@@ -31,6 +33,7 @@ for t in 2 8; do
     STOCHCDR_THREADS=$t cargo test -q --offline -p stochcdr-integration --test operator_equivalence
     STOCHCDR_THREADS=$t cargo test -q --offline -p stochcdr-bench --test mg_invariance
 done
+cargo test -q --offline --manifest-path bench_e2e/Cargo.toml
 cargo clippy --offline --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline -p stochcdr-linalg -p stochcdr-markov -p stochcdr-multigrid -p stochcdr-fsm -p stochcdr -p stochcdr-sweep -p stochcdr-obs -p stochcdr-noise
 ./scripts/trace_smoke.sh
