@@ -9,9 +9,10 @@ use stochcdr::cycle_slip::{mean_time_between_slips, mean_time_to_first_slip};
 use stochcdr::{report, CdrAnalysis, CdrChain, CdrError, CdrModel};
 use stochcdr_linalg::pattern;
 use stochcdr_obs as obs;
+use stochcdr_obs::artifact::fmt_bytes;
 use stochcdr_sweep::{render as sweep_render, run as sweep_run, SweepAxis, SweepSpec};
 
-use crate::args::{usage, CliError, Options, ParsedArgs};
+use crate::args::{parse_mem_size, usage, CliError, Options, ParsedArgs};
 
 /// Runs the subcommand and renders its output.
 ///
@@ -33,40 +34,6 @@ pub fn dispatch(parsed: &ParsedArgs) -> Result<String, CliError> {
         "report" => report_cmd(&parsed.options),
         "diff" => diff_cmd(&parsed.options),
         other => Err(CliError::UnknownCommand(other.to_string())),
-    }
-}
-
-fn fmt_ns(ns: f64) -> String {
-    if ns < 1e3 {
-        format!("{ns:.0}ns")
-    } else if ns < 1e6 {
-        format!("{:.1}us", ns / 1e3)
-    } else if ns < 1e9 {
-        format!("{:.1}ms", ns / 1e6)
-    } else {
-        format!("{:.2}s", ns / 1e9)
-    }
-}
-
-fn fmt_bytes(b: u64) -> String {
-    if b < 1 << 10 {
-        format!("{b}B")
-    } else if b < 1 << 20 {
-        format!("{:.1}KiB", b as f64 / (1u64 << 10) as f64)
-    } else if b < 1 << 30 {
-        format!("{:.1}MiB", b as f64 / (1u64 << 20) as f64)
-    } else {
-        format!("{:.2}GiB", b as f64 / (1u64 << 30) as f64)
-    }
-}
-
-/// Histogram cells whose names mark nanoseconds (a `_ns` / `.ns`
-/// component, e.g. `multigrid.smooth.ns.level0`) render with time units.
-fn fmt_hist_cell(name: &str, v: f64) -> String {
-    if name.ends_with("_ns") || name.ends_with(".ns") || name.contains(".ns.") {
-        fmt_ns(v)
-    } else {
-        format!("{v:.3e}")
     }
 }
 
@@ -117,15 +84,11 @@ fn diff_cmd(opts: &Options) -> Result<String, CliError> {
     }
 }
 
-/// `stochcdr report --in FILE`: renders a recorded artifact — either a
-/// `--metrics ... --metrics-format jsonl` stream or a `--trace` Chrome
-/// trace — as a human-readable table, validating its structure. Memory
-/// attribution and profile stacks render only when present (a run
-/// without the tracking allocator or the profiler has none).
-/// `--check-folded PATH` additionally validates a folded
-/// profile file against the artifact: every frame of every stack must
-/// resolve to a span name recorded in the artifact's span paths (the
-/// CI profile smoke test's gate).
+/// `stochcdr report --in FILE`: renders a recorded artifact, validating
+/// its structure. A `--metrics` JSONL stream renders as the run's table
+/// ([`obs::artifact::Artifact::render`], the same table
+/// [`obs::SummarySink`] produces live); a `--trace` Chrome trace renders
+/// its per-name span counts and fails on unbalanced begin/end events.
 fn report_cmd(opts: &Options) -> Result<String, CliError> {
     let path = opts
         .extra
@@ -133,161 +96,33 @@ fn report_cmd(opts: &Options) -> Result<String, CliError> {
         .ok_or_else(|| CliError::MissingValue("--in".into()))?;
     let text = std::fs::read_to_string(path)
         .map_err(|e| CliError::Analysis(format!("cannot read artifact '{path}': {e}")))?;
-    let mut out = String::new();
-    if obs::artifact::looks_like_trace(&text) {
-        let check = obs::artifact::check_trace(&text)
-            .map_err(|e| CliError::Analysis(format!("invalid trace '{path}': {e}")))?;
-        let _ = writeln!(
-            out,
-            "chrome trace: {} events ({} begin / {} end) on {} thread lanes",
-            check.events, check.begins, check.ends, check.threads
-        );
-        if !check.span_counts.is_empty() {
-            let _ = writeln!(out, "\nspans (name, count):");
-            for (name, count) in &check.span_counts {
-                let _ = writeln!(out, "  {name:<40} {count}");
-            }
-        }
-        if !check.unbalanced.is_empty() {
-            return Err(CliError::Analysis(format!(
-                "trace '{path}' has unbalanced begin/end events for: {}",
-                check.unbalanced.join(", ")
-            )));
-        }
-        let _ = writeln!(out, "\nbegin/end events balanced for every span name");
-        if opts.extra.contains_key("check-folded") {
-            // Chrome traces carry no span-path registry to check against;
-            // make the dead flag loud instead of silently skipping it.
-            return Err(CliError::Analysis(
-                "--check-folded requires a metrics artifact, not a Chrome trace".into(),
-            ));
-        }
-    } else {
+    if !obs::artifact::looks_like_trace(&text) {
         let art = obs::artifact::Artifact::load_jsonl(&text)
             .map_err(|e| CliError::Analysis(format!("invalid metrics artifact '{path}': {e}")))?;
-        let _ = writeln!(out, "metrics artifact ({})", art.schema);
-        if !art.spans.is_empty() {
-            let _ = writeln!(out, "\nspans (path, count, total, mean):");
-            for (p, s) in &art.spans {
-                let mean = s.total_ns as f64 / s.count.max(1) as f64;
-                let _ = writeln!(
-                    out,
-                    "  {:<40} {:>8}  {:>10}  {:>10}",
-                    p,
-                    s.count,
-                    fmt_ns(s.total_ns as f64),
-                    fmt_ns(mean)
-                );
-            }
-        }
-        // Without a tracking allocator every span carries zero
-        // allocations; such artifacts skip the section entirely.
-        if art.spans.values().any(|s| s.allocs > 0) {
-            let _ = writeln!(out, "\nspan memory (path, bytes, allocs):");
-            for (p, s) in &art.spans {
-                if s.allocs > 0 {
-                    let _ = writeln!(
-                        out,
-                        "  {:<40} {:>12}  {:>8}",
-                        p,
-                        fmt_bytes(s.alloc_bytes),
-                        s.allocs
-                    );
-                }
-            }
-        }
-        if !art.counters.is_empty() {
-            let _ = writeln!(out, "\ncounters:");
-            for (name, total) in &art.counters {
-                let _ = writeln!(out, "  {name:<40} {total}");
-            }
-        }
-        if !art.gauges.is_empty() {
-            let _ = writeln!(out, "\ngauges (last):");
-            for (name, v) in &art.gauges {
-                let _ = writeln!(out, "  {name:<40} {v:.6e}");
-            }
-        }
-        if !art.hists.is_empty() {
-            let _ = writeln!(out, "\nhistograms (name, count, p50, p95, max):");
-            for (name, h) in &art.hists {
-                let _ = writeln!(
-                    out,
-                    "  {:<40} {:>8}  {:>10}  {:>10}  {}",
-                    name,
-                    h.count(),
-                    fmt_hist_cell(name, h.quantile(0.5)),
-                    fmt_hist_cell(name, h.quantile(0.95)),
-                    fmt_hist_cell(name, h.max()),
-                );
-            }
-        }
-        if !art.events.is_empty() {
-            let _ = writeln!(out, "\nevents (count):");
-            for (name, count) in &art.events {
-                let _ = writeln!(out, "  {name:<40} {count}");
-            }
-        }
-        // Profile stacks arrived with stochcdr-obs/4; older artifacts
-        // carry an empty map and skip the section.
-        if !art.profile.is_empty() {
-            let total: u64 = art.profile.values().sum();
-            let _ = writeln!(out, "\nprofile ({total} samples; folded stack, samples):");
-            for (stack, count) in &art.profile {
-                let _ = writeln!(out, "  {stack:<40} {count}");
-            }
-        }
-        if let Some(folded_path) = opts.extra.get("check-folded") {
-            let _ = writeln!(out, "\n{}", check_folded(&art, folded_path)?);
+        return Ok(art.render());
+    }
+    let check = obs::artifact::check_trace(&text)
+        .map_err(|e| CliError::Analysis(format!("invalid trace '{path}': {e}")))?;
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
+        "chrome trace: {} events ({} begin / {} end) on {} thread lanes",
+        check.events, check.begins, check.ends, check.threads
+    );
+    if !check.span_counts.is_empty() {
+        let _ = writeln!(out, "\nspans (name, count):");
+        for (name, count) in &check.span_counts {
+            let _ = writeln!(out, "  {name:<40} {count}");
         }
     }
-    Ok(out)
-}
-
-/// Validates a folded-stack profile file against an artifact: every
-/// frame of every `stack count` line must be a span name occurring in
-/// one of the artifact's recorded span paths, and the file must carry
-/// at least one sample. Returns a one-line summary for the report.
-fn check_folded(art: &obs::artifact::Artifact, path: &str) -> Result<String, CliError> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| CliError::Analysis(format!("cannot read folded profile '{path}': {e}")))?;
-    let known: std::collections::BTreeSet<&str> =
-        art.spans.keys().flat_map(|p| p.split('/')).collect();
-    let mut stacks = 0u64;
-    let mut samples = 0u64;
-    for (idx, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let bad = |what: String| {
-            CliError::Analysis(format!("folded profile '{path}' line {}: {what}", idx + 1))
-        };
-        let (stack, count) = line
-            .rsplit_once(' ')
-            .ok_or_else(|| bad("expected 'stack count'".into()))?;
-        let count: u64 = count
-            .parse()
-            .map_err(|_| bad(format!("bad sample count '{count}'")))?;
-        for frame in stack.split(';') {
-            if !known.contains(frame) {
-                return Err(bad(format!(
-                    "frame '{frame}' does not match any recorded span"
-                )));
-            }
-        }
-        stacks += 1;
-        samples += count;
-    }
-    if stacks == 0 {
+    if !check.unbalanced.is_empty() {
         return Err(CliError::Analysis(format!(
-            "folded profile '{path}' carries no samples"
+            "trace '{path}' has unbalanced begin/end events for: {}",
+            check.unbalanced.join(", ")
         )));
     }
-    Ok(format!(
-        "folded profile ok: {stacks} stack(s), {samples} sample(s), \
-         every frame resolves to a recorded span"
-    ))
+    let _ = writeln!(out, "\nbegin/end events balanced for every span name");
+    Ok(out)
 }
 
 fn build_and_solve(opts: &Options) -> Result<(CdrChain, CdrAnalysis), CliError> {
@@ -581,14 +416,25 @@ fn scale(opts: &Options) -> Result<String, CliError> {
     use stochcdr::ProductChain;
 
     let lanes = extra_usize(opts, "lanes", 2)?.max(1);
+    let mem_budget = opts
+        .extra
+        .get("mem-budget")
+        .map(|v| {
+            parse_mem_size(v).ok_or_else(|| CliError::BadValue {
+                flag: "--mem-budget".into(),
+                value: v.clone(),
+                expected: "a byte count, optionally suffixed K/M/G",
+            })
+        })
+        .transpose()?;
     let chain = CdrModel::new(opts.config.clone()).build_chain()?;
     let product: ProductChain = chain.replicate(lanes)?;
 
     let start = std::time::Instant::now();
     let solve = match opts.extra.get("path").map(String::as_str) {
-        None | Some("auto") => product.solve_auto(opts.tol, opts.mem_budget)?,
+        None | Some("auto") => product.solve_auto(opts.tol, mem_budget)?,
         Some("implicit") => product.solve_implicit(opts.tol)?,
-        Some("materialized") => product.solve_materialized(opts.tol, opts.mem_budget)?,
+        Some("materialized") => product.solve_materialized(opts.tol, mem_budget)?,
         Some(v) => {
             return Err(CliError::BadValue {
                 flag: "--path".into(),
@@ -613,7 +459,7 @@ fn scale(opts: &Options) -> Result<String, CliError> {
         product.materialized_nnz() as f64,
         fmt_bytes(product.materialize_cost_bytes()),
     );
-    let budget = match opts.mem_budget {
+    let budget = match mem_budget {
         Some(b) => format!("budget {}", fmt_bytes(b)),
         None => "no budget".to_string(),
     };
@@ -759,16 +605,19 @@ mod tests {
     fn report_renders_memory_only_when_artifact_has_it() {
         let dir = std::env::temp_dir();
         // An artifact with span memory attribution...
+        let schema = stochcdr_obs::SCHEMA_VERSION;
         let tracked = dir.join("stochcdr_cli_report_tracked.jsonl");
         std::fs::write(
             &tracked,
-            "{\"kind\":\"meta\",\"schema\":\"stochcdr-obs/4\"}\n\
-             {\"kind\":\"span\",\"path\":\"solve\",\"name\":\"solve\",\"nanos\":1200,\
-              \"alloc_bytes\":65536,\"allocs\":3}\n",
+            format!(
+                "{{\"kind\":\"meta\",\"schema\":\"{schema}\"}}\n\
+                 {{\"kind\":\"span\",\"path\":\"solve\",\"name\":\"solve\",\"nanos\":1200,\
+                  \"alloc_bytes\":65536,\"allocs\":3}}\n"
+            ),
         )
         .unwrap();
         let out = run(&argv(&format!("report --in {}", tracked.display()))).unwrap();
-        assert!(out.contains("stochcdr-obs/4"), "{out}");
+        assert!(out.contains(schema), "{out}");
         assert!(out.contains("span memory"), "{out}");
         assert!(out.contains("64.0KiB"), "{out}");
 
@@ -777,101 +626,20 @@ mod tests {
         let untracked = dir.join("stochcdr_cli_report_untracked.jsonl");
         std::fs::write(
             &untracked,
-            "{\"kind\":\"meta\",\"schema\":\"stochcdr-obs/4\"}\n\
-             {\"kind\":\"span\",\"path\":\"solve\",\"name\":\"solve\",\"nanos\":1200}\n\
-             {\"kind\":\"counter\",\"name\":\"sweeps\",\"delta\":3}\n",
+            format!(
+                "{{\"kind\":\"meta\",\"schema\":\"{schema}\"}}\n\
+                 {{\"kind\":\"span\",\"path\":\"solve\",\"name\":\"solve\",\"nanos\":1200}}\n\
+                 {{\"kind\":\"counter\",\"name\":\"sweeps\",\"delta\":3}}\n"
+            ),
         )
         .unwrap();
         let out = run(&argv(&format!("report --in {}", untracked.display()))).unwrap();
-        assert!(out.contains("stochcdr-obs/4"), "{out}");
+        assert!(out.contains(schema), "{out}");
         assert!(!out.contains("span memory"), "{out}");
         assert!(out.contains("sweeps"), "{out}");
 
         std::fs::remove_file(&tracked).ok();
         std::fs::remove_file(&untracked).ok();
-    }
-
-    #[test]
-    fn report_renders_profile_and_checks_folded() {
-        let dir = std::env::temp_dir();
-        // A /4 artifact with profile stacks renders the profile section.
-        let v4 = dir.join("stochcdr_cli_report_v4.jsonl");
-        std::fs::write(
-            &v4,
-            "{\"kind\":\"meta\",\"schema\":\"stochcdr-obs/4\"}\n\
-             {\"kind\":\"span\",\"path\":\"solve/cycle\",\"name\":\"cycle\",\"nanos\":800}\n\
-             {\"kind\":\"span\",\"path\":\"solve\",\"name\":\"solve\",\"nanos\":1200}\n\
-             {\"kind\":\"profile\",\"stack\":\"solve;cycle\",\"count\":5}\n",
-        )
-        .unwrap();
-        let out = run(&argv(&format!("report --in {}", v4.display()))).unwrap();
-        assert!(out.contains("profile (5 samples"), "{out}");
-        assert!(out.contains("solve;cycle"), "{out}");
-
-        // A folded file whose frames all resolve to span names passes.
-        let good = dir.join("stochcdr_cli_good.folded");
-        std::fs::write(&good, "solve;cycle 5\nsolve 2\n").unwrap();
-        let out = run(&argv(&format!(
-            "report --in {} --check-folded {}",
-            v4.display(),
-            good.display()
-        )))
-        .unwrap();
-        assert!(
-            out.contains("folded profile ok: 2 stack(s), 7 sample(s)"),
-            "{out}"
-        );
-
-        // Unknown frames, malformed lines, and empty files all fail.
-        let bad = dir.join("stochcdr_cli_bad.folded");
-        let check = |content: &str| {
-            std::fs::write(&bad, content).unwrap();
-            run(&argv(&format!(
-                "report --in {} --check-folded {}",
-                v4.display(),
-                bad.display()
-            )))
-            .unwrap_err()
-            .to_string()
-        };
-        assert!(check("solve;warp 1\n").contains("warp"));
-        assert!(check("just-a-stack-no-count\n").contains("stack count"));
-        assert!(check("").contains("no samples"));
-
-        std::fs::remove_file(&v4).ok();
-        std::fs::remove_file(&good).ok();
-        std::fs::remove_file(&bad).ok();
-    }
-
-    #[test]
-    fn profile_folded_writes_loadable_stacks() {
-        let dir = std::env::temp_dir();
-        let folded = dir.join("stochcdr_cli_profile.folded");
-        let metrics = dir.join("stochcdr_cli_profile.jsonl");
-        let out = run(&argv(&format!(
-            "analyze {SMALL} --profile-folded {} --profile-interval 0.05 \
-             --metrics {} --metrics-format jsonl",
-            folded.display(),
-            metrics.display()
-        )))
-        .unwrap();
-        assert!(out.contains("BER:"), "{out}");
-        // The folded file exists and every line is `stack count` (the
-        // tiny model may finish between samples, so emptiness is legal).
-        let text = std::fs::read_to_string(&folded).unwrap();
-        for line in text.lines() {
-            let (stack, count) = line.rsplit_once(' ').expect("stack count");
-            assert!(!stack.is_empty());
-            count.parse::<u64>().expect("sample count");
-        }
-        // The artifact parses under the current schema.
-        let art = stochcdr_obs::artifact::Artifact::load_jsonl(
-            &std::fs::read_to_string(&metrics).unwrap(),
-        )
-        .unwrap();
-        assert_eq!(art.schema, stochcdr_obs::SCHEMA_VERSION);
-        std::fs::remove_file(&folded).ok();
-        std::fs::remove_file(&metrics).ok();
     }
 
     #[test]

@@ -22,7 +22,7 @@
 pub mod args;
 pub mod commands;
 
-pub use args::{CliError, MetricsFormat, Options, ParsedArgs};
+pub use args::{CliError, Options, ParsedArgs};
 
 use stochcdr_obs as obs;
 
@@ -30,17 +30,12 @@ use stochcdr_obs as obs;
 /// returns the text that should be printed.
 ///
 /// With `--metrics PATH` the instrumentation layer is enabled for the
-/// duration of the command: `--metrics-format jsonl` streams records to
-/// `PATH` as they happen; the default `summary` format aggregates them
-/// and writes a rendered table to `PATH` afterwards. `--trace PATH`
-/// additionally (or independently) streams a Chrome Trace Event file —
-/// both can be active at once through a fan-out sink.
-///
-/// `--profile-folded PATH` runs the wall-clock sampling profiler for
-/// the duration of the command and writes folded stacks (one
-/// `stack count` line each, loadable by flamegraph.pl or speedscope)
-/// to `PATH`; `--progress` arms live heartbeat updates. Both default
-/// off and leave the solve bit-identical when unused.
+/// duration of the command and streams the JSONL metrics artifact to
+/// `PATH` as records happen; `stochcdr report --in PATH` renders it as
+/// a table. `--trace PATH` additionally (or independently) streams a
+/// Chrome Trace Event file — both can be active at once through a
+/// fan-out sink. `--progress` arms live heartbeat updates. All three
+/// default off, and none of them changes a bit of the solve.
 ///
 /// # Errors
 ///
@@ -67,85 +62,36 @@ pub fn run(argv: &[String]) -> Result<String, CliError> {
 }
 
 /// The body of [`run`] after the process-wide knobs are set: decides
-/// whether the observability facade is needed, installs the sinks, runs
-/// the profiler around the dispatch, and tears everything down again.
+/// whether the observability facade is needed, installs the sinks around
+/// the dispatch, and tears them down again.
 fn run_with_obs(parsed: &ParsedArgs) -> Result<String, CliError> {
-    let metrics = parsed.options.metrics.clone();
-    let trace = parsed.options.trace.clone();
-    let profile_folded = parsed.options.profile_folded.clone();
-    if metrics.is_none() && trace.is_none() && profile_folded.is_none() {
+    let opts = &parsed.options;
+    if opts.metrics.is_none() && opts.trace.is_none() {
         // `--progress` alone needs no sink: the one-line status goes to
         // stderr directly and the events land on the disabled facade.
         return commands::dispatch(parsed);
     }
 
     let mut sinks: Vec<Box<dyn obs::Sink>> = Vec::new();
-    if let Some(path) = &trace {
+    if let Some(path) = &opts.trace {
         let sink = obs::ChromeTraceSink::to_file(path)
             .map_err(|e| CliError::Analysis(format!("cannot open trace file '{path}': {e}")))?;
         sinks.push(Box::new(sink));
     }
-    let summary_path = match (&metrics, parsed.options.metrics_format) {
-        (Some(path), MetricsFormat::Jsonl) => {
-            let sink = obs::JsonLinesSink::to_file(path).map_err(|e| {
-                CliError::Analysis(format!("cannot open metrics file '{path}': {e}"))
-            })?;
-            sinks.push(Box::new(sink));
-            None
-        }
-        (Some(path), MetricsFormat::Summary) => {
-            sinks.push(Box::new(obs::SummarySink::new()));
-            Some(path.clone())
-        }
-        (None, _) => None,
-    };
-    // `--profile-folded` without any other destination still needs the
-    // facade enabled — span paths register only while a recorder is
-    // installed — so a NullSink absorbs the records themselves.
-    if sinks.is_empty() {
-        sinks.push(Box::new(obs::NullSink));
+    if let Some(path) = &opts.metrics {
+        let sink = obs::JsonLinesSink::to_file(path)
+            .map_err(|e| CliError::Analysis(format!("cannot open metrics file '{path}': {e}")))?;
+        sinks.push(Box::new(sink));
     }
-    let single = sinks.len() == 1;
-    if single {
-        obs::install(sinks.pop().expect("one sink"));
-    } else {
-        obs::install(Box::new(obs::MultiSink::new(sinks)));
-    }
+    obs::install(Box::new(obs::MultiSink::new(sinks)));
 
     obs::gauge("cli.threads", stochcdr_linalg::par::threads() as f64);
-    let profiling = profile_folded.is_some()
-        && obs::profile::start(std::time::Duration::from_secs_f64(
-            parsed.options.profile_interval_ms / 1e3,
-        ));
     let result = commands::dispatch(parsed);
-    // Stop sampling before the teardown gauges so the profiler never
-    // attributes samples to the facade's own bookkeeping; publish the
-    // folded stacks into the artifact while the sink is still attached.
-    let folded = if profiling {
-        obs::profile::stop().map(|p| {
-            p.publish();
-            p.folded()
-        })
-    } else {
-        None
-    };
     // Memory gauges (live/peak heap, allocation count, peak RSS) describe
     // the whole command; publish them right before the sink detaches.
     obs::mem::publish();
-    // Uninstall even on dispatch failure so the global recorder never
-    // outlives the command that enabled it.
-    let sink = obs::uninstall();
-    if let Some(path) = summary_path {
-        if let Some(report) = sink.and_then(|mut s| s.finish()) {
-            std::fs::write(&path, report).map_err(|e| {
-                CliError::Analysis(format!("cannot write metrics file '{path}': {e}"))
-            })?;
-        }
-    }
-    if let (Some(path), Some(text)) = (&profile_folded, folded) {
-        std::fs::write(path, text).map_err(|e| {
-            CliError::Analysis(format!("cannot write folded profile '{path}': {e}"))
-        })?;
-    }
+    // Uninstall (which flushes the sinks) even on dispatch failure so the
+    // global recorder never outlives the command that enabled it.
+    obs::uninstall();
     result
 }

@@ -32,7 +32,7 @@ fn diff_passes_on_identical_runs_and_fails_on_drift() {
     // detector (a dead zone changes the chain, hence counters and events).
     for (path, extra) in [(&a, ""), (&b, ""), (&c, "--dead-zone 1")] {
         run(&argv(&format!(
-            "analyze {SMALL} {extra} --metrics {} --metrics-format jsonl",
+            "analyze {SMALL} {extra} --metrics {}",
             path.display()
         )))
         .unwrap();

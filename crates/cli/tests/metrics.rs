@@ -1,8 +1,10 @@
-//! End-to-end tests for the `--metrics` observability flags.
+//! End-to-end tests for the `--metrics` observability flag.
 //!
-//! Both formats run inside one test function: the obs recorder is a
-//! process-wide singleton, so sequencing the two captures avoids
+//! The capture and its rendering run inside one test function: the obs
+//! recorder is a process-wide singleton, so sequencing them avoids
 //! cross-test interference without any locking.
+
+use std::process::Command;
 
 use stochcdr_cli::run;
 use stochcdr_obs::json::Json;
@@ -13,17 +15,16 @@ fn argv(s: &str) -> Vec<String> {
 
 #[test]
 fn metrics_capture_jsonl_and_summary() {
-    let dir = std::env::temp_dir();
-    let jsonl_path = dir.join("stochcdr_metrics_test.jsonl");
-    let summary_path = dir.join("stochcdr_metrics_test.txt");
+    let jsonl_path = std::env::temp_dir().join("stochcdr_metrics_test.jsonl");
 
-    // JSONL: every line parses, the schema header leads, and the stream
-    // carries per-cycle residuals, smoothing counters, and the TPM nnz.
+    // `--metrics` always streams the JSONL artifact: every line parses,
+    // the schema header leads, and the stream carries per-cycle
+    // residuals, smoothing counters, and the TPM nnz.
     let out = run(&argv(&format!(
-        "analyze --refinement 8 --metrics {} --metrics-format jsonl",
+        "analyze --refinement 8 --metrics {}",
         jsonl_path.display()
     )))
-    .expect("analyze with jsonl metrics");
+    .expect("analyze with metrics");
     assert!(out.contains("BER"), "analysis output unaffected: {out}");
     assert!(
         !stochcdr_obs::enabled(),
@@ -68,24 +69,60 @@ fn metrics_capture_jsonl_and_summary() {
     assert!(tpm_nnz.unwrap_or(0.0) > 0.0, "TPM nnz event missing");
     assert!(sweep_counters > 0, "per-level smoothing counters missing");
 
-    // Summary: the default format writes an aggregated table.
-    run(&argv(&format!(
-        "analyze --refinement 8 --metrics {}",
-        summary_path.display()
-    )))
-    .expect("analyze with summary metrics");
-    let table = std::fs::read_to_string(&summary_path).unwrap();
+    // Summary: `report` renders the artifact as the aggregated table.
+    let table = run(&argv(&format!("report --in {}", jsonl_path.display())))
+        .expect("report renders the metrics artifact");
     assert!(table.contains(stochcdr_obs::SCHEMA_VERSION), "{table}");
     assert!(table.contains("multigrid.solve"), "{table}");
     assert!(table.contains("multigrid.smooth_sweeps.level0"), "{table}");
     assert!(table.contains("fsm.tpm_assembled"), "{table}");
 
     std::fs::remove_file(&jsonl_path).ok();
-    std::fs::remove_file(&summary_path).ok();
+}
+
+/// Runs the `stochcdr` binary and returns its exit code and stderr.
+fn exit_and_stderr(args: &str) -> (Option<i32>, String) {
+    let out = Command::new(env!("CARGO_BIN_EXE_stochcdr"))
+        .args(args.split_whitespace())
+        .output()
+        .expect("run stochcdr");
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
 }
 
 #[test]
 fn bad_metrics_format_rejected() {
-    let err = run(&argv("analyze --metrics /tmp/x --metrics-format yaml")).unwrap_err();
-    assert!(err.to_string().contains("summary | jsonl"), "{err}");
+    // There is one metrics format, so the flag that picked one is gone.
+    for args in [
+        "analyze --metrics /tmp/x --metrics-format yaml",
+        "analyze --metrics /tmp/x --metrics-format jsonl",
+    ] {
+        let (code, stderr) = exit_and_stderr(args);
+        assert_eq!(code, Some(2), "{args}: {stderr}");
+        assert!(
+            stderr.contains("unknown flag '--metrics-format'"),
+            "{stderr}"
+        );
+    }
+}
+
+#[test]
+fn profiler_flags_are_unknown() {
+    for (args, flag) in [
+        ("analyze --profile-folded /tmp/p.folded", "--profile-folded"),
+        ("analyze --profile-interval 1", "--profile-interval"),
+        (
+            "report --in /tmp/m.jsonl --check-folded /tmp/p.folded",
+            "--check-folded",
+        ),
+    ] {
+        let (code, stderr) = exit_and_stderr(args);
+        assert_eq!(code, Some(2), "{args}: {stderr}");
+        assert!(
+            stderr.contains(&format!("unknown flag '{flag}'")),
+            "{stderr}"
+        );
+    }
 }

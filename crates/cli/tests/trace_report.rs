@@ -18,8 +18,7 @@ fn trace_capture_and_report_render() {
     let jsonl_path = dir.join("stochcdr_trace_test_metrics.jsonl");
 
     let out = run(&argv(&format!(
-        "analyze --refinement 8 --threads 2 \
-         --trace {} --metrics {} --metrics-format jsonl",
+        "analyze --refinement 8 --threads 2 --trace {} --metrics {}",
         trace_path.display(),
         jsonl_path.display()
     )))

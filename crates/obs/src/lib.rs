@@ -49,7 +49,6 @@ pub mod heartbeat;
 pub mod hist;
 pub mod json;
 pub mod mem;
-pub mod profile;
 mod record;
 mod sink;
 mod trace;
@@ -87,23 +86,14 @@ struct Recorder {
     sink: Box<dyn Sink>,
     epoch: Instant,
     session: u64,
-    /// Every currently *open* span, by id: its full `/`-joined path and
-    /// the lane id of the thread that opened it. Because a child's path
-    /// is looked up through its parent **id** (not the opening thread's
-    /// stack), a span opened on a pool worker with [`span_child_of`]
-    /// inherits the dispatching span's path and lands under it in
-    /// path-grouped reports, instead of orphaned at top level. Entries
-    /// are removed when their span closes; the map dies with the
-    /// recorder at session end. The lane id lets [`open_span_stacks`]
-    /// reconstruct a per-thread view of what is executing *right now* —
-    /// the sampling profiler's data source.
-    paths: HashMap<u64, OpenSpan>,
-}
-
-/// Registry entry for one open span (see [`Recorder::paths`]).
-struct OpenSpan {
-    path: String,
-    tid: u64,
+    /// Every currently *open* span's full `/`-joined path, by id.
+    /// Because a child's path is looked up through its parent **id**
+    /// (not the opening thread's stack), a span opened on a pool worker
+    /// with [`span_child_of`] inherits the dispatching span's path and
+    /// lands under it in path-grouped reports, instead of orphaned at top
+    /// level. Entries are removed when their span closes; the map dies
+    /// with the recorder at session end.
+    paths: HashMap<u64, String>,
 }
 
 #[derive(Clone, Copy)]
@@ -301,7 +291,7 @@ fn open_span(name: &'static str, parent: Option<u64>) -> SpanGuard {
     // explicit cross-thread parent it attributes the span to the scope
     // that dispatched the work.
     let path = match rec.paths.get(&parent) {
-        Some(p) => format!("{}/{name}", p.path),
+        Some(p) => format!("{p}/{name}"),
         None => name.to_string(),
     };
     let depth = path.split('/').count();
@@ -316,7 +306,7 @@ fn open_span(name: &'static str, parent: Option<u64>) -> SpanGuard {
             depth,
         },
     );
-    rec.paths.insert(id, OpenSpan { path, tid });
+    rec.paths.insert(id, path);
     SpanGuard {
         id,
         parent,
@@ -377,7 +367,6 @@ impl Drop for SpanGuard {
         let path = rec
             .paths
             .remove(&self.id)
-            .map(|o| o.path)
             .unwrap_or_else(|| path_names.join("/"));
         let depth = path.split('/').count();
         let at = rec.epoch.elapsed().as_nanos() as u64;
@@ -396,50 +385,6 @@ impl Drop for SpanGuard {
             },
         );
     }
-}
-
-/// Snapshot of every thread's innermost *open* span: `(lane id, full
-/// span path)` pairs, one per lane with at least one span open right
-/// now. Empty when no sink is installed.
-///
-/// Per-thread span guards are strictly LIFO-scoped and span ids are
-/// globally monotone, so within one lane the innermost open span is the
-/// entry with the largest id — no per-thread stack walk is needed; the
-/// open-span registry alone reconstructs the live leaf of every lane.
-/// Spans opened with [`span_child_of`] are reported under the *opening*
-/// thread's lane (their path still resolves through the cross-thread
-/// parent), which is exactly the attribution a wall-clock sampler
-/// wants. This is the [`profile`] sampler's data source; the snapshot
-/// holds the recorder lock only long enough to copy the paths out.
-pub fn open_span_stacks() -> Vec<(u64, String)> {
-    let guard = STATE.lock().unwrap();
-    let Some(rec) = guard.as_ref() else {
-        return Vec::new();
-    };
-    let mut tops: HashMap<u64, (u64, &str)> = HashMap::new();
-    for (&id, open) in &rec.paths {
-        let top = tops.entry(open.tid).or_insert((id, &open.path));
-        if id >= top.0 {
-            *top = (id, &open.path);
-        }
-    }
-    let mut out: Vec<(u64, String)> = tops
-        .into_iter()
-        .map(|(tid, (_, path))| (tid, path.to_string()))
-        .collect();
-    out.sort_unstable();
-    out
-}
-
-/// Records one folded profile stack with its accumulated sample count.
-/// The [`profile`] sampler flushes its aggregate through this at stop;
-/// sinks treat the records as a distinct `profile` section.
-#[inline]
-pub fn profile_sample(stack: &str, count: u64) {
-    if !enabled() {
-        return;
-    }
-    with_recorder(|rec, at| rec.sink.record(at, &Record::ProfileSample { stack, count }));
 }
 
 /// Increments a named counter by `delta`.

@@ -147,18 +147,6 @@ pub enum Record<'a> {
         /// Observed value.
         value: f64,
     },
-    /// One aggregated wall-clock profile stack from the sampling
-    /// profiler (see [`crate::profile`]), flushed at sampler stop. New
-    /// in schema `stochcdr-obs/4`. Counts are nondeterministic (they
-    /// depend on scheduling), so the artifact diff treats this section
-    /// as advisory.
-    ProfileSample {
-        /// Folded stack: `;`-joined span names, outermost first (the
-        /// flamegraph.pl / speedscope "folded" frame format).
-        stack: &'a str,
-        /// Samples attributed to this exact stack.
-        count: u64,
-    },
 }
 
 impl Record<'_> {
@@ -166,7 +154,6 @@ impl Record<'_> {
     pub fn name(&self) -> &str {
         match self {
             Record::Span { path, .. } => path,
-            Record::ProfileSample { stack, .. } => stack,
             Record::SpanBegin { name, .. }
             | Record::Counter { name, .. }
             | Record::Gauge { name, .. }

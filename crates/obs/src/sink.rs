@@ -1,6 +1,6 @@
 //! Record consumers: the [`Sink`] trait and the built-ins —
-//! [`NullSink`] (discard), [`SummarySink`] (aggregated human-readable
-//! table), [`JsonLinesSink`] (one JSON object per record), and
+//! [`NullSink`] (discard), [`SummarySink`] (the [`Artifact`] table,
+//! aggregated live), [`JsonLinesSink`] (one JSON object per record), and
 //! [`MultiSink`] (fan-out to several sinks, e.g. metrics + trace).
 
 use std::collections::BTreeMap;
@@ -10,6 +10,7 @@ use std::io::{self, BufWriter, Write};
 use std::path::Path;
 use std::sync::{Arc, Mutex};
 
+use crate::artifact::Artifact;
 use crate::hist::LogHist;
 use crate::json;
 use crate::record::{Record, Value};
@@ -21,13 +22,15 @@ use crate::record::{Record, Value};
 /// span lines) and aggregated `hist` lines flushed at finish. `/3`
 /// extends `/2` with memory attribution on span lines (`alloc_bytes`,
 /// `allocs` — zero without a [`crate::mem::TrackingAlloc`]) and the
-/// `mem.*` gauges published by [`crate::mem::publish`]. `/4` extends
-/// `/3` with `profile` lines (folded sampling-profiler stacks flushed
-/// by [`crate::profile::Profile::publish`]) and the throttled
-/// `solve.progress` heartbeat events from [`crate::heartbeat`]; both
-/// are nondeterministic by nature, so the artifact diff treats them as
-/// advisory.
-pub const SCHEMA_VERSION: &str = "stochcdr-obs/4";
+/// `mem.*` gauges published by [`crate::mem::publish`]. `/4` extended
+/// `/3` with sampling-profiler `profile` lines and the throttled
+/// `solve.progress` heartbeat events from [`crate::heartbeat`]
+/// (wall-clock paced, so the artifact diff treats their count as
+/// advisory). `/5` drops the `profile` lines again: the span lines
+/// already carry each path's exact time, so the sampler was removed,
+/// and the loader refuses `/4` streams rather than skip lines it no
+/// longer reads.
+pub const SCHEMA_VERSION: &str = "stochcdr-obs/5";
 
 /// A consumer of instrumentation records.
 ///
@@ -96,254 +99,44 @@ impl Sink for MultiSink {
     }
 }
 
-#[derive(Debug, Default, Clone)]
-struct SpanAgg {
-    count: u64,
-    total_ns: u64,
-    min_ns: u64,
-    max_ns: u64,
-    alloc_bytes: u64,
-    allocs: u64,
-}
-
-#[derive(Debug, Default, Clone)]
-struct GaugeAgg {
-    count: u64,
-    last: f64,
-    min: f64,
-    max: f64,
-}
-
-/// Aggregates records in memory and renders a hierarchical summary
-/// table from [`Sink::finish`].
-#[derive(Debug, Default)]
+/// Aggregates records in memory and renders the run's table from
+/// [`Sink::finish`].
+///
+/// Records fold into an [`Artifact`] with the JSONL loader's per-kind
+/// code, so the table is byte-for-byte what [`Artifact::render`] prints
+/// for the same run's [`JsonLinesSink`] stream (and what
+/// `stochcdr report --in` shows).
+#[derive(Debug)]
 pub struct SummarySink {
-    spans: BTreeMap<String, SpanAgg>,
-    counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, GaugeAgg>,
-    events: BTreeMap<String, u64>,
-    hists: BTreeMap<String, LogHist>,
-    profile: BTreeMap<String, u64>,
-    last_event_fields: BTreeMap<String, String>,
-    end_ns: u64,
+    artifact: Artifact,
+}
+
+impl Default for SummarySink {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl SummarySink {
     /// Creates an empty summary sink.
     pub fn new() -> Self {
-        Self::default()
+        SummarySink {
+            artifact: Artifact {
+                schema: SCHEMA_VERSION.to_string(),
+                ..Artifact::default()
+            },
+        }
     }
 
     /// Renders the aggregated table.
     pub fn render(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "stochcdr-obs summary ({}; {:.3} s observed)",
-            SCHEMA_VERSION,
-            self.end_ns as f64 * 1e-9
-        );
-        if !self.spans.is_empty() {
-            out.push_str("\nspans (path, count, total, mean, min..max):\n");
-            for (path, agg) in &self.spans {
-                // Indent by nesting depth so the hierarchy reads as a tree.
-                let depth = path.matches('/').count();
-                let leaf = path.rsplit('/').next().unwrap_or(path);
-                let mean = agg.total_ns as f64 / agg.count.max(1) as f64;
-                let _ = writeln!(
-                    out,
-                    "  {:indent$}{:<32} {:>8}  {:>10}  {:>10}  {}..{}",
-                    "",
-                    leaf,
-                    agg.count,
-                    fmt_ns(agg.total_ns as f64),
-                    fmt_ns(mean),
-                    fmt_ns(agg.min_ns as f64),
-                    fmt_ns(agg.max_ns as f64),
-                    indent = depth * 2,
-                );
-            }
-        }
-        // Memory attribution only renders when a tracking allocator
-        // charged something — summaries from untracked processes (and
-        // pre-/3 replays) keep their old shape.
-        if self.spans.values().any(|a| a.allocs > 0) {
-            out.push_str("\nspan memory (path, bytes, allocs):\n");
-            for (path, agg) in &self.spans {
-                if agg.allocs == 0 {
-                    continue;
-                }
-                let _ = writeln!(
-                    out,
-                    "  {:<48} {:>12}  {:>8}",
-                    path,
-                    fmt_bytes(agg.alloc_bytes),
-                    agg.allocs,
-                );
-            }
-        }
-        if !self.counters.is_empty() {
-            out.push_str("\ncounters:\n");
-            for (name, total) in &self.counters {
-                let _ = writeln!(out, "  {name:<40} {total}");
-            }
-        }
-        if !self.gauges.is_empty() {
-            out.push_str("\ngauges (last, min..max, n):\n");
-            for (name, agg) in &self.gauges {
-                let _ = writeln!(
-                    out,
-                    "  {:<40} {:.6e}  {:.3e}..{:.3e}  n={}",
-                    name, agg.last, agg.min, agg.max, agg.count
-                );
-            }
-        }
-        if !self.hists.is_empty() {
-            out.push_str("\nhistograms (name, count, p50, p95, max):\n");
-            for (name, h) in &self.hists {
-                let _ = writeln!(
-                    out,
-                    "  {:<40} {:>8}  {:>10}  {:>10}  {}",
-                    name,
-                    h.count(),
-                    fmt_hist_value(name, h.quantile(0.5)),
-                    fmt_hist_value(name, h.quantile(0.95)),
-                    fmt_hist_value(name, h.max()),
-                );
-            }
-        }
-        // Profile stacks only render when a sampler ran — summaries
-        // from unprofiled runs keep their old shape.
-        if !self.profile.is_empty() {
-            out.push_str("\nprofile (folded stack, samples):\n");
-            for (stack, count) in &self.profile {
-                let _ = writeln!(out, "  {stack:<64} {count:>8}");
-            }
-        }
-        if !self.events.is_empty() {
-            out.push_str("\nevents (count, last fields):\n");
-            for (name, count) in &self.events {
-                let fields = self
-                    .last_event_fields
-                    .get(name)
-                    .map(String::as_str)
-                    .unwrap_or("");
-                let _ = writeln!(out, "  {name:<40} {count:>6}  {fields}");
-            }
-        }
-        out
-    }
-}
-
-fn fmt_bytes(b: u64) -> String {
-    let b = b as f64;
-    if b < 1024.0 {
-        format!("{b:.0}B")
-    } else if b < 1024.0 * 1024.0 {
-        format!("{:.1}KiB", b / 1024.0)
-    } else if b < 1024.0 * 1024.0 * 1024.0 {
-        format!("{:.1}MiB", b / (1024.0 * 1024.0))
-    } else {
-        format!("{:.2}GiB", b / (1024.0 * 1024.0 * 1024.0))
-    }
-}
-
-fn fmt_ns(ns: f64) -> String {
-    if ns < 1e3 {
-        format!("{ns:.0}ns")
-    } else if ns < 1e6 {
-        format!("{:.1}us", ns / 1e3)
-    } else if ns < 1e9 {
-        format!("{:.1}ms", ns / 1e6)
-    } else {
-        format!("{:.2}s", ns / 1e9)
-    }
-}
-
-/// Histogram cells: names marked with a `_ns` / `.ns` component hold
-/// nanoseconds (e.g. `multigrid.smooth.ns.level0`) and render with time
-/// units; everything else renders in scientific form.
-fn fmt_hist_value(name: &str, v: f64) -> String {
-    if name.ends_with("_ns") || name.ends_with(".ns") || name.contains(".ns.") {
-        fmt_ns(v)
-    } else {
-        format!("{v:.3e}")
-    }
-}
-
-fn fmt_value(v: &Value) -> String {
-    match v {
-        Value::U64(x) => x.to_string(),
-        Value::I64(x) => x.to_string(),
-        Value::F64(x) => format!("{x:.6e}"),
-        Value::Bool(x) => x.to_string(),
-        Value::Str(x) => x.clone(),
+        self.artifact.render()
     }
 }
 
 impl Sink for SummarySink {
     fn record(&mut self, at_nanos: u64, record: &Record<'_>) {
-        self.end_ns = self.end_ns.max(at_nanos);
-        match record {
-            // Aggregation keys on completed spans; the begin edge only
-            // matters to streaming trace sinks.
-            Record::SpanBegin { .. } => {}
-            Record::Span {
-                path,
-                nanos,
-                alloc_bytes,
-                allocs,
-                ..
-            } => {
-                let agg = self.spans.entry((*path).to_string()).or_default();
-                if agg.count == 0 {
-                    agg.min_ns = *nanos;
-                    agg.max_ns = *nanos;
-                } else {
-                    agg.min_ns = agg.min_ns.min(*nanos);
-                    agg.max_ns = agg.max_ns.max(*nanos);
-                }
-                agg.count += 1;
-                agg.total_ns += nanos;
-                agg.alloc_bytes += alloc_bytes;
-                agg.allocs += allocs;
-            }
-            Record::Counter { name, delta } => {
-                *self.counters.entry((*name).to_string()).or_default() += delta;
-            }
-            Record::Gauge { name, value } => {
-                let agg = self.gauges.entry((*name).to_string()).or_default();
-                if agg.count == 0 {
-                    agg.min = *value;
-                    agg.max = *value;
-                } else {
-                    agg.min = agg.min.min(*value);
-                    agg.max = agg.max.max(*value);
-                }
-                agg.count += 1;
-                agg.last = *value;
-            }
-            Record::Histogram { name, value } => {
-                self.hists
-                    .entry((*name).to_string())
-                    .or_default()
-                    .observe(*value);
-            }
-            Record::Event { name, fields } => {
-                *self.events.entry((*name).to_string()).or_default() += 1;
-                let mut rendered = String::new();
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        rendered.push(' ');
-                    }
-                    let _ = write!(rendered, "{k}={}", fmt_value(v));
-                }
-                self.last_event_fields.insert((*name).to_string(), rendered);
-            }
-            Record::ProfileSample { stack, count } => {
-                *self.profile.entry((*stack).to_string()).or_default() += count;
-            }
-        }
+        self.artifact.record(at_nanos, record);
     }
 
     fn finish(&mut self) -> Option<String> {
@@ -354,13 +147,14 @@ impl Sink for SummarySink {
 /// Streams each record as one JSON object per line.
 ///
 /// The first line is a meta record carrying [`SCHEMA_VERSION`]:
-/// `{"kind":"meta","schema":"stochcdr-obs/4"}`. Subsequent lines have
+/// `{"kind":"meta","schema":"stochcdr-obs/5"}`. Subsequent lines have
 /// `kind` of `span`, `counter`, `gauge`, or `event`, a `t` field
 /// (nanoseconds since install), and kind-specific fields. Histogram
 /// observations are aggregated in memory and flushed as `hist` lines
 /// (count/other/sum/min/max/p50/p95 plus sparse `bins`) when the sink
-/// finishes. `SpanBegin` edges are not streamed — the completed `span`
-/// line carries the full identity (`name`, `id`, `parent`, `tid`).
+/// finishes, stamped with the latest record time. `SpanBegin` edges are
+/// not streamed (nor timed) — the completed `span` line carries the full
+/// identity (`name`, `id`, `parent`, `tid`).
 pub struct JsonLinesSink {
     w: Box<dyn Write + Send>,
     line: String,
@@ -434,12 +228,12 @@ impl Write for SharedBuffer {
 
 impl Sink for JsonLinesSink {
     fn record(&mut self, at_nanos: u64, record: &Record<'_>) {
-        self.end_ns = self.end_ns.max(at_nanos);
         let line = &mut self.line;
         line.clear();
         match record {
             Record::SpanBegin { .. } => return,
             Record::Histogram { name, value } => {
+                self.end_ns = self.end_ns.max(at_nanos);
                 self.hists
                     .entry((*name).to_string())
                     .or_default()
@@ -493,12 +287,8 @@ impl Sink for JsonLinesSink {
                 }
                 line.push('}');
             }
-            Record::ProfileSample { stack, count } => {
-                line.push_str("{\"kind\":\"profile\",\"stack\":");
-                json::escape_into(line, stack);
-                let _ = write!(line, ",\"count\":{count}");
-            }
         }
+        self.end_ns = self.end_ns.max(at_nanos);
         let _ = write!(line, ",\"t\":{at_nanos}}}");
         let _ = writeln!(self.w, "{}", line);
     }
@@ -606,10 +396,11 @@ mod tests {
         assert!(text.contains("cycle.done"), "{text}");
         assert!(text.contains("histograms"), "{text}");
         assert!(text.contains("smooth_ns"), "{text}");
-        assert_eq!(s.spans["solve/cycle"].count, 2);
-        assert_eq!(s.spans["solve/cycle"].total_ns, 100);
-        assert_eq!(s.counters["sweeps"], 5);
-        assert_eq!(s.hists["smooth_ns"].count(), 3);
+        let art = &s.artifact;
+        assert_eq!(art.spans["solve/cycle"].count, 2);
+        assert_eq!(art.spans["solve/cycle"].total_ns, 100);
+        assert_eq!(art.counters["sweeps"], 5);
+        assert_eq!(art.hists["smooth_ns"].count(), 3);
     }
 
     #[test]
@@ -637,18 +428,11 @@ mod tests {
                 value: 2.0,
             },
         );
-        sink.record(
-            9,
-            &Record::ProfileSample {
-                stack: "a;b",
-                count: 12,
-            },
-        );
         sink.finish();
         let bytes = buf.lock().unwrap().clone();
         let text = String::from_utf8(bytes).unwrap();
         let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 6);
+        assert_eq!(lines.len(), 5);
         let meta = Json::parse(lines[0]).unwrap();
         assert_eq!(
             meta.get("schema").and_then(Json::as_str),
@@ -665,12 +449,8 @@ mod tests {
         let fields = event.get("fields").unwrap();
         assert_eq!(fields.get("k").and_then(Json::as_str), Some("v\n"));
         assert_eq!(fields.get("n").and_then(Json::as_f64), Some(-3.0));
-        let profile = Json::parse(lines[4]).unwrap();
-        assert_eq!(profile.get("kind").and_then(Json::as_str), Some("profile"));
-        assert_eq!(profile.get("stack").and_then(Json::as_str), Some("a;b"));
-        assert_eq!(profile.get("count").and_then(Json::as_f64), Some(12.0));
         // Histograms flush at finish, after every streamed record.
-        let hist = Json::parse(lines[5]).unwrap();
+        let hist = Json::parse(lines[4]).unwrap();
         assert_eq!(hist.get("kind").and_then(Json::as_str), Some("hist"));
         assert_eq!(hist.get("count").and_then(Json::as_f64), Some(1.0));
         assert_eq!(hist.get("max").and_then(Json::as_f64), Some(2.0));

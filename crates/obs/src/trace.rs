@@ -196,9 +196,9 @@ impl Sink for ChromeTraceSink {
                 self.line = line;
                 self.emit();
             }
-            // Histogram observations and aggregated profile stacks have
-            // no trace representation; the metrics sinks handle them.
-            Record::Histogram { .. } | Record::ProfileSample { .. } => {}
+            // Histogram observations have no trace representation; the
+            // metrics sinks handle them.
+            Record::Histogram { .. } => {}
         }
     }
 

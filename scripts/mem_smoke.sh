@@ -21,9 +21,9 @@ STOCHCDR_THREADS=1 cargo test -q --offline -p stochcdr-sweep --test warm_alloc
 # events, span counts, histogram bins) and reports memory advisories.
 cargo build --release --offline -p stochcdr-cli
 ./target/release/stochcdr analyze --refinement 16 --threads 4 \
-    --metrics target/MEM_SMOKE_A.jsonl --metrics-format jsonl >/dev/null
+    --metrics target/MEM_SMOKE_A.jsonl >/dev/null
 ./target/release/stochcdr analyze --refinement 16 --threads 4 \
-    --metrics target/MEM_SMOKE_B.jsonl --metrics-format jsonl >/dev/null
+    --metrics target/MEM_SMOKE_B.jsonl >/dev/null
 ./target/release/stochcdr diff --baseline target/MEM_SMOKE_A.jsonl \
     --fresh target/MEM_SMOKE_B.jsonl --out target/MEM_SMOKE_DIFF.txt
 

@@ -30,7 +30,7 @@ fi
 
 echo "scale smoke: auto path must pick the implicit backend and complete"
 ./target/release/stochcdr scale $model --tol 1e-8 \
-    --metrics target/scale_metrics.jsonl --metrics-format jsonl \
+    --metrics target/scale_metrics.jsonl \
     | tee target/scale_smoke.txt
 grep -q 'path .*: implicit' target/scale_smoke.txt
 grep -q 'kron.apply' target/scale_metrics.jsonl
