@@ -67,8 +67,8 @@ pub fn usage() -> String {
      commands:\n\
      \x20 analyze    stationary analysis: BER, densities, slip rate\n\
      \x20 sweep      parameter-grid sweep on the cached parallel engine:\n\
-     \x20            --knob counter|dead-zone|sigma-nw|drift-ppm|refinement|filter|solver\n\
-     \x20            --values a,b,c  (or multi-axis: --axes \"drift-ppm=50,100;counter=4,8\")\n\
+     \x20            --axes \"drift-ppm=50,100;counter=4,8\" over counter|dead-zone|\n\
+     \x20            sigma-nw|drift-ppm|refinement|filter|solver (default counter=4,8,16)\n\
      \x20            --warm-start on|off (default on), --out FILE (stochcdr-sweep/1 JSON)\n\
      \x20 bathtub    BER vs static sampling offset (--points N, --target BER)\n\
      \x20 slip       mean time between cycle slips + first-passage time\n\
@@ -149,7 +149,7 @@ pub struct Options {
 /// observability flags; [`parse`] rejects any other.
 const COMMANDS: [(&str, &[&str]); 10] = [
     ("analyze", &[]),
-    ("sweep", &["axes", "knob", "values", "warm-start", "out"]),
+    ("sweep", &["axes", "warm-start", "out"]),
     ("bathtub", &["points", "target"]),
     ("slip", &[]),
     ("acquire", &["horizon"]),
@@ -521,6 +521,7 @@ mod tests {
         for bad in [
             "analyze --cycle v",
             "sweep --accel gmres",
+            "sweep --knob counter --values 4",
             "analyze --points 3",
             "analyze --mem-budget 1",
             "report --in m.jsonl --refinement 0",

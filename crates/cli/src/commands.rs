@@ -179,15 +179,16 @@ fn analyze(opts: &Options) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// Parses one comma-separated value list into a typed sweep axis.
-fn parse_axis(flag: &str, name: &str, values: &str) -> Result<SweepAxis, CliError> {
+/// Parses one `--axes` entry's comma-separated value list into a typed
+/// sweep axis.
+fn parse_axis(name: &str, values: &str) -> Result<SweepAxis, CliError> {
     let toks: Vec<&str> = values
         .split(',')
         .map(str::trim)
         .filter(|s| !s.is_empty())
         .collect();
     let bad = |value: &str, expected: &'static str| CliError::BadValue {
-        flag: flag.to_string(),
+        flag: "--axes".into(),
         value: value.to_string(),
         expected,
     };
@@ -225,7 +226,7 @@ fn parse_axis(flag: &str, name: &str, values: &str) -> Result<SweepAxis, CliErro
             .collect::<Result<_, _>>()
             .map(SweepAxis::Solver),
         other => Err(CliError::BadValue {
-            flag: "--knob".into(),
+            flag: "--axes".into(),
             value: other.into(),
             expected: "counter | dead-zone | sigma-nw | drift-ppm | refinement | filter | solver",
         }),
@@ -233,31 +234,20 @@ fn parse_axis(flag: &str, name: &str, values: &str) -> Result<SweepAxis, CliErro
 }
 
 fn sweep(opts: &Options) -> Result<String, CliError> {
-    // Axes come from `--axes "name=v1,v2;name2=..."`, from the original
-    // `--knob NAME --values a,b,c` pair, or default to a counter sweep.
+    // Axes come from `--axes "name=v1,v2;name2=..."`, or default to a
+    // counter sweep.
     let mut axes: Vec<SweepAxis> = Vec::new();
-    if let Some(text) = opts.extra.get("axes") {
-        for part in text.split(';').filter(|p| !p.trim().is_empty()) {
-            let (name, values) = part.split_once('=').ok_or_else(|| CliError::BadValue {
-                flag: "--axes".into(),
-                value: part.into(),
-                expected: "name=v1,v2[;name=...]",
-            })?;
-            axes.push(parse_axis("--axes", name.trim(), values)?);
-        }
+    let text = opts.extra.get("axes").map_or("", String::as_str);
+    for part in text.split(';').filter(|p| !p.trim().is_empty()) {
+        let (name, values) = part.split_once('=').ok_or_else(|| CliError::BadValue {
+            flag: "--axes".into(),
+            value: part.into(),
+            expected: "name=v1,v2[;name=...]",
+        })?;
+        axes.push(parse_axis(name.trim(), values)?);
     }
-    if axes.is_empty() || opts.extra.contains_key("knob") {
-        let knob = opts
-            .extra
-            .get("knob")
-            .cloned()
-            .unwrap_or_else(|| "counter".into());
-        let values = opts
-            .extra
-            .get("values")
-            .cloned()
-            .unwrap_or_else(|| "4,8,16".into());
-        axes.push(parse_axis("--values", &knob, &values)?);
+    if axes.is_empty() {
+        axes.push(SweepAxis::CounterLen(vec![4, 8, 16]));
     }
     let warm = match opts.extra.get("warm-start").map(String::as_str) {
         None | Some("on") | Some("true") => true,
@@ -530,7 +520,7 @@ mod tests {
 
     #[test]
     fn sweep_smoke() {
-        let out = run(&argv(&format!("sweep {SMALL} --knob counter --values 2,4"))).unwrap();
+        let out = run(&argv(&format!("sweep {SMALL} --axes counter=2,4"))).unwrap();
         assert_eq!(out.lines().count(), 3);
         assert!(out.contains("MTBS"));
     }
@@ -654,8 +644,8 @@ mod tests {
     fn help_and_errors() {
         assert!(run(&argv("help")).unwrap().contains("usage"));
         assert!(run(&argv("nope")).is_err());
-        assert!(run(&argv("sweep --knob nope --values 1")).is_err());
+        assert!(run(&argv("sweep --axes nope=1")).is_err());
         // Swept values are re-validated through the config builder.
-        assert!(run(&argv(&format!("sweep {SMALL} --knob counter --values 0"))).is_err());
+        assert!(run(&argv(&format!("sweep {SMALL} --axes counter=0"))).is_err());
     }
 }

@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! stochcdr analyze  --sigma-nw 0.05 --drift-mean 2e-3 --counter 8
-//! stochcdr sweep    --knob counter --values 4,8,16
+//! stochcdr sweep    --axes "counter=4,8,16"
 //! stochcdr bathtub  --points 21
 //! stochcdr slip
 //! stochcdr acquire  --horizon 1000
@@ -16,7 +16,7 @@
 //! ```
 //!
 //! Argument parsing is hand-rolled (the workspace's dependency policy keeps
-//! external crates to `rand`/`proptest`/`criterion`); the grammar is plain
+//! external crates to `rand`/`proptest`); the grammar is plain
 //! `--flag value` pairs after a subcommand.
 
 pub mod args;
@@ -91,7 +91,12 @@ fn run_with_obs(parsed: &ParsedArgs) -> Result<String, CliError> {
     // the whole command; publish them right before the sink detaches.
     obs::mem::publish();
     // Uninstall (which flushes the sinks) even on dispatch failure so the
-    // global recorder never outlives the command that enabled it.
-    obs::uninstall();
-    result
+    // global recorder never outlives the command that enabled it. A write
+    // or flush error means the artifact is incomplete: report it unless
+    // the command already failed.
+    let write_error = obs::uninstall().and_then(|mut sink| sink.take_error());
+    match (result, write_error) {
+        (Ok(_), Some(e)) => Err(CliError::Analysis(e.to_string())),
+        (result, _) => result,
+    }
 }

@@ -126,3 +126,19 @@ fn profiler_flags_are_unknown() {
         );
     }
 }
+
+/// `/dev/full` opens, then refuses every write: a `--metrics` or `--trace`
+/// artifact that cannot be written fails the command and names the path.
+#[cfg(target_os = "linux")]
+#[test]
+fn unwritable_artifact_fails_the_command() {
+    for (flag, what) in [("--metrics", "metrics"), ("--trace", "trace")] {
+        let args = format!("analyze --refinement 8 {flag} /dev/full");
+        let (code, stderr) = exit_and_stderr(&args);
+        assert_eq!(code, Some(2), "{args}: {stderr}");
+        assert!(
+            stderr.contains(&format!("cannot write {what} file '/dev/full'")),
+            "{stderr}"
+        );
+    }
+}

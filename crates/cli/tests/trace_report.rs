@@ -100,8 +100,8 @@ fn trace_capture_and_report_render() {
     let trace_path = std::env::temp_dir().join("stochcdr_sweep_trace_test.json");
     run(&argv(&format!(
         "sweep --phases 4 --refinement 2 --counter 4 --sigma-nw 0.08 \
-         --drift-mean 2e-2 --drift-dev 8e-2 --knob counter \
-         --values 2,3,4,5,6,7,8,9,10 --threads 2 --trace {}",
+         --drift-mean 2e-2 --drift-dev 8e-2 \
+         --axes counter=2,3,4,5,6,7,8,9,10 --threads 2 --trace {}",
         trace_path.display()
     )))
     .expect("sweep with trace");

@@ -72,15 +72,6 @@ impl PhiDensity {
         var.max(0.0).sqrt()
     }
 
-    /// Probability mass strictly beyond `±threshold_ui`.
-    pub fn tail_beyond_ui(&self, threshold_ui: f64) -> f64 {
-        self.bins
-            .iter()
-            .filter(|&&(o, _)| (o as f64 * self.delta_ui).abs() > threshold_ui)
-            .map(|&(_, p)| p)
-            .sum()
-    }
-
     /// Convolves with a discrete distribution on the same grid (e.g. the
     /// density of `Φ + n_w` from the marginal of `Φ`).
     pub fn convolve(&self, other: &DiscreteDist) -> PhiDensity {
@@ -151,16 +142,6 @@ impl PhiDensity {
         out.push_str(&right);
         out
     }
-
-    /// Emits the density as a `offset_ui probability` table (one line per
-    /// bin), convenient for external plotting.
-    pub fn to_table(&self) -> String {
-        let mut out = String::with_capacity(self.bins.len() * 24);
-        for &(o, p) in &self.bins {
-            out.push_str(&format!("{:+.6e} {:.6e}\n", o as f64 * self.delta_ui, p));
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -178,13 +159,6 @@ mod tests {
         assert!(d.mean_ui().abs() < 1e-15);
         // Var = 0.5 * (0.1)^2 = 0.005 -> std ~ 0.0707.
         assert!((d.std_ui() - (0.005f64).sqrt()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn tails() {
-        let d = tri();
-        assert!((d.tail_beyond_ui(0.05) - 0.5).abs() < 1e-15);
-        assert_eq!(d.tail_beyond_ui(0.15), 0.0);
     }
 
     #[test]
@@ -213,12 +187,5 @@ mod tests {
         assert_eq!(lines.len(), 10); // 8 rows + axis + labels
         assert!(plot.contains('#'));
         assert!(plot.contains("UI"));
-    }
-
-    #[test]
-    fn table_format() {
-        let t = tri().to_table();
-        assert_eq!(t.lines().count(), 3);
-        assert!(t.contains("5.000000e-1"));
     }
 }

@@ -58,11 +58,6 @@ impl RowSkeleton {
         self.offsets.len() - 1
     }
 
-    /// Total skeleton entries across all rows.
-    pub fn entry_count(&self) -> usize {
-        self.entries.len()
-    }
-
     fn build(
         cfg: &CdrConfig,
         branches: &[Vec<DataBranch>],

@@ -65,7 +65,7 @@ impl CdrModel {
         let _span = obs::span("core.build_chain");
         let start = Instant::now();
         let net = self.network();
-        let tpm = net.try_build_tpm()?;
+        let tpm = net.build_tpm()?;
         self.finish_chain(tpm, &AssemblyFactors::compute(&self.config), start)
     }
 

@@ -1,6 +1,6 @@
 //! Row-oriented transition-probability-matrix builder.
 
-use stochcdr_linalg::{par, CooMatrix, CsrMatrix};
+use stochcdr_linalg::{par, CsrMatrix};
 use stochcdr_obs as obs;
 
 use crate::{FsmError, Result};
@@ -10,172 +10,14 @@ use crate::{FsmError, Result};
 /// with it the assembled matrix, is identical for any `STOCHCDR_THREADS`.
 const ROW_CHUNK: usize = 256;
 
-/// Accumulates the transition probability matrix of a stochastic FSM one
-/// state (row) at a time, merging duplicate successor states.
+/// Per-row emission scratch handed to the closure of [`build_rows`].
 ///
 /// Duplicate merging is the workhorse of the paper's model construction:
 /// many different noise outcomes map to the *same* successor state (e.g.
 /// every `n_w` value that leaves the phase-detector decision unchanged), so
 /// accumulating `(successor, probability)` pairs and summing duplicates
 /// keeps the stored fan-out equal to the number of *distinct* successors.
-///
-/// # Example
-///
-/// ```
-/// use stochcdr_fsm::TpmBuilder;
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let mut b = TpmBuilder::new(2);
-/// b.begin_row(0);
-/// b.emit(1, 0.25);
-/// b.emit(1, 0.25); // merged with the previous emit
-/// b.emit(0, 0.5);
-/// b.end_row()?;
-/// b.begin_row(1);
-/// b.emit(0, 1.0);
-/// b.end_row()?;
-/// let tpm = b.finish()?;
-/// assert_eq!(tpm.get(0, 1), 0.5);
-/// assert_eq!(tpm.nnz(), 3);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone)]
-pub struct TpmBuilder {
-    n: usize,
-    coo: CooMatrix,
-    /// Scratch for the current row: (successor, probability).
-    row: Vec<(usize, f64)>,
-    current_row: Option<usize>,
-    rows_done: Vec<bool>,
-    /// Row-sum tolerance.
-    tol: f64,
-}
-
-impl TpmBuilder {
-    /// Creates a builder for an `n`-state chain.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`.
-    pub fn new(n: usize) -> Self {
-        assert!(n > 0, "chain must have at least one state");
-        TpmBuilder {
-            n,
-            coo: CooMatrix::new(n, n),
-            row: Vec::new(),
-            current_row: None,
-            rows_done: vec![false; n],
-            tol: 1e-9,
-        }
-    }
-
-    /// Overrides the row-sum tolerance (default `1e-9`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tol <= 0`.
-    pub fn with_tolerance(mut self, tol: f64) -> Self {
-        assert!(tol > 0.0, "tolerance must be positive");
-        self.tol = tol;
-        self
-    }
-
-    /// Number of states.
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
-    /// Starts accumulating transitions out of `state`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if another row is open or the row was already finished.
-    pub fn begin_row(&mut self, state: usize) {
-        assert!(self.current_row.is_none(), "previous row not ended");
-        assert!(state < self.n, "state {state} out of range");
-        assert!(!self.rows_done[state], "row {state} already built");
-        self.current_row = Some(state);
-        self.row.clear();
-    }
-
-    /// Emits one transition of the open row.
-    ///
-    /// Zero-probability emissions are ignored.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no row is open, `next` is out of range, or `prob` is
-    /// negative/non-finite.
-    pub fn emit(&mut self, next: usize, prob: f64) {
-        assert!(self.current_row.is_some(), "no open row");
-        assert!(next < self.n, "successor {next} out of range");
-        assert!(
-            prob.is_finite() && prob >= 0.0,
-            "invalid probability {prob}"
-        );
-        if prob > 0.0 {
-            self.row.push((next, prob));
-        }
-    }
-
-    /// Ends the open row, merging duplicates and validating the row sum.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FsmError::InvalidProbability`] if the accumulated mass is
-    /// not within tolerance of one.
-    pub fn end_row(&mut self) -> Result<()> {
-        let state = self.current_row.take().expect("no open row");
-        self.row.sort_unstable_by_key(|&(next, _)| next);
-        let mut total = 0.0;
-        let mut i = 0;
-        while i < self.row.len() {
-            let next = self.row[i].0;
-            let mut p = 0.0;
-            while i < self.row.len() && self.row[i].0 == next {
-                p += self.row[i].1;
-                i += 1;
-            }
-            total += p;
-            self.coo.push(state, next, p);
-        }
-        if (total - 1.0).abs() > self.tol {
-            return Err(FsmError::InvalidProbability(format!(
-                "row {state} sums to {total}, expected 1"
-            )));
-        }
-        self.rows_done[state] = true;
-        Ok(())
-    }
-
-    /// Finishes the matrix.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FsmError::InvalidProbability`] if any row was never built
-    /// (its sum would be zero).
-    pub fn finish(self) -> Result<CsrMatrix> {
-        assert!(self.current_row.is_none(), "row still open");
-        if let Some(missing) = self.rows_done.iter().position(|&d| !d) {
-            return Err(FsmError::InvalidProbability(format!(
-                "row {missing} was never built"
-            )));
-        }
-        let _span = obs::span("fsm.tpm_finish");
-        let csr = self.coo.to_csr();
-        obs::event(
-            "fsm.tpm_assembled",
-            &[("rows", csr.rows().into()), ("nnz", csr.nnz().into())],
-        );
-        Ok(csr)
-    }
-}
-
-/// Per-row emission scratch handed to the closure of [`build_rows`].
-///
-/// Mirrors [`TpmBuilder::emit`]: duplicate successors are merged and
-/// zero-probability emissions dropped when the row is finalized.
+/// Zero-probability emissions are dropped.
 #[derive(Debug)]
 pub struct RowEmitter {
     n: usize,
@@ -206,9 +48,29 @@ impl RowEmitter {
 /// The row closure must be a pure function of the state index: rows are
 /// assembled in fixed chunks of `ROW_CHUNK` (256) states distributed over the
 /// worker pool, then concatenated in state order, so the resulting matrix
-/// is byte-identical to a serial [`TpmBuilder`] pass for any thread count.
-/// Duplicate successors are merged and row sums validated against `tol`,
-/// exactly as [`TpmBuilder::end_row`] does.
+/// is byte-identical for any thread count. Within a row, duplicate
+/// successors are merged and the row sum is validated against `tol`.
+///
+/// # Example
+///
+/// ```
+/// use stochcdr_fsm::build_rows;
+///
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// let tpm = build_rows(2, 1e-9, |state, em| {
+///     if state == 0 {
+///         em.emit(1, 0.25);
+///         em.emit(1, 0.25); // merged with the previous emit
+///         em.emit(0, 0.5);
+///     } else {
+///         em.emit(0, 1.0);
+///     }
+/// })?;
+/// assert_eq!(tpm.get(0, 1), 0.5);
+/// assert_eq!(tpm.nnz(), 3);
+/// # Ok(())
+/// # }
+/// ```
 ///
 /// # Errors
 ///
@@ -289,73 +151,13 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use stochcdr_linalg::CooMatrix;
 
     #[test]
-    fn builds_and_merges() {
-        let mut b = TpmBuilder::new(2);
-        b.begin_row(0);
-        b.emit(0, 0.1);
-        b.emit(1, 0.4);
-        b.emit(1, 0.5);
-        b.end_row().unwrap();
-        b.begin_row(1);
-        b.emit(0, 1.0);
-        b.end_row().unwrap();
-        let m = b.finish().unwrap();
-        assert_eq!(m.nnz(), 3);
-        assert!((m.get(0, 1) - 0.9).abs() < 1e-15);
-    }
-
-    #[test]
-    fn bad_row_sum_rejected() {
-        let mut b = TpmBuilder::new(1);
-        b.begin_row(0);
-        b.emit(0, 0.5);
-        assert!(matches!(b.end_row(), Err(FsmError::InvalidProbability(_))));
-    }
-
-    #[test]
-    fn missing_row_rejected() {
-        let mut b = TpmBuilder::new(2);
-        b.begin_row(0);
-        b.emit(0, 1.0);
-        b.end_row().unwrap();
-        assert!(b.finish().is_err());
-    }
-
-    #[test]
-    fn zero_probability_ignored() {
-        let mut b = TpmBuilder::new(1);
-        b.begin_row(0);
-        b.emit(0, 0.0);
-        b.emit(0, 1.0);
-        b.end_row().unwrap();
-        let m = b.finish().unwrap();
-        assert_eq!(m.nnz(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "already built")]
-    fn duplicate_row_panics() {
-        let mut b = TpmBuilder::new(1);
-        b.begin_row(0);
-        b.emit(0, 1.0);
-        b.end_row().unwrap();
-        b.begin_row(0);
-    }
-
-    #[test]
-    #[should_panic(expected = "not ended")]
-    fn nested_rows_panic() {
-        let mut b = TpmBuilder::new(2);
-        b.begin_row(0);
-        b.begin_row(1);
-    }
-
-    #[test]
-    fn build_rows_matches_serial_builder() {
+    fn build_rows_matches_coo_oracle_at_any_thread_count() {
         // A ring chain with duplicate emissions, crossing the chunk size so
-        // several parallel chunks participate.
+        // several chunks participate. The oracle sums the same emissions
+        // through `CooMatrix::to_csr`, an independent serial merge.
         let n = 600;
         let row = |state: usize, em: &mut RowEmitter| {
             em.emit((state + 1) % n, 0.3);
@@ -363,19 +165,21 @@ mod tests {
             em.emit(state, 0.15);
             em.emit((state + n - 1) % n, 0.25);
         };
-        let par = build_rows(n, 1e-9, row).unwrap();
-        let mut b = TpmBuilder::new(n);
+        let mut coo = CooMatrix::new(n, n);
         for s in 0..n {
-            b.begin_row(s);
             let mut em = RowEmitter { n, row: Vec::new() };
             row(s, &mut em);
             for &(next, p) in &em.row {
-                b.emit(next, p);
+                coo.push(s, next, p);
             }
-            b.end_row().unwrap();
         }
-        let serial = b.finish().unwrap();
-        assert_eq!(par, serial);
+        let oracle = coo.to_csr();
+        for threads in [1, 2, 4] {
+            par::set_threads(Some(threads));
+            let built = build_rows(n, 1e-9, row);
+            par::set_threads(None);
+            assert_eq!(built.unwrap(), oracle, "{threads} threads");
+        }
     }
 
     #[test]
@@ -396,27 +200,15 @@ mod tests {
 
     #[test]
     fn build_rows_merges_duplicates() {
-        let m = build_rows(2, 1e-9, |s, em| {
-            em.emit(1 - s, 0.25);
-            em.emit(1 - s, 0.25);
+        let m = build_rows(3, 1e-9, |s, em| {
+            em.emit((s + 1) % 3, 0.25);
+            em.emit((s + 1) % 3, 0.25);
             em.emit(s, 0.5);
+            em.emit((s + 2) % 3, 0.0); // zero mass is not stored
         })
         .unwrap();
-        assert_eq!(m.nnz(), 4);
+        assert_eq!(m.nnz(), 6);
         assert_eq!(m.get(0, 1), 0.5);
-    }
-
-    #[test]
-    fn rows_in_any_order() {
-        let mut b = TpmBuilder::new(2);
-        b.begin_row(1);
-        b.emit(0, 1.0);
-        b.end_row().unwrap();
-        b.begin_row(0);
-        b.emit(1, 1.0);
-        b.end_row().unwrap();
-        let m = b.finish().unwrap();
-        assert_eq!(m.get(1, 0), 1.0);
-        assert_eq!(m.get(0, 1), 1.0);
+        assert!(m.row(0).all(|(col, _)| col != 2));
     }
 }

@@ -8,30 +8,14 @@ pub type Result<T> = std::result::Result<T, FsmError>;
 /// Error raised while assembling an FSM network or its Markov chain.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FsmError {
-    /// A component declared an empty state space or empty noise support.
-    EmptyComponent(String),
     /// A probability was negative, non-finite, or a pmf did not sum to one.
     InvalidProbability(String),
-    /// A transition referenced a state outside the declared space.
-    StateOutOfRange {
-        /// The offending state index.
-        state: usize,
-        /// The declared state count.
-        count: usize,
-    },
-    /// The reachable state space was empty (no initial states given).
-    NoInitialStates,
 }
 
 impl fmt::Display for FsmError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            FsmError::EmptyComponent(msg) => write!(f, "empty component: {msg}"),
             FsmError::InvalidProbability(msg) => write!(f, "invalid probability: {msg}"),
-            FsmError::StateOutOfRange { state, count } => {
-                write!(f, "state {state} out of range for {count}-state machine")
-            }
-            FsmError::NoInitialStates => write!(f, "no initial states given"),
         }
     }
 }
@@ -44,7 +28,7 @@ mod tests {
 
     #[test]
     fn display_is_informative() {
-        let e = FsmError::StateOutOfRange { state: 9, count: 4 };
-        assert!(e.to_string().contains('9'));
+        let e = FsmError::InvalidProbability("row 9 sums to 0.5, expected 1".into());
+        assert!(e.to_string().contains("row 9"));
     }
 }

@@ -176,29 +176,6 @@ impl KroneckerOp {
         self.factors.iter().map(CsrMatrix::nnz).sum()
     }
 
-    /// Returns a copy of this operator with factor `idx` swapped for
-    /// `factor`, sharing nothing else — the cheap way for a parameter
-    /// sweep to perturb one component while every other factor (and the
-    /// joint dimension) is reused.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is out of range, `factor` is not square, or its
-    /// dimension differs from the factor it replaces (the joint space
-    /// must not change shape under a sweep).
-    pub fn with_factor(&self, idx: usize, factor: CsrMatrix) -> Self {
-        assert!(idx < self.factors.len(), "factor index out of range");
-        assert_eq!(factor.rows(), factor.cols(), "factors must be square");
-        assert_eq!(
-            factor.rows(),
-            self.factors[idx].rows(),
-            "replacement factor must keep the mode dimension"
-        );
-        let mut factors = self.factors.clone();
-        factors[idx] = factor;
-        KroneckerOp::new(factors)
-    }
-
     /// Computes `y = x (A_1 ⊗ … ⊗ A_k)` without materializing the product.
     ///
     /// Works mode by mode: viewing `x` as a `k`-dimensional tensor, applies
@@ -486,25 +463,6 @@ mod tests {
         coo.push(1, 0, 0.5);
         coo.push(2, 2, 1.0);
         coo.to_csr()
-    }
-
-    #[test]
-    fn with_factor_swaps_one_mode() {
-        let op = KroneckerOp::new(vec![stochastic2(0.3), stochastic3(), stochastic2(0.1)]);
-        let swapped = op.with_factor(2, stochastic2(0.4));
-        let direct = KroneckerOp::new(vec![stochastic2(0.3), stochastic3(), stochastic2(0.4)]);
-        assert_eq!(swapped.dim(), op.dim());
-        let x: Vec<f64> = (0..12).map(|i| ((i * 31 + 5) % 13) as f64 / 13.0).collect();
-        assert_eq!(swapped.mul_left(&x), direct.mul_left(&x));
-        // Untouched factors are reused verbatim.
-        assert_eq!(swapped.factors()[0].nnz(), op.factors()[0].nnz());
-    }
-
-    #[test]
-    #[should_panic(expected = "mode dimension")]
-    fn with_factor_rejects_dimension_change() {
-        let op = KroneckerOp::new(vec![stochastic2(0.3), stochastic3()]);
-        let _ = op.with_factor(0, stochastic3());
     }
 
     #[test]

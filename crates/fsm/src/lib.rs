@@ -8,22 +8,17 @@
 //! larger resulting Markov chain". This crate implements that construction:
 //!
 //! * [`ProductSpace`] — mixed-radix indexing of joint component states,
-//! * [`TpmBuilder`] — accumulates per-state transition distributions into a
-//!   sparse TPM, merging duplicate successors (the marginalization that
-//!   keeps row fan-out small); [`build_rows`] is its parallel counterpart
-//!   for row generators that are pure functions of the state index,
+//! * [`build_rows`] — assembles a sparse TPM in parallel from a per-state
+//!   row generator, merging duplicate successors (the marginalization that
+//!   keeps row fan-out small),
 //! * [`Stage`] / [`CascadeNetwork`] — a feed-forward network of FSM stages
 //!   with private stochastic inputs and full-state feedback (the paper's
 //!   Figure 2 topology: data source → phase detector → counter → phase
-//!   accumulator, with the phase state fed back to the detector),
-//! * [`reach`] — reachable-state-space exploration ("the state set is the
-//!   reachable state space of the MC, which is a subset of the Cartesian
-//!   product"),
+//!   accumulator, with the phase state fed back to the detector); the
+//!   network assembles its Cartesian-product TPM through [`build_rows`],
 //! * [`KroneckerOp`] — matrix-free product-form representation for
 //!   independent components (the "hierarchical Kronecker algebra"
-//!   alternative the paper cites via Plateau/Buchholz),
-//! * [`TableFsm`] — a small table-driven Mealy machine for tests and ad-hoc
-//!   components.
+//!   alternative the paper cites via Plateau/Buchholz).
 //!
 //! # Example: a two-stage network
 //!
@@ -51,7 +46,7 @@
 //! }
 //!
 //! let net = CascadeNetwork::new(vec![Box::new(Coin), Box::new(Parity)]);
-//! let tpm = net.build_tpm();
+//! let tpm = net.build_tpm().unwrap();
 //! assert_eq!(tpm.rows(), 2);
 //! assert_eq!(tpm.get(0, 1), 0.5); // parity flips with probability 1/2
 //! ```
@@ -63,15 +58,12 @@ mod builder;
 pub mod cache;
 mod error;
 mod kron_op;
-mod mealy;
-pub mod reach;
 mod space;
 mod stage;
 
-pub use builder::{build_rows, RowEmitter, TpmBuilder};
+pub use builder::{build_rows, RowEmitter};
 pub use cache::{CacheStats, FactorCache, KeyHasher, KindStats};
 pub use error::{FsmError, Result};
 pub use kron_op::KroneckerOp;
-pub use mealy::TableFsm;
 pub use space::ProductSpace;
 pub use stage::{CascadeNetwork, Stage, StageOutput};

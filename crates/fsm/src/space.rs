@@ -62,16 +62,6 @@ impl ProductSpace {
         false // by construction len >= 1
     }
 
-    /// Number of components.
-    pub fn component_count(&self) -> usize {
-        self.dims.len()
-    }
-
-    /// Per-component dimensions.
-    pub fn dims(&self) -> &[usize] {
-        &self.dims
-    }
-
     /// Packs per-component states into a flat index.
     ///
     /// # Panics
@@ -98,60 +88,20 @@ impl ProductSpace {
     ///
     /// Panics if `flat >= len()`.
     pub fn unpack(&self, flat: usize) -> Vec<usize> {
-        let mut parts = vec![0usize; self.dims.len()];
-        self.unpack_into(flat, &mut parts);
-        parts
-    }
-
-    /// Allocation-free unpack.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `flat >= len()` or `parts.len()` mismatches.
-    pub fn unpack_into(&self, flat: usize, parts: &mut [usize]) {
         assert!(
             flat < self.len,
             "flat index {flat} out of range 0..{}",
             self.len
         );
-        assert_eq!(
-            parts.len(),
-            self.dims.len(),
-            "one slot per component required"
-        );
         let mut rem = flat;
-        for (i, &s) in self.strides.iter().enumerate() {
-            parts[i] = rem / s;
-            rem %= s;
-        }
-    }
-
-    /// Extracts one component's state from a flat index without a full
-    /// unpack.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `component` or `flat` is out of range.
-    pub fn component(&self, flat: usize, component: usize) -> usize {
-        assert!(flat < self.len, "flat index out of range");
-        (flat / self.strides[component]) % self.dims[component]
-    }
-
-    /// Returns the flat index with one component replaced.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any index is out of range.
-    pub fn with_component(&self, flat: usize, component: usize, value: usize) -> usize {
-        assert!(value < self.dims[component], "component value out of range");
-        let old = self.component(flat, component);
-        let delta = (value as isize - old as isize) * self.strides[component] as isize;
-        (flat as isize + delta) as usize
-    }
-
-    /// Iterates over all flat indices.
-    pub fn iter(&self) -> std::ops::Range<usize> {
-        0..self.len
+        self.strides
+            .iter()
+            .map(|&s| {
+                let part = rem / s;
+                rem %= s;
+                part
+            })
+            .collect()
     }
 }
 
@@ -163,7 +113,7 @@ mod tests {
     fn pack_unpack_round_trip() {
         let s = ProductSpace::new(vec![2, 3, 5]);
         assert_eq!(s.len(), 30);
-        for flat in s.iter() {
+        for flat in 0..s.len() {
             let parts = s.unpack(flat);
             assert_eq!(s.pack(&parts), flat);
         }
@@ -175,23 +125,6 @@ mod tests {
         assert_eq!(s.pack(&[0, 0]), 0);
         assert_eq!(s.pack(&[0, 2]), 2);
         assert_eq!(s.pack(&[1, 0]), 3);
-    }
-
-    #[test]
-    fn component_extraction() {
-        let s = ProductSpace::new(vec![4, 7, 3]);
-        let flat = s.pack(&[2, 5, 1]);
-        assert_eq!(s.component(flat, 0), 2);
-        assert_eq!(s.component(flat, 1), 5);
-        assert_eq!(s.component(flat, 2), 1);
-    }
-
-    #[test]
-    fn with_component_replaces() {
-        let s = ProductSpace::new(vec![4, 7, 3]);
-        let flat = s.pack(&[2, 5, 1]);
-        let flat2 = s.with_component(flat, 1, 0);
-        assert_eq!(s.unpack(flat2), vec![2, 0, 1]);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use stochcdr_linalg::CsrMatrix;
 
-use crate::{ProductSpace, Result, TpmBuilder};
+use crate::{build_rows, ProductSpace, Result};
 
 /// The result of advancing one stage for one symbol interval.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -24,8 +24,9 @@ pub struct StageOutput {
 /// Stages advance synchronously, once per symbol interval. A stage's
 /// transition may depend on the previous joint state of every stage (via
 /// `joint`), which is how feedback loops are expressed without breaking the
-/// forward evaluation order.
-pub trait Stage {
+/// forward evaluation order. Stages are shared across the row-assembly
+/// workers of [`CascadeNetwork::build_tpm`], hence the `Sync` bound.
+pub trait Stage: Sync {
     /// Number of states of this stage's FSM.
     fn state_count(&self) -> usize;
 
@@ -103,20 +104,10 @@ impl CascadeNetwork {
         CascadeNetwork { stages, space }
     }
 
-    /// The joint state space.
-    pub fn space(&self) -> &ProductSpace {
-        &self.space
-    }
-
-    /// Number of stages.
-    pub fn stage_count(&self) -> usize {
-        self.stages.len()
-    }
-
     /// Enumerates the joint successors of `joint` (per-stage states) with
     /// their probabilities, invoking `emit(next_parts, prob)` once per
     /// noise combination. Duplicate successors are *not* merged here —
-    /// that is [`TpmBuilder`]'s job.
+    /// that is [`build_rows`]'s job.
     pub fn successors(&self, joint: &[usize], mut emit: impl FnMut(&[usize], f64)) {
         let pmfs: Vec<Vec<(i64, f64)>> = self.stages.iter().map(|s| s.noise()).collect();
         let k = self.stages.len();
@@ -158,56 +149,24 @@ impl CascadeNetwork {
     }
 
     /// Builds the full joint transition probability matrix over the entire
-    /// Cartesian product space.
+    /// Cartesian product space, one [`build_rows`] row per joint state.
     ///
-    /// For models with unreachable joint states, prefer
-    /// [`crate::reach::explore`] which builds the TPM over the reachable
-    /// subset only (as the paper does).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a stage emits an inconsistent probability mass (network
-    /// construction already validates pmfs, so row sums are one by
-    /// construction).
-    pub fn build_tpm(&self) -> CsrMatrix {
-        let mut builder = TpmBuilder::new(self.space.len());
-        let mut parts = vec![0usize; self.stages.len()];
-        for flat in self.space.iter() {
-            self.space.unpack_into(flat, &mut parts);
-            builder.begin_row(flat);
-            let space = &self.space;
-            let b = &mut builder;
-            self.successors(&parts, |next, prob| {
-                b.emit(space.pack(next), prob);
-            });
-            builder
-                .end_row()
-                .expect("stage pmfs validated at construction");
-        }
-        builder.finish().expect("every row visited")
-    }
-
-    /// Builds the TPM and returns it with the result wrapper for callers
-    /// that want row-sum diagnostics instead of panics.
+    /// Restricting the result to its reachable recurrent class is the
+    /// caller's job (the CDR model does it with `classify_graph` and
+    /// `CsrMatrix::submatrix`).
     ///
     /// # Errors
     ///
-    /// Returns the underlying builder error if a row's mass drifts beyond
-    /// tolerance (can only happen with badly conditioned stage pmfs).
-    pub fn try_build_tpm(&self) -> Result<CsrMatrix> {
-        let mut builder = TpmBuilder::new(self.space.len());
-        let mut parts = vec![0usize; self.stages.len()];
-        for flat in self.space.iter() {
-            self.space.unpack_into(flat, &mut parts);
-            builder.begin_row(flat);
-            let space = &self.space;
-            let b = &mut builder;
-            self.successors(&parts, |next, prob| {
-                b.emit(space.pack(next), prob);
+    /// Returns [`crate::FsmError::InvalidProbability`] if a row's mass
+    /// drifts beyond `1e-9` of one (network construction validates the
+    /// stage pmfs, so this needs badly conditioned pmfs).
+    pub fn build_tpm(&self) -> Result<CsrMatrix> {
+        let space = &self.space;
+        build_rows(space.len(), 1e-9, |flat, em| {
+            self.successors(&space.unpack(flat), |next, prob| {
+                em.emit(space.pack(next), prob);
             });
-            builder.end_row()?;
-        }
-        builder.finish()
+        })
     }
 }
 
@@ -283,16 +242,20 @@ mod tests {
         ])
     }
 
+    /// The joint state space of [`network`]: (bit, counter, follower).
+    fn space() -> ProductSpace {
+        ProductSpace::new(vec![1, 3, 2])
+    }
+
     #[test]
     fn dimensions() {
-        let net = network();
-        assert_eq!(net.space().len(), 3 * 2);
-        assert_eq!(net.stage_count(), 3);
+        let tpm = network().build_tpm().unwrap();
+        assert_eq!((tpm.rows(), tpm.cols()), (3 * 2, 3 * 2));
     }
 
     #[test]
     fn tpm_is_stochastic() {
-        let tpm = network().build_tpm();
+        let tpm = network().build_tpm().unwrap();
         for s in tpm.row_sums() {
             assert!((s - 1.0).abs() < 1e-12);
         }
@@ -301,12 +264,12 @@ mod tests {
     #[test]
     fn counter_dynamics_encoded() {
         let net = network();
-        let tpm = net.build_tpm();
+        let tpm = net.build_tpm().unwrap();
         // From (bit=_, counter=0, follower=0): with p=.5 counter goes to 1,
         // with p=.5 stays 0 (upstream zero resets).
-        let from = net.space().pack(&[0, 0, 0]);
-        let to_inc = net.space().pack(&[0, 1, 0]);
-        let to_rst = net.space().pack(&[0, 0, 0]);
+        let from = space().pack(&[0, 0, 0]);
+        let to_inc = space().pack(&[0, 1, 0]);
+        let to_rst = space().pack(&[0, 0, 0]);
         assert!((tpm.get(from, to_inc) - 0.5).abs() < 1e-12);
         assert!((tpm.get(from, to_rst) - 0.5).abs() < 1e-12);
     }
@@ -314,12 +277,12 @@ mod tests {
     #[test]
     fn feedback_sees_previous_joint_state() {
         let net = network();
-        let tpm = net.build_tpm();
+        let tpm = net.build_tpm().unwrap();
         // From counter saturated (state 2), the follower must toggle
         // regardless of the new counter value.
-        let from = net.space().pack(&[0, 2, 0]);
+        let from = space().pack(&[0, 2, 0]);
         for (col, _) in tpm.row(from) {
-            let parts = net.space().unpack(col);
+            let parts = space().unpack(col);
             assert_eq!(parts[2], 1, "follower should have toggled");
         }
     }
@@ -386,7 +349,7 @@ mod tests {
             }
         }
         let net = CascadeNetwork::new(vec![Box::new(Coin), Box::new(Parity)]);
-        let tpm = net.build_tpm();
+        let tpm = net.build_tpm().unwrap();
         assert_eq!(tpm.get(0, 0), 0.5);
         assert_eq!(tpm.get(0, 1), 0.5);
         assert_eq!(tpm.get(1, 0), 0.5);

@@ -1,6 +1,6 @@
 //! Coordinate-format (triplet) sparse matrix builder.
 
-use crate::{CsrMatrix, LinalgError, Result};
+use crate::CsrMatrix;
 
 /// A sparse matrix under construction, stored as `(row, col, value)` triplets.
 ///
@@ -96,30 +96,6 @@ impl CooMatrix {
         if value != 0.0 {
             self.entries.push((row as u32, col as u32, value));
         }
-    }
-
-    /// Fallible variant of [`push`](Self::push) for untrusted input.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::IndexOutOfBounds`] or
-    /// [`LinalgError::NonFiniteValue`] instead of panicking.
-    pub fn try_push(&mut self, row: usize, col: usize, value: f64) -> Result<()> {
-        if row >= self.rows || col >= self.cols {
-            return Err(LinalgError::IndexOutOfBounds {
-                row,
-                col,
-                rows: self.rows,
-                cols: self.cols,
-            });
-        }
-        if !value.is_finite() {
-            return Err(LinalgError::NonFiniteValue { row, col, value });
-        }
-        if value != 0.0 {
-            self.entries.push((row as u32, col as u32, value));
-        }
-        Ok(())
     }
 
     /// Iterates over stored triplets in insertion order.
@@ -245,20 +221,6 @@ mod tests {
     fn push_out_of_bounds_panics() {
         let mut coo = CooMatrix::new(1, 1);
         coo.push(1, 0, 1.0);
-    }
-
-    #[test]
-    fn try_push_reports_errors() {
-        let mut coo = CooMatrix::new(1, 1);
-        assert!(matches!(
-            coo.try_push(0, 5, 1.0),
-            Err(LinalgError::IndexOutOfBounds { .. })
-        ));
-        assert!(matches!(
-            coo.try_push(0, 0, f64::NAN),
-            Err(LinalgError::NonFiniteValue { .. })
-        ));
-        assert!(coo.try_push(0, 0, 1.0).is_ok());
     }
 
     #[test]

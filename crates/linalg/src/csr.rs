@@ -166,30 +166,6 @@ impl CsrMatrix {
         }
     }
 
-    /// Builds a square matrix with the given diagonal.
-    pub fn from_diagonal(diag: &[f64]) -> Self {
-        let n = diag.len();
-        let mut indptr = Vec::with_capacity(n + 1);
-        let mut indices = Vec::with_capacity(n);
-        let mut data = Vec::with_capacity(n);
-        indptr.push(0);
-        for (i, &d) in diag.iter().enumerate() {
-            if d != 0.0 {
-                indices.push(i as u32);
-                data.push(d);
-            }
-            indptr.push(indices.len());
-        }
-        CsrMatrix {
-            rows: n,
-            cols: n,
-            indptr,
-            indices,
-            data,
-            part: OnceLock::new(),
-        }
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows
@@ -470,15 +446,6 @@ impl CsrMatrix {
             .collect()
     }
 
-    /// Returns the vector of column sums.
-    pub fn col_sums(&self) -> Vec<f64> {
-        let mut sums = vec![0.0; self.cols];
-        for (k, &c) in self.indices.iter().enumerate() {
-            sums[c as usize] += self.data[k];
-        }
-        sums
-    }
-
     /// Returns the main diagonal as a dense vector.
     pub fn diagonal(&self) -> Vec<f64> {
         let n = self.rows.min(self.cols);
@@ -517,46 +484,6 @@ impl CsrMatrix {
             }
         }
         out
-    }
-
-    /// Returns a copy with all entries of magnitude `<= tol` removed.
-    pub fn prune(&self, tol: f64) -> CsrMatrix {
-        let mut indptr = Vec::with_capacity(self.rows + 1);
-        indptr.push(0usize);
-        let mut indices = Vec::new();
-        let mut data = Vec::new();
-        for r in 0..self.rows {
-            for (c, v) in self.row(r) {
-                if v.abs() > tol {
-                    indices.push(c as u32);
-                    data.push(v);
-                }
-            }
-            indptr.push(indices.len());
-        }
-        CsrMatrix::from_raw_parts(self.rows, self.cols, indptr, indices, data)
-    }
-
-    /// Computes `self + alpha * other` entrywise.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::ShapeMismatch`] if the shapes differ.
-    pub fn add_scaled(&self, alpha: f64, other: &CsrMatrix) -> Result<CsrMatrix> {
-        if self.rows != other.rows || self.cols != other.cols {
-            return Err(LinalgError::ShapeMismatch(format!(
-                "{}x{} + {}x{}",
-                self.rows, self.cols, other.rows, other.cols
-            )));
-        }
-        let mut coo = CooMatrix::with_capacity(self.rows, self.cols, self.nnz() + other.nnz());
-        for (r, c, v) in self.iter() {
-            coo.push(r, c, v);
-        }
-        for (r, c, v) in other.iter() {
-            coo.push(r, c, alpha * v);
-        }
-        Ok(coo.to_csr())
     }
 
     /// Maximum absolute value of any stored entry (`0.0` if empty).
@@ -737,7 +664,8 @@ mod tests {
     fn row_and_col_sums() {
         let a = sample();
         assert_eq!(a.row_sums(), vec![3.0, 3.0, 9.0]);
-        assert_eq!(a.col_sums(), vec![5.0, 2.0, 8.0]);
+        // Column sums are the transpose's row sums.
+        assert_eq!(a.transpose().row_sums(), vec![5.0, 2.0, 8.0]);
     }
 
     #[test]
@@ -754,26 +682,6 @@ mod tests {
     }
 
     #[test]
-    fn prune_removes_small_entries() {
-        let a = sample().prune(2.5);
-        assert_eq!(a.nnz(), 3); // 3.0, 4.0, 5.0 survive
-        let a = sample().prune(3.5);
-        assert_eq!(a.nnz(), 2);
-        assert_eq!(a.get(2, 0), 4.0);
-        assert_eq!(a.get(2, 2), 5.0);
-    }
-
-    #[test]
-    fn add_scaled_combines() {
-        let a = sample();
-        let s = a.add_scaled(-1.0, &a).unwrap();
-        assert_eq!(s.nnz(), 0);
-        let d = a.add_scaled(1.0, &CsrMatrix::identity(3)).unwrap();
-        assert_eq!(d.get(0, 0), 2.0);
-        assert_eq!(d.get(1, 1), 1.0);
-    }
-
-    #[test]
     fn submatrix_extracts_block() {
         let a = sample();
         let s = a.submatrix(&[0, 2]);
@@ -782,15 +690,6 @@ mod tests {
         assert_eq!(s.get(1, 0), 4.0); // old (2,0)
         assert_eq!(s.get(1, 1), 5.0); // old (2,2)
         assert_eq!(s.get(0, 1), 0.0); // old (0,2) was zero
-    }
-
-    #[test]
-    fn from_diagonal_constructs() {
-        let d = CsrMatrix::from_diagonal(&[1.0, 0.0, 3.0]);
-        assert_eq!(d.nnz(), 2);
-        assert_eq!(d.get(0, 0), 1.0);
-        assert_eq!(d.get(1, 1), 0.0);
-        assert_eq!(d.get(2, 2), 3.0);
     }
 
     #[test]

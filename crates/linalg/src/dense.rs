@@ -192,11 +192,6 @@ impl DenseMatrix {
     pub fn max_abs(&self) -> f64 {
         self.data.iter().fold(0.0, |m, &v| m.max(v.abs()))
     }
-
-    /// Row-major data slice.
-    pub fn as_slice(&self) -> &[f64] {
-        &self.data
-    }
 }
 
 impl Index<(usize, usize)> for DenseMatrix {

@@ -8,19 +8,6 @@ pub type Result<T> = std::result::Result<T, LinalgError>;
 /// Error raised by matrix construction, conversion, or factorization.
 #[derive(Debug, Clone, PartialEq)]
 pub enum LinalgError {
-    /// An index exceeded the declared matrix dimensions.
-    ///
-    /// Carries `(row, col, rows, cols)`.
-    IndexOutOfBounds {
-        /// Offending row index.
-        row: usize,
-        /// Offending column index.
-        col: usize,
-        /// Number of rows in the matrix.
-        rows: usize,
-        /// Number of columns in the matrix.
-        cols: usize,
-    },
     /// Two operands had incompatible shapes.
     ///
     /// Carries a human-readable description of the mismatch.
@@ -33,37 +20,16 @@ pub enum LinalgError {
         /// Magnitude of the offending pivot.
         pivot: f64,
     },
-    /// A value that must be finite was NaN or infinite.
-    NonFiniteValue {
-        /// Row of the offending entry.
-        row: usize,
-        /// Column of the offending entry.
-        col: usize,
-        /// The offending value.
-        value: f64,
-    },
 }
 
 impl fmt::Display for LinalgError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            LinalgError::IndexOutOfBounds {
-                row,
-                col,
-                rows,
-                cols,
-            } => write!(
-                f,
-                "index ({row}, {col}) out of bounds for {rows}x{cols} matrix"
-            ),
             LinalgError::ShapeMismatch(msg) => write!(f, "shape mismatch: {msg}"),
             LinalgError::SingularMatrix { step, pivot } => write!(
                 f,
                 "singular matrix: pivot {pivot:e} at elimination step {step}"
             ),
-            LinalgError::NonFiniteValue { row, col, value } => {
-                write!(f, "non-finite value {value} at ({row}, {col})")
-            }
         }
     }
 }
@@ -76,13 +42,6 @@ mod tests {
 
     #[test]
     fn display_is_informative() {
-        let e = LinalgError::IndexOutOfBounds {
-            row: 5,
-            col: 2,
-            rows: 3,
-            cols: 3,
-        };
-        assert!(e.to_string().contains("(5, 2)"));
         let e = LinalgError::SingularMatrix {
             step: 1,
             pivot: 0.0,

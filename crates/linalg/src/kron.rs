@@ -1,11 +1,10 @@
-//! Kronecker (tensor) products and sums of sparse matrices.
+//! Kronecker (tensor) products of sparse matrices.
 //!
 //! The paper builds the transition probability matrix of the whole CDR loop
 //! "using hierarchical Kronecker algebra-like techniques as a composition of
 //! smaller components". These are the corresponding primitive operations:
 //! for independent components with transition matrices `A` and `B`, the
-//! joint chain has matrix `A ⊗ B`; for continuous-time superposition one
-//! would use the Kronecker sum `A ⊕ B = A ⊗ I + I ⊗ B`.
+//! joint chain has matrix `A ⊗ B`.
 //!
 //! State `(i, j)` of the product maps to flat index `i * B.rows() + j`
 //! (row-major, left factor varies slowest), matching
@@ -45,20 +44,6 @@ pub fn kron(a: &CsrMatrix, b: &CsrMatrix) -> CsrMatrix {
     coo.to_csr()
 }
 
-/// Computes the Kronecker sum `A ⊕ B = A ⊗ I + I ⊗ B` of square matrices.
-///
-/// # Panics
-///
-/// Panics if either matrix is not square.
-pub fn kron_sum(a: &CsrMatrix, b: &CsrMatrix) -> CsrMatrix {
-    assert_eq!(a.rows(), a.cols(), "kron_sum requires square A");
-    assert_eq!(b.rows(), b.cols(), "kron_sum requires square B");
-    let left = kron(a, &CsrMatrix::identity(b.rows()));
-    let right = kron(&CsrMatrix::identity(a.rows()), b);
-    left.add_scaled(1.0, &right)
-        .expect("shapes match by construction")
-}
-
 /// Computes the Kronecker product of a sequence of factors, left to right.
 ///
 /// An empty sequence yields the `1 x 1` identity (the unit of `⊗`).
@@ -71,19 +56,6 @@ where
         acc = kron(&acc, f);
     }
     acc
-}
-
-/// Maps a pair of component state indices to the flat product index used by
-/// [`kron`].
-#[inline]
-pub fn pair_index(i: usize, j: usize, b_dim: usize) -> usize {
-    i * b_dim + j
-}
-
-/// Inverse of [`pair_index`]: splits a flat product index into `(i, j)`.
-#[inline]
-pub fn split_index(flat: usize, b_dim: usize) -> (usize, usize) {
-    (flat / b_dim, flat % b_dim)
 }
 
 #[cfg(test)]
@@ -135,19 +107,6 @@ mod tests {
     }
 
     #[test]
-    fn kron_sum_definition() {
-        let a = mat(2, 2, &[(0, 1, 1.0)]);
-        let b = mat(2, 2, &[(1, 0, 2.0)]);
-        let s = kron_sum(&a, &b);
-        // A ⊗ I contributes (0,1)->(2? ...): entry ((0,j),(1,j)) = 1.
-        assert_eq!(s.get(0, 2), 1.0);
-        assert_eq!(s.get(1, 3), 1.0);
-        // I ⊗ B contributes ((i,1),(i,0)) = 2.
-        assert_eq!(s.get(1, 0), 2.0);
-        assert_eq!(s.get(3, 2), 2.0);
-    }
-
-    #[test]
     fn kron_all_unit_and_chain() {
         let e: Vec<&CsrMatrix> = vec![];
         let u = kron_all(e);
@@ -160,16 +119,6 @@ mod tests {
         let k = kron_all([&a, &b, &c]);
         assert_eq!(k.rows(), 30);
         assert_eq!(k.nnz(), 30);
-    }
-
-    #[test]
-    fn index_round_trip() {
-        for i in 0..4 {
-            for j in 0..7 {
-                let f = pair_index(i, j, 7);
-                assert_eq!(split_index(f, 7), (i, j));
-            }
-        }
     }
 
     #[test]

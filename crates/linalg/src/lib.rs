@@ -10,9 +10,9 @@
 //!
 //! * [`CooMatrix`] — triplet builder with duplicate summing,
 //! * [`CsrMatrix`] — compressed sparse row storage with `x·A`, `A·x`,
-//!   transpose, row iteration, pruning and scaling,
+//!   transpose, row iteration, submatrix extraction and row scaling,
 //! * [`DenseMatrix`] + [`LuFactors`] — dense direct solves for coarse grids,
-//! * [`kron`] — Kronecker products/sums used by compositional FSM models,
+//! * [`kron`] — Kronecker products used by compositional FSM models,
 //! * [`vecops`] — the handful of BLAS-1 kernels iterative solvers need,
 //! * [`pattern`] — nonzero-pattern statistics and "spy" rendering
 //!   (the paper's Figure 3),

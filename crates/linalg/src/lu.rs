@@ -24,8 +24,6 @@ pub struct LuFactors {
     lu: DenseMatrix,
     /// Row permutation: `perm[i]` is the original row now in position `i`.
     perm: Vec<usize>,
-    /// Sign of the permutation, for determinants.
-    sign: f64,
 }
 
 /// Pivots smaller than this are treated as exact zeros.
@@ -49,7 +47,6 @@ impl LuFactors {
         let n = a.rows();
         let mut lu = a.clone();
         let mut perm: Vec<usize> = (0..n).collect();
-        let mut sign = 1.0;
         for k in 0..n {
             // Partial pivoting: largest magnitude in column k at/below row k.
             let mut p = k;
@@ -69,7 +66,6 @@ impl LuFactors {
             }
             if p != k {
                 perm.swap(p, k);
-                sign = -sign;
                 for c in 0..n {
                     let tmp = lu[(k, c)];
                     lu[(k, c)] = lu[(p, c)];
@@ -89,7 +85,7 @@ impl LuFactors {
                 }
             }
         }
-        Ok(LuFactors { lu, perm, sign })
+        Ok(LuFactors { lu, perm })
     }
 
     /// Dimension of the factored matrix.
@@ -129,55 +125,6 @@ impl LuFactors {
         }
         Ok(x)
     }
-
-    /// Solves `x A = c` (equivalently `A^T x = c^T`).
-    ///
-    /// Needed for stationary-distribution solves, which are row-vector
-    /// problems.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::ShapeMismatch`] if `c.len() != dim()`.
-    #[allow(clippy::needless_range_loop)] // triangular solves read clearest indexed
-    pub fn solve_transposed(&self, c: &[f64]) -> Result<Vec<f64>> {
-        let n = self.dim();
-        if c.len() != n {
-            return Err(LinalgError::ShapeMismatch(format!(
-                "rhs length {} != dimension {n}",
-                c.len()
-            )));
-        }
-        // A^T = U^T L^T P, so solve U^T z = c, then L^T w = z, then x = P^T w.
-        let mut z = c.to_vec();
-        for i in 0..n {
-            let mut acc = z[i];
-            for k in 0..i {
-                acc -= self.lu[(k, i)] * z[k];
-            }
-            z[i] = acc / self.lu[(i, i)];
-        }
-        for i in (0..n).rev() {
-            let mut acc = z[i];
-            for k in (i + 1)..n {
-                acc -= self.lu[(k, i)] * z[k];
-            }
-            z[i] = acc;
-        }
-        let mut x = vec![0.0; n];
-        for (pos, &orig) in self.perm.iter().enumerate() {
-            x[orig] = z[pos];
-        }
-        Ok(x)
-    }
-
-    /// Determinant of the factored matrix.
-    pub fn det(&self) -> f64 {
-        let mut d = self.sign;
-        for i in 0..self.dim() {
-            d *= self.lu[(i, i)];
-        }
-        d
-    }
 }
 
 #[cfg(test)]
@@ -210,31 +157,6 @@ mod tests {
     }
 
     #[test]
-    fn solve_transposed_matches_explicit_transpose() {
-        let a = DenseMatrix::from_rows(3, 3, &[2.0, 1.0, 0.5, 1.0, 3.0, 2.0, 1.0, 0.0, 4.0]);
-        let c = [1.0, -2.0, 0.5];
-        let lu = a.lu().unwrap();
-        let x = lu.solve_transposed(&c).unwrap();
-        let xt = a.transpose().solve(&c).unwrap();
-        for (xi, yi) in x.iter().zip(&xt) {
-            assert!((xi - yi).abs() < 1e-10);
-        }
-        // And x A should reproduce c.
-        let back = a.mul_left(&x);
-        for (bi, ci) in back.iter().zip(c) {
-            assert!((bi - ci).abs() < 1e-10);
-        }
-    }
-
-    #[test]
-    fn determinant() {
-        let a = DenseMatrix::from_rows(2, 2, &[1.0, 2.0, 3.0, 4.0]);
-        assert!((a.lu().unwrap().det() + 2.0).abs() < 1e-12);
-        let i = DenseMatrix::identity(4);
-        assert!((i.lu().unwrap().det() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn non_square_rejected() {
         let a = DenseMatrix::zeros(2, 3);
         assert!(matches!(a.lu(), Err(LinalgError::ShapeMismatch(_))));
@@ -245,6 +167,5 @@ mod tests {
         let a = DenseMatrix::identity(3);
         let lu = a.lu().unwrap();
         assert!(lu.solve(&[1.0]).is_err());
-        assert!(lu.solve_transposed(&[1.0]).is_err());
     }
 }

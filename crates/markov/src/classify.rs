@@ -39,19 +39,6 @@ impl Classification {
             .filter(|&c| self.closed[c])
             .collect()
     }
-
-    /// All transient states (members of non-closed classes), ascending.
-    pub fn transient_states(&self) -> Vec<usize> {
-        let mut v: Vec<usize> = self
-            .class_of
-            .iter()
-            .enumerate()
-            .filter(|&(_, &c)| !self.closed[c])
-            .map(|(s, _)| s)
-            .collect();
-        v.sort_unstable();
-        v
-    }
 }
 
 /// Computes the communicating classes of a chain.
@@ -74,7 +61,9 @@ impl Classification {
 /// coo.push(2, 2, 1.0);
 /// let cls = classify(&StochasticMatrix::new(coo.to_csr())?);
 /// assert_eq!(cls.class_count(), 2);
-/// assert_eq!(cls.transient_states(), vec![0, 1]);
+/// let rec = cls.recurrent_classes();
+/// assert_eq!(rec.len(), 1);
+/// assert_eq!(cls.classes[rec[0]], vec![2]);
 /// # Ok(())
 /// # }
 /// ```
@@ -258,7 +247,6 @@ mod tests {
         let cls = classify(&p);
         assert_eq!(cls.class_count(), 2);
         assert!(!cls.is_irreducible());
-        assert_eq!(cls.transient_states(), vec![0]);
         let rec = cls.recurrent_classes();
         assert_eq!(rec.len(), 1);
         assert_eq!(cls.classes[rec[0]], vec![1]);
@@ -270,7 +258,6 @@ mod tests {
         let cls = classify(&p);
         assert_eq!(cls.class_count(), 2);
         assert_eq!(cls.recurrent_classes().len(), 2);
-        assert!(cls.transient_states().is_empty());
     }
 
     #[test]

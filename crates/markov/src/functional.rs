@@ -31,19 +31,6 @@ pub fn variance(eta: &[f64], f: &[f64]) -> Result<f64> {
     Ok((m2 - m * m).max(0.0))
 }
 
-/// Stationary probability of the event `{i : predicate(i)}`.
-///
-/// # Panics
-///
-/// The predicate is consulted for every state index `0..eta.len()`.
-pub fn event_probability(eta: &[f64], predicate: impl Fn(usize) -> bool) -> f64 {
-    eta.iter()
-        .enumerate()
-        .filter(|&(i, _)| predicate(i))
-        .map(|(_, &e)| e)
-        .sum()
-}
-
 /// Marginal distribution of a state labeling: sums `η` over states with the
 /// same label and returns `(label, probability)` in ascending label order.
 ///
@@ -156,12 +143,6 @@ mod tests {
         // E[f^2] = 12, Var = 12 - 9 = 3.
         assert!((variance(&eta, &f).unwrap() - 3.0).abs() < 1e-12);
         assert!(expectation(&eta, &[1.0]).is_err());
-    }
-
-    #[test]
-    fn event_probability_sums_mass() {
-        let eta = [0.1, 0.2, 0.7];
-        assert!((event_probability(&eta, |i| i >= 1) - 0.9).abs() < 1e-15);
     }
 
     #[test]

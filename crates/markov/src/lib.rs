@@ -15,8 +15,8 @@
 //! * [`classify`] — communicating classes, irreducibility and periodicity,
 //! * [`lumping`] — weighted (weak) lumping of chains, the building
 //!   block of aggregation/disaggregation multigrid,
-//! * [`functional`] — expectations, tails and autocorrelations of functions
-//!   defined on the chain's state space.
+//! * [`functional`] — expectations, marginals and autocorrelations of
+//!   functions defined on the chain's state space.
 //!
 //! # Example
 //!
@@ -45,7 +45,6 @@ mod error;
 pub mod functional;
 pub mod implicit;
 pub mod lumping;
-pub mod operator;
 pub mod passage;
 pub mod poisson;
 pub mod simulate;

@@ -7,11 +7,11 @@
 //! TPM." This module provides that computation:
 //!
 //! * [`mean_hitting_times`] — expected steps until a target set is first
-//!   entered, from every state (`(I − Q) t = 1` on the complement),
-//! * [`hitting_probabilities`] — probability of reaching set `A` before
-//!   set `B`,
-//! * [`expected_visits_before_hit`] — expected number of visits to each
-//!   state before absorption, from a given start distribution.
+//!   entered, from every state (`(I − Q) t = 1` on the complement), by
+//!   Gauss–Seidel sweeps,
+//! * [`mean_hitting_times_direct`] — the same system by dense LU, exact
+//!   for rare targets on small chains,
+//! * [`mean_hitting_times_gmres`] — the same system by restarted GMRES.
 //!
 //! All entry points take the operator abstraction
 //! [`TransitionOp`], so they work with any
@@ -129,52 +129,6 @@ pub fn mean_hitting_times(
     })
 }
 
-/// Mean time between visits to `target` under stationary operation.
-///
-/// By the renewal-reward/Kac formula the mean return time to a set `A`
-/// under stationarity is `1 / Pr_η(A enters)`, but the quantity the paper
-/// reports (mean time *between cycle slips*) is the expected hitting time
-/// of the slip boundary starting from the stationary distribution
-/// conditioned outside the boundary. This helper computes exactly that:
-/// `Σ_i η̃_i t_i` where `η̃` is `eta` restricted and renormalized outside
-/// `target`.
-///
-/// # Errors
-///
-/// Propagates [`mean_hitting_times`] errors, and returns
-/// [`MarkovError::InvalidArgument`] if `eta` has the wrong length or no mass
-/// outside the target.
-pub fn mean_time_between(
-    p: &dyn TransitionOp,
-    eta: &[f64],
-    target: &[usize],
-    opts: &PassageOptions,
-) -> Result<f64> {
-    let n = square_dim(p)?;
-    if eta.len() != n {
-        return Err(MarkovError::InvalidArgument(format!(
-            "stationary vector length {} != state count {n}",
-            eta.len()
-        )));
-    }
-    let in_target = membership(n, target)?;
-    let t = mean_hitting_times(p, target, opts)?;
-    let mut mass = 0.0;
-    let mut acc = 0.0;
-    for i in 0..n {
-        if !in_target[i] {
-            mass += eta[i];
-            acc += eta[i] * t[i];
-        }
-    }
-    if mass <= 0.0 {
-        return Err(MarkovError::InvalidArgument(
-            "stationary distribution has no mass outside the target".into(),
-        ));
-    }
-    Ok(acc / mass)
-}
-
 /// Expected number of steps to first hit `target`, solved **directly**:
 /// forms the dense `(I − Q)` system over the non-target states and LU-
 /// factorizes it.
@@ -262,135 +216,6 @@ pub fn mean_hitting_times_gmres(
         t[s] = sol.x[k];
     }
     Ok(t)
-}
-
-/// Probability of hitting set `a` before set `b`, from every state.
-///
-/// States in `a` have probability one, states in `b` probability zero.
-/// Solves `h = P_{·,a} 1 + Q h` by Gauss–Seidel.
-///
-/// # Errors
-///
-/// * [`MarkovError::InvalidArgument`] if the sets are empty, overlap, or
-///   contain out-of-range states,
-/// * [`MarkovError::NotConverged`] if the budget is exhausted.
-///
-/// States that can reach neither set retain probability zero (they never
-/// hit `a`), matching the probabilistic definition.
-pub fn hitting_probabilities(
-    p: &dyn TransitionOp,
-    a: &[usize],
-    b: &[usize],
-    opts: &PassageOptions,
-) -> Result<Vec<f64>> {
-    let n = square_dim(p)?;
-    let in_a = membership(n, a)?;
-    let in_b = membership(n, b)?;
-    if (0..n).any(|i| in_a[i] && in_b[i]) {
-        return Err(MarkovError::InvalidArgument("target sets overlap".into()));
-    }
-    let mut h = vec![0.0f64; n];
-    for i in 0..n {
-        if in_a[i] {
-            h[i] = 1.0;
-        }
-    }
-    for _ in 0..opts.max_iters {
-        let mut change = 0.0f64;
-        for i in 0..n {
-            if in_a[i] || in_b[i] {
-                continue;
-            }
-            let mut acc = 0.0;
-            let mut pii = 0.0;
-            p.for_each_in_row(i, &mut |j, v| {
-                if j == i {
-                    pii = v;
-                } else {
-                    acc += v * h[j];
-                }
-            });
-            let denom = 1.0 - pii;
-            if denom <= 0.0 {
-                continue; // absorbing non-target state: never hits `a`
-            }
-            let new = acc / denom;
-            change = change.max((new - h[i]).abs());
-            h[i] = new;
-        }
-        if change <= opts.tol {
-            return Ok(h);
-        }
-    }
-    Err(MarkovError::NotConverged {
-        iterations: opts.max_iters,
-        residual: f64::NAN,
-    })
-}
-
-/// Expected number of visits to each non-target state before hitting
-/// `target`, starting from distribution `start`.
-///
-/// This is the row `start^T N` of the fundamental matrix
-/// `N = (I − Q)^{-1}`, computed without forming `N`: solve
-/// `v = start + v Q` by forward iteration.
-///
-/// # Errors
-///
-/// Same conditions as [`mean_hitting_times`].
-pub fn expected_visits_before_hit(
-    p: &dyn TransitionOp,
-    start: &[f64],
-    target: &[usize],
-    opts: &PassageOptions,
-) -> Result<Vec<f64>> {
-    let n = square_dim(p)?;
-    if start.len() != n {
-        return Err(MarkovError::InvalidArgument(format!(
-            "start vector length {} != state count {n}",
-            start.len()
-        )));
-    }
-    let in_target = membership(n, target)?;
-    check_reachable(p, &in_target)?;
-    // v_{k+1} = start + v_k Q, Q = P restricted outside target.
-    let mut v: Vec<f64> = start
-        .iter()
-        .enumerate()
-        .map(|(i, &s)| if in_target[i] { 0.0 } else { s })
-        .collect();
-    let mut next = vec![0.0f64; n];
-    for _ in 0..opts.max_iters {
-        // next = start + v Q  (start restricted outside target).
-        for x in next.iter_mut() {
-            *x = 0.0;
-        }
-        for i in 0..n {
-            if in_target[i] {
-                continue;
-            }
-            next[i] += start[i];
-        }
-        for (i, &vi) in v.iter().enumerate() {
-            if vi == 0.0 || in_target[i] {
-                continue;
-            }
-            p.for_each_in_row(i, &mut |j, pv| {
-                if !in_target[j] {
-                    next[j] += vi * pv;
-                }
-            });
-        }
-        let change = vecops::dist_inf(&v, &next);
-        std::mem::swap(&mut v, &mut next);
-        if change <= opts.tol {
-            return Ok(v);
-        }
-    }
-    Err(MarkovError::NotConverged {
-        iterations: opts.max_iters,
-        residual: f64::NAN,
-    })
 }
 
 /// Builds a membership mask, validating the index set.
@@ -571,59 +396,5 @@ mod tests {
         let p = walk();
         assert!(mean_hitting_times(&p, &[], &PassageOptions::default()).is_err());
         assert!(mean_hitting_times(&p, &[9], &PassageOptions::default()).is_err());
-    }
-
-    #[test]
-    fn gambler_ruin_probabilities() {
-        // Fair walk on 0..=4 absorbing at both ends: P(hit 4 before 0 | i) = i/4.
-        let p = chain(
-            5,
-            &[
-                (0, 0, 1.0),
-                (1, 0, 0.5),
-                (1, 2, 0.5),
-                (2, 1, 0.5),
-                (2, 3, 0.5),
-                (3, 2, 0.5),
-                (3, 4, 0.5),
-                (4, 4, 1.0),
-            ],
-        );
-        let h = hitting_probabilities(&p, &[4], &[0], &PassageOptions::default()).unwrap();
-        for i in 0..5 {
-            assert!((h[i] - i as f64 / 4.0).abs() < 1e-8, "{h:?}");
-        }
-    }
-
-    #[test]
-    fn overlapping_sets_rejected() {
-        let p = walk();
-        assert!(hitting_probabilities(&p, &[1, 2], &[2], &PassageOptions::default()).is_err());
-    }
-
-    #[test]
-    fn expected_visits_sum_to_hitting_time() {
-        // Σ_j E[visits to j before T] = E[T] when starting deterministically.
-        let p = walk();
-        let mut start = vec![0.0; 4];
-        start[0] = 1.0;
-        let v = expected_visits_before_hit(&p, &start, &[3], &PassageOptions::default()).unwrap();
-        let t = mean_hitting_times(&p, &[3], &PassageOptions::default()).unwrap();
-        let total: f64 = v.iter().sum();
-        assert!(
-            (total - t[0]).abs() < 1e-6,
-            "visits {total} vs time {}",
-            t[0]
-        );
-    }
-
-    #[test]
-    fn mean_time_between_weights_by_stationary() {
-        // Uniform "stationary" over transient states of the walk: the mean
-        // must be the average of t over states 0..=2.
-        let p = walk();
-        let eta = vec![1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0, 0.0];
-        let m = mean_time_between(&p, &eta, &[3], &PassageOptions::default()).unwrap();
-        assert!((m - (12.0 + 10.0 + 6.0) / 3.0).abs() < 1e-6);
     }
 }

@@ -20,8 +20,9 @@
 
 use stochcdr_obs as obs;
 
-/// Default EWMA smoothing factor for the reduction average.
-pub const DEFAULT_EWMA_ALPHA: f64 = 0.25;
+/// EWMA smoothing factor for the reduction average (weight of the newest
+/// reduction).
+const EWMA_ALPHA: f64 = 0.25;
 /// Default reduction threshold at/above which a cycle counts as "slow".
 pub const DEFAULT_STALL_THRESHOLD: f64 = 0.99;
 /// Default number of consecutive slow cycles that constitutes a stall.
@@ -35,7 +36,6 @@ pub const DEFAULT_STALL_WINDOW: usize = 10;
 #[derive(Debug, Clone, PartialEq)]
 pub struct ConvergenceTrace {
     stall_event: &'static str,
-    alpha: f64,
     threshold: f64,
     window: usize,
     observations: usize,
@@ -56,7 +56,6 @@ impl ConvergenceTrace {
     pub fn new(stall_event: &'static str) -> Self {
         ConvergenceTrace {
             stall_event,
-            alpha: DEFAULT_EWMA_ALPHA,
             threshold: DEFAULT_STALL_THRESHOLD,
             window: DEFAULT_STALL_WINDOW,
             observations: 0,
@@ -69,22 +68,6 @@ impl ConvergenceTrace {
             slow_streak: 0,
             stalled_at: None,
         }
-    }
-
-    /// Sets the EWMA smoothing factor `α ∈ (0, 1]` (weight of the newest
-    /// reduction).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `alpha ∉ (0, 1]` or is not finite.
-    #[must_use]
-    pub fn with_alpha(mut self, alpha: f64) -> Self {
-        assert!(
-            alpha.is_finite() && alpha > 0.0 && alpha <= 1.0,
-            "EWMA alpha must be in (0, 1]"
-        );
-        self.alpha = alpha;
-        self
     }
 
     /// Sets the stall detector: `window` consecutive reductions at or
@@ -122,7 +105,7 @@ impl ConvergenceTrace {
         self.reductions += 1;
         self.last_reduction = Some(red);
         self.ewma = Some(match self.ewma {
-            Some(e) => self.alpha * red + (1.0 - self.alpha) * e,
+            Some(e) => EWMA_ALPHA * red + (1.0 - EWMA_ALPHA) * e,
             None => red,
         });
         self.best_reduction = Some(self.best_reduction.map_or(red, |b| b.min(red)));

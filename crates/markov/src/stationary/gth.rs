@@ -105,20 +105,45 @@ impl GthSolver {
             // Record the normalizer in the (k,k) slot for back-substitution.
             p[(k, k)] = s;
         }
-        // Back-substitution phase.
+        // Back-substitution phase: `pi` is built relative to `pi[0] = 1`,
+        // so a stationary vector spanning more than f64's range overflows
+        // here. On overflow the computed prefix is rescaled by an exact
+        // power of two and the entry recomputed; so is the whole vector if
+        // its sum overflows. Exact scaling keeps every ratio: a solve whose
+        // entries and sum stay finite keeps its bits, and entries far below
+        // the largest underflow to zero, their value at f64 range.
         pi.fill(0.0);
         pi[0] = 1.0;
         for k in 1..n {
-            let mut acc = 0.0;
-            for i in 0..k {
-                acc += pi[i] * p[(i, k)];
+            let entry = |pi: &[f64]| {
+                let mut acc = 0.0;
+                for i in 0..k {
+                    acc += pi[i] * p[(i, k)];
+                }
+                acc / p[(k, k)]
+            };
+            let mut v = entry(pi);
+            while !v.is_finite() && pi[..k].iter().any(|&x| x > 0.0) {
+                vecops::scale(OVERFLOW_RESCALE, &mut pi[..k]);
+                v = entry(pi);
             }
-            pi[k] = acc / p[(k, k)];
+            pi[k] = v;
         }
-        vecops::normalize_l1(pi);
+        if !vecops::sum(pi).is_finite() {
+            vecops::scale(OVERFLOW_RESCALE, pi);
+        }
+        if !vecops::normalize_l1(pi) {
+            return Err(MarkovError::InvalidArgument(
+                "GTH back-substitution left no finite probability mass".into(),
+            ));
+        }
         Ok(())
     }
 }
+
+/// Exact power of two, 2^-512, applied to the partial stationary vector
+/// when GTH back-substitution overflows.
+const OVERFLOW_RESCALE: f64 = f64::from_bits((1023 - 512) << 52);
 
 impl StationarySolver for GthSolver {
     /// Materializes the operator as a dense matrix (O(n²) space) and runs
@@ -182,6 +207,37 @@ mod tests {
         let (p, pi) = birth_death(25, 0.35);
         let r = GthSolver::new().solve(&p, None).unwrap();
         assert!(vecops::dist1(&r.distribution, &pi) < 1e-12);
+    }
+
+    #[test]
+    fn birth_death_beyond_f64_range_stays_finite() {
+        // pi[i+1] / pi[i] = 1.5 and the back-substitution starts from
+        // pi[0] = 1. At 1,750 states its largest entries stay finite but
+        // their sum overflows; at 2,000 the vector spans 1.5^1999 ≈ 1e352
+        // and the back-substitution itself overflows near state 1,750.
+        let up = 0.6;
+        for n in [1750, 2000] {
+            let (p, _) = birth_death(n, up);
+            let r = GthSolver::new().solve(&p, None).unwrap();
+            // Closed form built downward from the largest entry, so its
+            // tail underflows instead of its head overflowing.
+            let ratio = (1.0 - up) / up;
+            let mut pi = vec![0.0; n];
+            let mut v = 1.0;
+            for x in pi.iter_mut().rev() {
+                *x = v;
+                v *= ratio;
+            }
+            vecops::normalize_l1(&mut pi);
+            assert!(r.distribution.iter().all(|x| x.is_finite()), "n = {n}");
+            assert!(vecops::dist1(&r.distribution, &pi) < 1e-12, "n = {n}");
+            assert!(r.residual() < 1e-12, "n = {n}: residual {}", r.residual());
+            if n == 2000 {
+                // (2/3)^1999 ≈ 1e-352 lies below f64's range.
+                assert_eq!(pi[0], 0.0);
+                assert_eq!(r.distribution[0], 0.0);
+            }
+        }
     }
 
     #[test]

@@ -144,19 +144,6 @@ impl GeometricCoarsening {
         }
         parts
     }
-
-    /// The dimensions at each level, starting with the fine grid.
-    pub fn level_dims(&self) -> Vec<Vec<usize>> {
-        let mut out = vec![self.dims.clone()];
-        let mut dims = self.dims.clone();
-        for &(component, stop_at) in &self.schedule {
-            while dims[component] > stop_at {
-                dims[component] = dims[component].div_ceil(2);
-                out.push(dims.clone());
-            }
-        }
-        out
-    }
 }
 
 fn row_major_strides(dims: &[usize]) -> Vec<usize> {
@@ -216,8 +203,6 @@ mod tests {
         assert_eq!(parts[0].n(), 48);
         assert_eq!(parts[0].block_count(), 24);
         assert_eq!(parts[1].block_count(), 12);
-        let dims = g.level_dims();
-        assert_eq!(dims, vec![vec![2, 3, 8], vec![2, 3, 4], vec![2, 3, 2]]);
     }
 
     #[test]
@@ -249,13 +234,10 @@ mod tests {
         // dims (data=4, counter=8, phase=16): phase to 4, then counter to
         // 2, then data to 1.
         let g = GeometricCoarsening::with_schedule(vec![4, 8, 16], vec![(2, 4), (1, 2), (0, 1)]);
-        let dims = g.level_dims();
-        assert_eq!(dims.first().unwrap(), &vec![4, 8, 16]);
-        assert_eq!(dims.last().unwrap(), &vec![1, 2, 4]);
         // phase: 16->8->4 (2 levels), counter: 8->4->2 (2), data: 4->2->1 (2).
-        assert_eq!(dims.len(), 7);
         let parts = g.levels();
         assert_eq!(parts.len(), 6);
+        assert_eq!(parts[0].n(), 4 * 8 * 16);
         for w in parts.windows(2) {
             assert_eq!(w[0].block_count(), w[1].n());
         }

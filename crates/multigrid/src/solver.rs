@@ -87,6 +87,10 @@ impl CycleKind {
     }
 }
 
+/// Largest coarsest-level size accepted for the direct (GTH) solve: its
+/// dense elimination costs `O(n³)` time and `O(n²)` memory.
+const COARSE_DIRECT_MAX: usize = 4096;
+
 /// Largest accepted Krylov window length (the small least-squares system
 /// lives on the stack).
 pub const MAX_KRYLOV_WINDOW: usize = 16;
@@ -107,7 +111,6 @@ pub struct MultigridBuilder {
     smoother: Smoother,
     tol: f64,
     max_cycles: usize,
-    coarse_direct_max: usize,
     plans: Option<Arc<Vec<LumpPlan>>>,
 }
 
@@ -181,13 +184,6 @@ impl MultigridBuilder {
         self
     }
 
-    /// Largest coarsest-level size accepted for the direct (GTH) solve
-    /// (default 4096).
-    pub fn coarse_direct_max(mut self, n: usize) -> Self {
-        self.coarse_direct_max = n;
-        self
-    }
-
     /// Injects precomputed symbolic lumping plans (default: none; the
     /// solver runs the symbolic analysis itself during
     /// [`MultigridSolver::prepare`]). Plans are pure functions of the fine
@@ -210,7 +206,6 @@ impl MultigridBuilder {
             smoother: self.smoother,
             tol: self.tol,
             max_cycles: self.max_cycles,
-            coarse_direct_max: self.coarse_direct_max,
             plans: self.plans,
         }
     }
@@ -277,7 +272,6 @@ pub struct MultigridSolver {
     smoother: Smoother,
     tol: f64,
     max_cycles: usize,
-    coarse_direct_max: usize,
     plans: Option<Arc<Vec<LumpPlan>>>,
 }
 
@@ -306,7 +300,6 @@ impl MultigridSolver {
             smoother: Smoother::default(),
             tol: 1e-12,
             max_cycles: 200,
-            coarse_direct_max: 4096,
             plans: None,
         }
     }
@@ -361,11 +354,11 @@ impl MultigridSolver {
             }
         }
         let coarsest = self.partitions.last().map_or(n, Partition::block_count);
-        if coarsest > self.coarse_direct_max {
+        if coarsest > COARSE_DIRECT_MAX {
             return Err(MarkovError::InvalidArgument(format!(
                 "coarsest level has {coarsest} states, exceeding the direct-solve cap {}; \
                  add more coarsening levels",
-                self.coarse_direct_max
+                COARSE_DIRECT_MAX
             )));
         }
         self.check_smoother(fine)?;
@@ -1173,14 +1166,25 @@ mod tests {
 
     #[test]
     fn coarse_cap_enforced() {
-        let p = birth_death(64, 0.4);
-        let solver = MultigridSolver::builder(vec![])
-            .coarse_direct_max(8)
-            .build();
+        let p = birth_death(COARSE_DIRECT_MAX + 1, 0.4);
+        let solver = MultigridSolver::builder(vec![]).build();
         assert!(matches!(
             solver.solve(&p, None),
             Err(MarkovError::InvalidArgument(_))
         ));
+    }
+
+    #[test]
+    fn default_builder_converges_beyond_f64_range() {
+        // pi[i+1] / pi[i] = 1.5 spans ~1e700: the coarsest (63-state)
+        // GTH solve overflows unless its back-substitution rescales.
+        let n = 4000;
+        let p = birth_death(n, 0.6);
+        let solver = MultigridSolver::builder(PairwiseCoarsening::until(64).levels(n)).build();
+        let (r, stats) = solver.solve_with_stats(&p, None).unwrap();
+        assert!(r.residual() <= 1e-12, "residual {}", r.residual());
+        assert!(stats.residual_history.len() < 200);
+        assert!(r.distribution.iter().all(|x| x.is_finite() && *x >= 0.0));
     }
 
     #[test]

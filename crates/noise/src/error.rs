@@ -12,9 +12,6 @@ pub enum NoiseError {
     InvalidParameter(String),
     /// A probability mass function did not sum to one or had negative mass.
     InvalidPmf(String),
-    /// A requested conversion has no solution (e.g. eye opening wider than
-    /// one UI at the requested BER).
-    Infeasible(String),
 }
 
 impl fmt::Display for NoiseError {
@@ -22,7 +19,6 @@ impl fmt::Display for NoiseError {
         match self {
             NoiseError::InvalidParameter(msg) => write!(f, "invalid parameter: {msg}"),
             NoiseError::InvalidPmf(msg) => write!(f, "invalid pmf: {msg}"),
-            NoiseError::Infeasible(msg) => write!(f, "infeasible specification: {msg}"),
         }
     }
 }

@@ -9,9 +9,7 @@
 //! All amplitudes are in **unit intervals (UI)**: 1 UI = one symbol period.
 
 use crate::discretize::{discretize, DiscreteDist};
-use crate::dist::{Distribution, DualDirac, Shifted, SinusoidalJitter, Triangular, Uniform};
-use crate::special::q_factor;
-use crate::{NoiseError, Result};
+use crate::dist::{DualDirac, Shifted, SinusoidalJitter, Triangular, Uniform};
 
 /// Specification of the white data jitter `n_w` (eye opening).
 ///
@@ -25,14 +23,11 @@ use crate::{NoiseError, Result};
 /// ```
 /// use stochcdr_noise::jitter::WhiteJitterSpec;
 ///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// // A 0.7-UI eye at BER 1e-12 implies sigma ~ 0.0213 UI.
-/// let spec = WhiteJitterSpec::from_eye_opening(0.7, 1e-12)?;
-/// assert!((spec.sigma_ui - 0.0213).abs() < 1e-3);
+/// // sigma = 0.0213 UI closes 0.3 UI of the eye at BER 1e-12 (Q ≈ 7.03).
+/// let spec = WhiteJitterSpec::from_sigma(0.0213);
+/// assert!((spec.total_jitter_at_ber(1e-12) - 0.3).abs() < 1e-3);
 /// let pmf = spec.discretize(1.0 / 128.0);
 /// assert!((pmf.total_mass() - 1.0).abs() < 1e-12);
-/// # Ok(())
-/// # }
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WhiteJitterSpec {
@@ -79,46 +74,6 @@ impl WhiteJitterSpec {
             dj_ui,
             n_sigma: 8.0,
         }
-    }
-
-    /// Derives σ from an eye-opening spec: the eye is `eye_ui` wide at the
-    /// reference bit-error rate `ber`, i.e. each eye edge carries Gaussian
-    /// jitter that stays within `(1 − eye_ui)/2` UI except with
-    /// probability `ber`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NoiseError::Infeasible`] unless `0 < eye_ui < 1` and
-    /// `0 < ber < 0.5`.
-    pub fn from_eye_opening(eye_ui: f64, ber: f64) -> Result<Self> {
-        if !(0.0..1.0).contains(&eye_ui) || eye_ui == 0.0 {
-            return Err(NoiseError::Infeasible(format!(
-                "eye opening {eye_ui} UI must be in (0, 1)"
-            )));
-        }
-        if !(0.0..0.5).contains(&ber) || ber == 0.0 {
-            return Err(NoiseError::Infeasible(format!(
-                "reference BER {ber} must be in (0, 0.5)"
-            )));
-        }
-        let half_closure = (1.0 - eye_ui) / 2.0;
-        let sigma = half_closure / q_factor(ber);
-        Ok(WhiteJitterSpec {
-            sigma_ui: sigma,
-            dj_ui: 0.0,
-            n_sigma: 8.0,
-        })
-    }
-
-    /// Overrides the discretization truncation (default 8σ).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n_sigma <= 0`.
-    pub fn with_truncation(mut self, n_sigma: f64) -> Self {
-        assert!(n_sigma > 0.0, "truncation must be positive");
-        self.n_sigma = n_sigma;
-        self
     }
 
     /// The continuous distribution of `n_w` (a [`DualDirac`], which with
@@ -253,21 +208,6 @@ impl DriftJitterSpec {
     pub fn resolves_grid(&self, delta_ui: f64) -> bool {
         self.max_abs_ui() >= 0.5 * delta_ui
     }
-
-    /// The continuous distribution of the random part (`None` for pure
-    /// deterministic drift).
-    pub fn random_part(&self) -> Option<Box<dyn Distribution>> {
-        if self.max_dev_ui == 0.0 {
-            return None;
-        }
-        Some(match self.shape {
-            DriftShape::Uniform => Box::new(Uniform::new(-self.max_dev_ui, self.max_dev_ui)),
-            DriftShape::Triangular => {
-                Box::new(Triangular::new(-self.max_dev_ui, 0.0, self.max_dev_ui))
-            }
-            DriftShape::Sinusoidal => Box::new(SinusoidalJitter::new(self.max_dev_ui)),
-        })
-    }
 }
 
 /// Point-ish distribution with non-integer mean `m` (grid units): mass split
@@ -298,20 +238,6 @@ fn correct_mean(d: DiscreteDist, target: f64) -> DiscreteDist {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn sigma_from_eye_opening() {
-        // Eye of 0.5 UI at BER 1e-12: closure per side 0.25 UI over Q≈7.03.
-        let w = WhiteJitterSpec::from_eye_opening(0.5, 1e-12).unwrap();
-        assert!((w.sigma_ui - 0.25 / 7.0345).abs() < 1e-4);
-    }
-
-    #[test]
-    fn infeasible_eyes_rejected() {
-        assert!(WhiteJitterSpec::from_eye_opening(0.0, 1e-12).is_err());
-        assert!(WhiteJitterSpec::from_eye_opening(1.2, 1e-12).is_err());
-        assert!(WhiteJitterSpec::from_eye_opening(0.5, 0.7).is_err());
-    }
 
     #[test]
     fn white_jitter_discretizes_symmetric() {
@@ -388,23 +314,5 @@ mod tests {
     fn max_abs_combines_parts() {
         let s = DriftJitterSpec::new(-1e-3, 2e-3, DriftShape::Triangular);
         assert!((s.max_abs_ui() - 3e-3).abs() < 1e-15);
-    }
-
-    #[test]
-    fn random_part_variances_differ_by_shape() {
-        let u = DriftJitterSpec::new(0.0, 0.01, DriftShape::Uniform)
-            .random_part()
-            .unwrap();
-        let t = DriftJitterSpec::new(0.0, 0.01, DriftShape::Triangular)
-            .random_part()
-            .unwrap();
-        let s = DriftJitterSpec::new(0.0, 0.01, DriftShape::Sinusoidal)
-            .random_part()
-            .unwrap();
-        assert!(t.variance() < u.variance());
-        assert!(u.variance() < s.variance());
-        assert!(DriftJitterSpec::new(0.0, 0.0, DriftShape::Uniform)
-            .random_part()
-            .is_none());
     }
 }

@@ -14,9 +14,9 @@
 //! [`discretize`](discretize::discretize) step that turns them into finite
 //! probability mass functions on the phase-error grid (the paper:
 //! "the discretization grid needs to be fine enough to accurately capture
-//! the small jumps in phase error due to `n_r`"), the jitter-spec
-//! conversions (eye opening ↔ Gaussian σ via Q-factors), and samplers for
-//! the Monte-Carlo baseline.
+//! the small jumps in phase error due to `n_r`"), the jitter specs
+//! (dual-Dirac `n_w` with its Q-factor total jitter, frequency-offset
+//! `n_r`), and the sampler for the Monte-Carlo baseline.
 //!
 //! # Example
 //!

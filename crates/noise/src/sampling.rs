@@ -3,8 +3,8 @@
 //! The paper's core argument is that Monte-Carlo simulation cannot verify
 //! BERs of 1e-10; the workspace still implements MC simulation to
 //! cross-validate the analysis at *high* BER operating points. This module
-//! provides the samplers: inverse-CDF sampling of a [`DiscreteDist`] (with
-//! `O(log n)` lookup) and a Box–Muller Gaussian sampler.
+//! provides the sampler: inverse-CDF sampling of a [`DiscreteDist`] with
+//! `O(log n)` lookup.
 
 use rand::Rng;
 
@@ -57,30 +57,6 @@ impl DiscreteSampler {
     }
 }
 
-/// Draws a standard-normal sample via the Box–Muller transform.
-///
-/// Uses the polar (Marsaglia) variant to avoid trigonometric calls.
-pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
-    loop {
-        let u: f64 = rng.gen_range(-1.0..1.0);
-        let v: f64 = rng.gen_range(-1.0..1.0);
-        let s = u * u + v * v;
-        if s > 0.0 && s < 1.0 {
-            return u * (-2.0 * s.ln() / s).sqrt();
-        }
-    }
-}
-
-/// Draws a Gaussian sample with the given mean and standard deviation.
-///
-/// # Panics
-///
-/// Panics if `std < 0`.
-pub fn gaussian<R: Rng + ?Sized>(rng: &mut R, mean: f64, std: f64) -> f64 {
-    assert!(std >= 0.0, "standard deviation must be non-negative");
-    mean + std * standard_normal(rng)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -111,32 +87,5 @@ mod tests {
         for _ in 0..100 {
             assert_eq!(s.sample(&mut rng), 7);
         }
-    }
-
-    #[test]
-    fn gaussian_moments() {
-        let mut rng = StdRng::seed_from_u64(9);
-        let n = 200_000;
-        let (mut sum, mut sum2) = (0.0, 0.0);
-        for _ in 0..n {
-            let x = gaussian(&mut rng, 2.0, 3.0);
-            sum += x;
-            sum2 += x * x;
-        }
-        let mean = sum / n as f64;
-        let var = sum2 / n as f64 - mean * mean;
-        assert!((mean - 2.0).abs() < 0.05, "mean {mean}");
-        assert!((var - 9.0).abs() < 0.2, "var {var}");
-    }
-
-    #[test]
-    fn standard_normal_tail_fraction() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let n = 100_000;
-        let beyond_2: usize = (0..n)
-            .filter(|_| standard_normal(&mut rng).abs() > 2.0)
-            .count();
-        let frac = beyond_2 as f64 / n as f64;
-        assert!((frac - 0.0455).abs() < 0.01, "2-sigma fraction {frac}");
     }
 }

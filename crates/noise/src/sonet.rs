@@ -4,19 +4,12 @@
 //! FSM models the data statistics taken from SONET system specifications"
 //! and `n_r`'s density is "chosen to reflect SONET system specifications".
 //! Real SONET specs (GR-253, ITU-T G.825) are long documents; this module
-//! captures the parts the model consumes:
-//!
-//! * scrambled-data statistics — transition density ½ with a bounded run of
-//!   consecutive identical digits (CID; receivers are tested with 72-bit
-//!   CID per GR-253),
-//! * clock accuracy — ±20 ppm free-run for a Stratum-3 crystal, ±4.6 ppm
-//!   Stratum-2 (we default to 100 ppm as a stress value, matching the
-//!   magnitude a multiplexer sees before lock),
-//! * jitter tolerance masks — summarized as the high-frequency corner
-//!   amplitude (0.15 UI p-p for OC-48 per GR-253), which the model treats
-//!   as bounded white `n_r` deviation.
+//! captures the part the data-source FSM consumes: scrambled-data
+//! statistics — a transition density (½ for scrambled data) with a bounded
+//! run of consecutive identical digits (CID; receivers are tested with
+//! 72-bit CID per GR-253). Clock accuracy and jitter tolerance enter the
+//! model as [`crate::jitter`] specs.
 
-use crate::jitter::{DriftJitterSpec, DriftShape, WhiteJitterSpec};
 use crate::{NoiseError, Result};
 
 /// Statistics of the incoming (scrambled) data stream.
@@ -57,20 +50,6 @@ impl DataSpec {
         })
     }
 
-    /// Scrambled SONET payload: density ½, 72-bit CID immunity requirement
-    /// folded down to a modeling run-bound of 72.
-    pub fn sonet_scrambled() -> Self {
-        DataSpec {
-            transition_density: 0.5,
-            max_run_length: 72,
-        }
-    }
-
-    /// A denser test pattern (e.g. clock-like preamble regions).
-    pub fn dense(transition_density: f64) -> Result<Self> {
-        Self::new(transition_density, 8)
-    }
-
     /// Stationary transition density of the run-length-limited source
     /// (slightly above `transition_density` because of the forced
     /// transition at the run bound).
@@ -101,56 +80,6 @@ impl DataSpec {
     }
 }
 
-/// A complete SONET-flavored operating point: data statistics plus the two
-/// jitter sources.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SonetProfile {
-    /// Incoming data statistics.
-    pub data: DataSpec,
-    /// Eye-opening white jitter `n_w`.
-    pub white: WhiteJitterSpec,
-    /// Drift jitter `n_r`.
-    pub drift: DriftJitterSpec,
-}
-
-impl SonetProfile {
-    /// The baseline profile used by the paper-reproduction harness:
-    /// scrambled data, σ(n_w) derived from a 0.7-UI eye at BER 1e-12, and a
-    /// 20 ppm frequency offset with bounded sinusoidal-interference
-    /// deviation.
-    ///
-    /// # Errors
-    ///
-    /// Propagates spec-construction errors (none for these constants; the
-    /// `Result` is kept so callers treat profiles uniformly).
-    pub fn baseline() -> Result<Self> {
-        Ok(SonetProfile {
-            data: DataSpec::new(0.5, 8)?,
-            white: WhiteJitterSpec::from_eye_opening(0.7, 1e-12)?,
-            drift: DriftJitterSpec::from_frequency_offset_ppm(20.0, 4e-3, DriftShape::Triangular),
-        })
-    }
-
-    /// The baseline with `n_w` scaled by `factor` (the paper's Figure 4
-    /// "increases the standard deviation of n_w 10 times").
-    ///
-    /// # Errors
-    ///
-    /// Propagates spec-construction errors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `factor <= 0`.
-    pub fn with_white_scaled(factor: f64) -> Result<Self> {
-        assert!(factor > 0.0, "scale factor must be positive");
-        let base = Self::baseline()?;
-        Ok(SonetProfile {
-            white: WhiteJitterSpec::from_sigma(base.white.sigma_ui * factor),
-            ..base
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -161,13 +90,6 @@ mod tests {
         assert!(DataSpec::new(1.0, 4).is_err());
         assert!(DataSpec::new(0.5, 0).is_err());
         assert!(DataSpec::new(0.5, 4).is_ok());
-    }
-
-    #[test]
-    fn sonet_defaults() {
-        let d = DataSpec::sonet_scrambled();
-        assert_eq!(d.transition_density, 0.5);
-        assert_eq!(d.max_run_length, 72);
     }
 
     #[test]
@@ -186,15 +108,5 @@ mod tests {
         // Positions: π ∝ (1, 0.9); transition = (0.1·1 + 1.0·0.9)/1.9.
         let expect = (0.1 + 0.9) / 1.9;
         assert!((d.effective_transition_density() - expect).abs() < 1e-12);
-    }
-
-    #[test]
-    fn baseline_profile_is_consistent() {
-        let p = SonetProfile::baseline().unwrap();
-        assert!(p.white.sigma_ui > 0.0 && p.white.sigma_ui < 0.1);
-        assert!((p.drift.mean_ui - 2e-5).abs() < 1e-12);
-        let scaled = SonetProfile::with_white_scaled(10.0).unwrap();
-        assert!((scaled.white.sigma_ui / p.white.sigma_ui - 10.0).abs() < 1e-9);
-        assert_eq!(scaled.drift, p.drift);
     }
 }

@@ -36,9 +36,10 @@
 //! Every thread keeps its own span stack, so concurrent spans from
 //! parallel workers never interleave their paths. Each span carries a
 //! process-unique id, its parent's id, and the emitting thread's lane
-//! id ([`thread_id`]); worker code can attribute its spans to a span on
-//! *another* thread with [`span_child_of`] + [`current_span_id`], which
-//! is how `linalg::par` links pool-worker lanes to the caller's scope.
+//! id (a stable per-thread id, or the [`lane`] override); worker code
+//! can attribute its spans to a span on *another* thread with
+//! [`span_child_of`] + [`current_span_id`], which is how `linalg::par`
+//! links pool-worker lanes to the caller's scope.
 //! The [`ChromeTraceSink`] turns the begin/end stream into a Chrome
 //! Trace Event file viewable in Perfetto or `chrome://tracing`.
 
@@ -155,20 +156,6 @@ pub fn uninstall() -> Option<Box<dyn Sink>> {
 #[inline]
 pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
-}
-
-/// This thread's lane id: the explicit [`lane`] override if one is
-/// active, else a stable id assigned on first use (0 for the first
-/// thread that asks — normally `main`).
-pub fn thread_id() -> u64 {
-    THREAD.with(|t| {
-        let mut t = t.borrow_mut();
-        if let Some(lane) = t.lane {
-            return lane;
-        }
-        *t.tid
-            .get_or_insert_with(|| NEXT_THREAD_ID.fetch_add(1, Ordering::Relaxed))
-    })
 }
 
 /// Restores the previous lane override when dropped.

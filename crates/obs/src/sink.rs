@@ -47,6 +47,40 @@ pub trait Sink: Send {
     fn finish(&mut self) -> Option<String> {
         None
     }
+
+    /// Takes the first I/O error the sink met while writing or flushing.
+    /// `None` when every write succeeded, or for sinks that write
+    /// nothing. Check it after [`crate::uninstall`], which finishes —
+    /// and so flushes — the sink.
+    fn take_error(&mut self) -> Option<io::Error> {
+        None
+    }
+}
+
+/// The first write or flush error of a streaming sink, phrased with the
+/// sink's destination so a caller can report it as is.
+#[derive(Debug)]
+pub(crate) struct FirstError {
+    dest: String,
+    error: Option<io::Error>,
+}
+
+impl FirstError {
+    pub(crate) fn new(dest: String) -> Self {
+        FirstError { dest, error: None }
+    }
+
+    /// Keeps `r`'s error unless an earlier one is already kept.
+    pub(crate) fn check(&mut self, r: io::Result<()>) {
+        if let (Err(e), None) = (r, &self.error) {
+            let msg = format!("cannot write {}: {e}", self.dest);
+            self.error = Some(io::Error::new(e.kind(), msg));
+        }
+    }
+
+    pub(crate) fn take(&mut self) -> Option<io::Error> {
+        self.error.take()
+    }
 }
 
 /// Discards every record. Installing this is equivalent to leaving
@@ -97,6 +131,11 @@ impl Sink for MultiSink {
         }
         report
     }
+
+    /// The first inner sink's error, in delivery order.
+    fn take_error(&mut self) -> Option<io::Error> {
+        self.sinks.iter_mut().find_map(|s| s.take_error())
+    }
 }
 
 /// Aggregates records in memory and renders the run's table from
@@ -106,9 +145,15 @@ impl Sink for MultiSink {
 /// code, so the table is byte-for-byte what [`Artifact::render`] prints
 /// for the same run's [`JsonLinesSink`] stream (and what
 /// `stochcdr report --in` shows).
+///
+/// A sink reinstalled for several recorder sessions reports their summed
+/// observed time: every install restarts the record clock, so each
+/// session's stamps are shifted past the end of the sessions before it.
 #[derive(Debug)]
 pub struct SummarySink {
     artifact: Artifact,
+    /// Observed time of the finished sessions, in nanoseconds.
+    offset_ns: u64,
 }
 
 impl Default for SummarySink {
@@ -125,6 +170,7 @@ impl SummarySink {
                 schema: SCHEMA_VERSION.to_string(),
                 ..Artifact::default()
             },
+            offset_ns: 0,
         }
     }
 
@@ -136,10 +182,13 @@ impl SummarySink {
 
 impl Sink for SummarySink {
     fn record(&mut self, at_nanos: u64, record: &Record<'_>) {
-        self.artifact.record(at_nanos, record);
+        self.artifact.record(self.offset_ns + at_nanos, record);
     }
 
+    /// Ends the current session (uninstall calls this) and renders the
+    /// table; a repeated call starts no new session time.
     fn finish(&mut self) -> Option<String> {
+        self.offset_ns = self.artifact.end_ns;
         Some(self.render())
     }
 }
@@ -154,13 +203,15 @@ impl Sink for SummarySink {
 /// (count/other/sum/min/max/p50/p95 plus sparse `bins`) when the sink
 /// finishes, stamped with the latest record time. `SpanBegin` edges are
 /// not streamed (nor timed) — the completed `span` line carries the full
-/// identity (`name`, `id`, `parent`, `tid`).
+/// identity (`name`, `id`, `parent`, `tid`). The first write or flush
+/// error is kept for [`Sink::take_error`].
 pub struct JsonLinesSink {
     w: Box<dyn Write + Send>,
     line: String,
     hists: BTreeMap<String, LogHist>,
     end_ns: u64,
     flushed: bool,
+    error: FirstError,
 }
 
 impl std::fmt::Debug for JsonLinesSink {
@@ -171,21 +222,32 @@ impl std::fmt::Debug for JsonLinesSink {
 
 impl JsonLinesSink {
     /// Wraps an arbitrary writer.
-    pub fn new(mut w: Box<dyn Write + Send>) -> Self {
-        let _ = writeln!(w, "{{\"kind\":\"meta\",\"schema\":\"{SCHEMA_VERSION}\"}}");
+    pub fn new(w: Box<dyn Write + Send>) -> Self {
+        Self::with_dest(w, "metrics stream".to_string())
+    }
+
+    /// Opens `path` for writing (truncating) and streams records to it.
+    pub fn to_file(path: impl AsRef<Path>) -> io::Result<Self> {
+        let path = path.as_ref();
+        let file = File::create(path)?;
+        let dest = format!("metrics file '{}'", path.display());
+        Ok(Self::with_dest(Box::new(BufWriter::new(file)), dest))
+    }
+
+    fn with_dest(mut w: Box<dyn Write + Send>, dest: String) -> Self {
+        let mut error = FirstError::new(dest);
+        error.check(writeln!(
+            w,
+            "{{\"kind\":\"meta\",\"schema\":\"{SCHEMA_VERSION}\"}}"
+        ));
         JsonLinesSink {
             w,
             line: String::with_capacity(256),
             hists: BTreeMap::new(),
             end_ns: 0,
             flushed: false,
+            error,
         }
-    }
-
-    /// Opens `path` for writing (truncating) and streams records to it.
-    pub fn to_file(path: impl AsRef<Path>) -> io::Result<Self> {
-        let file = File::create(path)?;
-        Ok(Self::new(Box::new(BufWriter::new(file))))
     }
 
     /// Streams into a shared in-memory buffer; the returned handle can
@@ -290,7 +352,7 @@ impl Sink for JsonLinesSink {
         }
         self.end_ns = self.end_ns.max(at_nanos);
         let _ = write!(line, ",\"t\":{at_nanos}}}");
-        let _ = writeln!(self.w, "{}", line);
+        self.error.check(writeln!(self.w, "{}", line));
     }
 
     fn finish(&mut self) -> Option<String> {
@@ -319,11 +381,15 @@ impl Sink for JsonLinesSink {
                     let _ = write!(line, "[{k},{c}]");
                 }
                 let _ = write!(line, "],\"t\":{}}}", self.end_ns);
-                let _ = writeln!(self.w, "{}", line);
+                self.error.check(writeln!(self.w, "{}", line));
             }
         }
-        let _ = self.w.flush();
+        self.error.check(self.w.flush());
         None
+    }
+
+    fn take_error(&mut self) -> Option<io::Error> {
+        self.error.take()
     }
 }
 
@@ -454,5 +520,47 @@ mod tests {
         assert_eq!(hist.get("kind").and_then(Json::as_str), Some("hist"));
         assert_eq!(hist.get("count").and_then(Json::as_f64), Some(1.0));
         assert_eq!(hist.get("max").and_then(Json::as_f64), Some(2.0));
+    }
+
+    /// A writer whose every write and flush fails.
+    struct FailingWriter;
+
+    impl Write for FailingWriter {
+        fn write(&mut self, _buf: &[u8]) -> io::Result<usize> {
+            Err(io::Error::other("device full"))
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Err(io::Error::other("device full"))
+        }
+    }
+
+    #[test]
+    fn write_errors_are_kept_until_taken() {
+        let counter = Record::Counter {
+            name: "c",
+            delta: 1,
+        };
+        let mut multi = MultiSink::new(vec![
+            Box::new(SummarySink::new()),
+            Box::new(crate::ChromeTraceSink::new(Box::new(FailingWriter))),
+            Box::new(JsonLinesSink::new(Box::new(FailingWriter))),
+        ]);
+        multi.record(1, &counter);
+        multi.finish();
+        // The fan-out reports its first failing sink, then the next.
+        let first = multi.take_error().expect("trace write error kept");
+        assert_eq!(first.to_string(), "cannot write trace stream: device full");
+        let second = multi.take_error().expect("metrics write error kept");
+        assert_eq!(
+            second.to_string(),
+            "cannot write metrics stream: device full"
+        );
+        assert!(multi.take_error().is_none());
+
+        let (mut ok, _buf) = JsonLinesSink::to_shared_buffer();
+        ok.record(1, &counter);
+        ok.finish();
+        assert!(ok.take_error().is_none());
     }
 }

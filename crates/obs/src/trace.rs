@@ -14,13 +14,15 @@ use std::path::Path;
 
 use crate::json;
 use crate::record::{Record, Value};
-use crate::sink::Sink;
+use crate::sink::{FirstError, Sink};
 
 /// Streams records as Chrome Trace Event Format JSON (an array of
 /// event objects). The output is valid JSON once [`Sink::finish`] has
-/// closed the array; finish is idempotent.
+/// closed the array; finish is idempotent. The first write or flush
+/// error is kept for [`Sink::take_error`].
 pub struct ChromeTraceSink {
     w: Box<dyn Write + Send>,
+    error: FirstError,
     line: String,
     wrote_any: bool,
     closed: bool,
@@ -38,10 +40,24 @@ impl std::fmt::Debug for ChromeTraceSink {
 
 impl ChromeTraceSink {
     /// Wraps an arbitrary writer.
-    pub fn new(mut w: Box<dyn Write + Send>) -> Self {
-        let _ = w.write_all(b"[\n");
+    pub fn new(w: Box<dyn Write + Send>) -> Self {
+        Self::with_dest(w, "trace stream".to_string())
+    }
+
+    /// Opens `path` for writing (truncating) and streams the trace there.
+    pub fn to_file(path: impl AsRef<Path>) -> io::Result<Self> {
+        let path = path.as_ref();
+        let file = File::create(path)?;
+        let dest = format!("trace file '{}'", path.display());
+        Ok(Self::with_dest(Box::new(BufWriter::new(file)), dest))
+    }
+
+    fn with_dest(mut w: Box<dyn Write + Send>, dest: String) -> Self {
+        let mut error = FirstError::new(dest);
+        error.check(w.write_all(b"[\n"));
         ChromeTraceSink {
             w,
+            error,
             line: String::with_capacity(256),
             wrote_any: false,
             closed: false,
@@ -50,18 +66,12 @@ impl ChromeTraceSink {
         }
     }
 
-    /// Opens `path` for writing (truncating) and streams the trace there.
-    pub fn to_file(path: impl AsRef<Path>) -> io::Result<Self> {
-        let file = File::create(path)?;
-        Ok(Self::new(Box::new(BufWriter::new(file))))
-    }
-
     fn emit(&mut self) {
         if self.wrote_any {
-            let _ = self.w.write_all(b",\n");
+            self.error.check(self.w.write_all(b",\n"));
         }
         self.wrote_any = true;
-        let _ = self.w.write_all(self.line.as_bytes());
+        self.error.check(self.w.write_all(self.line.as_bytes()));
     }
 
     /// Emits a one-time thread-name metadata event so trace viewers
@@ -205,10 +215,14 @@ impl Sink for ChromeTraceSink {
     fn finish(&mut self) -> Option<String> {
         if !self.closed {
             self.closed = true;
-            let _ = self.w.write_all(b"\n]\n");
+            self.error.check(self.w.write_all(b"\n]\n"));
         }
-        let _ = self.w.flush();
+        self.error.check(self.w.flush());
         None
+    }
+
+    fn take_error(&mut self) -> Option<io::Error> {
+        self.error.take()
     }
 }
 

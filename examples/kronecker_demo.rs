@@ -15,8 +15,7 @@
 
 use stochcdr_fsm::KroneckerOp;
 use stochcdr_linalg::{CooMatrix, CsrMatrix};
-use stochcdr_markov::operator::stationary_power;
-use stochcdr_markov::stationary::{GthSolver, StationarySolver};
+use stochcdr_markov::stationary::{GthSolver, PowerIteration, StationarySolver};
 use stochcdr_markov::StochasticMatrix;
 
 /// A coarse 8-bin phase-wander chain (random walk with recentring drift),
@@ -56,7 +55,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // `KroneckerOp` implements `TransitionOp`, so the solver consumes the
     // product form directly — no adapter and no materialization.
     let small = KroneckerOp::new(factors[..4].to_vec());
-    let joint = stationary_power(&small, None, 1e-12, 200_000)?;
+    let joint = PowerIteration::new(1e-12, 200_000).solve_op(&small, None)?;
     println!(
         "matrix-free power iteration: {} states, {} iterations",
         small.dim(),

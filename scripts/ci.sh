@@ -3,7 +3,7 @@
 # clippy with warnings denied, and rustdoc with warnings denied on the
 # library crates (a broken intra-doc link fails the run). Everything runs
 # offline — the workspace resolves its external dev-dependencies
-# (rand/proptest/criterion) to local shims.
+# (rand/proptest) to local shims.
 #
 # The test suite runs twice, pinned to 1 and 4 worker threads, so the
 # determinism contract of the parallel kernels (bit-identical results for
