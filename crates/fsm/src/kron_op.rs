@@ -437,6 +437,10 @@ impl TransitionOp for KroneckerOp {
         Some(self.transposed())
     }
 
+    fn kron_factors(&self) -> Option<&[CsrMatrix]> {
+        Some(&self.factors)
+    }
+
     fn materialize_csr(&self) -> CsrMatrix {
         self.materialize()
     }

@@ -140,6 +140,18 @@ pub trait TransitionOp: Sync {
         self.transpose_csr().map(|m| m as &dyn TransitionOp)
     }
 
+    /// The square factors `A_1 … A_k` (outermost, slowest-varying first)
+    /// when every row of this operator is the matching row of
+    /// `A_1 ⊗ … ⊗ A_k` up to one scalar per row — the structure that
+    /// lets validation and aggregation work lane by lane instead of
+    /// walking the product's entries. Row `r`'s digits are packed
+    /// row-major, innermost factor fastest, and zero factor entries are
+    /// not entries of the product (as in [`for_each_in_row`](Self::for_each_in_row)).
+    /// `None` by default.
+    fn kron_factors(&self) -> Option<&[CsrMatrix]> {
+        None
+    }
+
     /// Materializes the operator as a CSR matrix via row traversal.
     ///
     /// Structured backends pay O(materialized nnz) here — solvers that

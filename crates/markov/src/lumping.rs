@@ -21,15 +21,39 @@
 //! cycle) therefore split the work:
 //!
 //! * [`LumpPlan`] — one-time **symbolic** setup: the coarse CSR pattern,
-//!   the transpose permutation, and — for a materialized fine chain — a
-//!   fine-entry → coarse-slot gather map replaying the from-scratch
-//!   assembly order exactly (a matrix-free chain replays it by row
-//!   traversal instead),
+//!   the transpose permutation, and how the numeric refresh reads the
+//!   fine chain,
 //! * [`LumpWorkspace`] — preallocated per-level numeric buffers,
-//! * [`lump_weighted_into`] — the **numeric** refresh, for either kind of
-//!   fine chain: recomputes values into an existing matrix with zero heap
-//!   allocations, bit-identical to [`lump_weighted`] for strictly positive
-//!   weights (see the invalidation and precision notes on [`LumpPlan`]).
+//! * [`lump_weighted_into`] — the **numeric** refresh: recomputes values
+//!   into an existing matrix with zero heap allocations.
+//!
+//! # Refresh arms
+//!
+//! [`LumpPlan::new`] picks one of three refreshes from the fine chain's
+//! storage and structure:
+//!
+//! * **gather** — a materialized chain: a fine-entry → coarse-slot gather
+//!   map replaying the from-scratch assembly order exactly, so the result
+//!   is bit-identical to [`lump_weighted`] for strictly positive weights;
+//! * **factored** — a matrix-free Kronecker chain
+//!   `P = diag(scale)·(A_out ⊗ A_in)` whose partition aggregates only the
+//!   innermost factor, `block(o·n_in + i) = o·nb_in + f(i)`. With `S_in`
+//!   the inner aggregation matrix, coarse row `(o, B)` is
+//!   `A_out(o,·) ⊗ [Σ_{i∈B} wscale(o,i)·scale(o,i)·(A_in S_in)(i,·)]` —
+//!   sum factorization in the line of Buchholz ("Multilevel solutions for
+//!   structured Markov chains", SIMAX 2000). The coarse pattern is
+//!   `pattern(A_out) ⊗ (lumped inner pattern)`, built with no traversal
+//!   and no sort, and nothing is stored per fine entry;
+//! * **traversal** — every other matrix-free chain: each refresh re-walks
+//!   the member rows of every coarse row and replays the from-scratch
+//!   assembly order (the same bits again, provided the chain serves the
+//!   entries its materialized twin stores). It is also the oracle the
+//!   factored arm is tested against, to rounding.
+//!
+//! `A_out` is the Kronecker product of every factor but the innermost
+//! (the 1×1 identity for a single factor). Every arm writes each coarse
+//! row wholly on one worker in a fixed order, so each gives the same bits
+//! at any thread count.
 
 use stochcdr_linalg::{par, CooMatrix, CsrMatrix};
 
@@ -268,18 +292,22 @@ fn fix_row_sums(m: CsrMatrix) -> CsrMatrix {
 /// * the coarse CSR pattern (`indptr`/`indices`),
 /// * the transpose permutation feeding the cached `P^T`,
 /// * how the numeric refresh reads the fine chain, chosen once by
-///   [`new`](Self::new) from the chain's storage
-///   ([`StochasticOp::csr`]):
+///   [`new`](Self::new) (see the module's refresh arms):
 ///   - a **materialized** chain gets a gather map — per coarse slot, the
 ///     list of fine entries that sum into it, in **exactly** the order
 ///     the from-scratch COO assembly visits them (fine rows ascending,
 ///     entries in column order, then the same unstable sort by coarse
 ///     column the COO→CSR merge performs), so refreshed values are
 ///     bit-identical to a fresh [`lump_weighted`];
-///   - a **matrix-free** chain has no fine entry indices to record, so
-///     each refresh re-traverses its rows and replays that same
-///     assembly order — the same bits again, provided the chain serves
-///     the entries (column set and values) its materialized twin stores.
+///   - a **matrix-free Kronecker** chain whose partition aggregates only
+///     the innermost factor gets a factored plan: the inner map, the
+///     pattern of `A_in S_in` and the lumped inner pattern per inner
+///     block — nothing per fine entry;
+///   - any other **matrix-free** chain has no fine entry indices to
+///     record, so each refresh re-traverses its rows and replays the
+///     from-scratch assembly order — the same bits again, provided the
+///     chain serves the entries (column set and values) its materialized
+///     twin stores.
 ///
 /// # Invalidation
 ///
@@ -338,12 +366,66 @@ enum Refresh {
         /// per-worker sort scratch.
         max_row_entries: usize,
     },
+    /// Sum factorization over a matrix-free Kronecker chain.
+    Factored(Factored),
+}
+
+/// The symbolic side of the factored refresh: a fine chain
+/// `diag(scale)·(A_out ⊗ A_in)` and a partition with
+/// `block(o·n_in + i) = o·nb_in + f(i)`. Coarse row `(o, B)` holds, per
+/// entry `o'` of `A_out(o,·)` in ascending order, one run of the lumped
+/// inner row `v_{o,B} = Σ_{i∈B} wscale(o,i)·scale(o,i)·(A_in S_in)(i,·)`
+/// scaled by `A_out(o, o')`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Factored {
+    /// `(dimension, stored entries)` of every factor, outermost first —
+    /// the compatibility check a refresh runs against the chain.
+    shape: Vec<(usize, usize)>,
+    /// Inner factor dimension.
+    n_in: usize,
+    /// Inner block count.
+    nb_in: usize,
+    /// Row extents of `A_in S_in` (length `n_in + 1`).
+    ains_ptr: Vec<usize>,
+    /// Per `A_in S_in` entry, its position in the lumped row of its
+    /// row's inner block.
+    ains_pos: Vec<u32>,
+    /// Per stored `A_in` entry, the `A_in S_in` slot it folds into
+    /// (`u32::MAX` for an entry that is zero, hence absent).
+    ain_slot: Vec<u32>,
+    /// Lumped inner row extents per inner block (length `nb_in + 1`).
+    lumped_ptr: Vec<usize>,
+}
+
+/// Visits the nonzero entries of row `row` of `factors[0] ⊗ factors[1] ⊗ …`
+/// in ascending column order, with the values multiplied outermost first
+/// onto `val` (the empty product is the 1×1 identity).
+fn kron_row<F: FnMut(usize, f64)>(
+    factors: &[CsrMatrix],
+    row: usize,
+    col: usize,
+    val: f64,
+    f: &mut F,
+) {
+    match factors.split_first() {
+        None => f(col, val),
+        Some((a, rest)) => {
+            let inner: usize = rest.iter().map(CsrMatrix::rows).product();
+            for (j, v) in a.row(row / inner) {
+                if v != 0.0 {
+                    kron_row(rest, row % inner, col * a.cols() + j, val * v, f);
+                }
+            }
+        }
+    }
 }
 
 impl LumpPlan {
     /// Builds the symbolic plan for lumping `fine` with `partition`:
-    /// from the stored pattern of a materialized chain, or by traversing
-    /// the rows of a matrix-free one.
+    /// from the stored pattern of a materialized chain, from the factors
+    /// of a matrix-free Kronecker chain whose partition aggregates only
+    /// its innermost factor, or by traversing the rows of any other
+    /// matrix-free chain.
     ///
     /// # Errors
     ///
@@ -352,7 +434,10 @@ impl LumpPlan {
     pub fn new(fine: &dyn StochasticOp, partition: &Partition) -> Result<LumpPlan> {
         match fine.csr() {
             Some(m) => LumpPlan::gather(m.rows(), m.indptr(), m.indices(), partition),
-            None => LumpPlan::traverse(fine, partition),
+            None => match LumpPlan::factored(fine, partition) {
+                Some(plan) => Ok(plan),
+                None => LumpPlan::traverse(fine, partition),
+            },
         }
     }
 
@@ -457,6 +542,117 @@ impl LumpPlan {
         ))
     }
 
+    /// The factored plan, when `fine` is a matrix-free Kronecker chain
+    /// and `partition` satisfies `block(o·n_in + i) = o·nb_in + f(i)`
+    /// (checked in O(n)); `None` sends the caller to the traversal plan.
+    /// The coarse pattern is `pattern(A_out) ⊗ (lumped inner pattern)`,
+    /// emitted in ascending order without traversing or sorting it.
+    fn factored(fine: &dyn StochasticOp, partition: &Partition) -> Option<LumpPlan> {
+        fine.row_scale()?;
+        let factors = fine.kron_factors()?;
+        let (a_in, outer) = factors.split_last()?;
+        let (n, n_in) = (fine.rows(), a_in.rows());
+        if partition.n() != n || n_in == 0 || n % n_in != 0 {
+            return None;
+        }
+        let n_out = n / n_in;
+        let labels = partition.labels();
+        let inner = &labels[..n_in];
+        let nb_in = inner.iter().max()? + 1;
+        if partition.block_count() != n_out * nb_in
+            || labels
+                .chunks(n_in)
+                .enumerate()
+                .any(|(o, ls)| ls.iter().zip(inner).any(|(&l, &f)| l != o * nb_in + f))
+        {
+            return None;
+        }
+        // A_in S_in: per inner row, the sorted distinct blocks its
+        // nonzero entries land in; each stored entry records its slot.
+        let mut ains_ptr = vec![0usize];
+        let mut ains_col: Vec<u32> = Vec::new();
+        let mut ain_slot = vec![u32::MAX; a_in.nnz()];
+        let mut row: Vec<u32> = Vec::new();
+        for i in 0..n_in {
+            row.clear();
+            row.extend(
+                a_in.row(i)
+                    .filter(|&(_, v)| v != 0.0)
+                    .map(|(j, _)| inner[j] as u32),
+            );
+            row.sort_unstable();
+            row.dedup();
+            for (k, (j, v)) in (a_in.indptr()[i]..).zip(a_in.row(i)) {
+                if v != 0.0 {
+                    let c = inner[j] as u32;
+                    let pos = row.binary_search(&c).expect("block collected above");
+                    ain_slot[k] = (ains_col.len() + pos) as u32;
+                }
+            }
+            ains_col.extend_from_slice(&row);
+            ains_ptr.push(ains_col.len());
+        }
+        // The lumped inner pattern of each inner block (the union of its
+        // members' A_in S_in rows), and each A_in S_in entry's position
+        // in its block's lumped row.
+        let mut lumped_ptr = vec![0usize];
+        let mut lumped: Vec<u32> = Vec::new();
+        let mut ains_pos = vec![0u32; ains_col.len()];
+        for b in 0..nb_in {
+            row.clear();
+            for &i in partition.block_members(b) {
+                row.extend_from_slice(&ains_col[ains_ptr[i]..ains_ptr[i + 1]]);
+            }
+            row.sort_unstable();
+            row.dedup();
+            for &i in partition.block_members(b) {
+                for t in ains_ptr[i]..ains_ptr[i + 1] {
+                    let pos = row
+                        .binary_search(&ains_col[t])
+                        .expect("block collected above");
+                    ains_pos[t] = pos as u32;
+                }
+            }
+            lumped.extend_from_slice(&row);
+            lumped_ptr.push(lumped.len());
+        }
+        // Coarse row (o, B): one run of lumped(B) per A_out(o,·) entry.
+        let nonzeros = |f: &CsrMatrix| f.data().iter().filter(|&&v| v != 0.0).count();
+        let outer_nnz = outer.iter().map(nonzeros).product::<usize>();
+        let mut c_indptr = Vec::with_capacity(n_out * nb_in + 1);
+        c_indptr.push(0usize);
+        let mut c_indices: Vec<u32> = Vec::with_capacity(outer_nnz * lumped.len());
+        let mut outer_cols: Vec<usize> = Vec::new();
+        for o in 0..n_out {
+            outer_cols.clear();
+            kron_row(outer, o, 0, 1.0, &mut |c, _| outer_cols.push(c));
+            for b in 0..nb_in {
+                let row = &lumped[lumped_ptr[b]..lumped_ptr[b + 1]];
+                for &oc in &outer_cols {
+                    let base = (oc * nb_in) as u32;
+                    c_indices.extend(row.iter().map(|&c| base + c));
+                }
+                c_indptr.push(c_indices.len());
+            }
+        }
+        debug_assert_eq!(c_indices.len(), outer_nnz * lumped.len());
+        Some(LumpPlan::with_pattern(
+            n,
+            outer_nnz.saturating_mul(nonzeros(a_in)),
+            c_indptr,
+            c_indices,
+            Refresh::Factored(Factored {
+                shape: factors.iter().map(|f| (f.rows(), f.nnz())).collect(),
+                n_in,
+                nb_in,
+                ains_ptr,
+                ains_pos,
+                ain_slot,
+                lumped_ptr,
+            }),
+        ))
+    }
+
     /// The traversal plan for a matrix-free chain: the coarse pattern
     /// from one pass over its rows, block by block.
     fn traverse(fine: &dyn StochasticOp, partition: &Partition) -> Result<LumpPlan> {
@@ -558,14 +754,24 @@ impl LumpPlan {
 
     /// Whether this plan can refresh from `fine`: the same state count,
     /// and a refresh that fits the chain's storage — a gather plan needs
-    /// a materialized chain with the planned entry count, a traversal
-    /// plan a matrix-free chain. Values never matter; a matrix-free
-    /// chain's pattern cannot be cross-checked cheaply, so callers keep
-    /// it fixed across reuse.
+    /// a materialized chain with the planned entry count, a factored plan
+    /// a matrix-free chain with factors of the planned dimensions and
+    /// entry counts, a traversal plan any matrix-free chain. Values never
+    /// matter; a matrix-free chain's pattern cannot be cross-checked
+    /// cheaply, so callers keep it fixed across reuse.
     pub fn matches(&self, fine: &dyn StochasticOp) -> bool {
         self.fine_n == fine.rows()
             && match (&self.refresh, fine.csr()) {
                 (Refresh::Gather { .. }, Some(m)) => m.nnz() == self.fine_nnz,
+                (Refresh::Factored(f), None) => {
+                    fine.row_scale().is_some()
+                        && fine.kron_factors().is_some_and(|fs| {
+                            fs.len() == f.shape.len()
+                                && fs.iter().zip(&f.shape).all(|(a, &(n, nnz))| {
+                                    a.rows() == n && a.cols() == n && a.nnz() == nnz
+                                })
+                        })
+                }
                 (Refresh::Traverse { .. }, None) => true,
                 _ => false,
             }
@@ -611,28 +817,50 @@ impl LumpPlan {
 pub struct LumpWorkspace {
     block_weight: Vec<f64>,
     wscale: Vec<f64>,
-    /// Per-worker sort buffers for the traversal refresh of a matrix-free
-    /// chain; empty for gather plans. Each slot is preallocated to the
-    /// plan's largest coarse row, so the refresh never grows them.
-    row_scratch: Vec<Vec<(u32, f64)>>,
+    scratch: RowScratch,
+}
+
+/// The per-worker buffers a plan's refresh arm needs, each preallocated
+/// to the plan's largest row so the refresh never grows them.
+#[derive(Debug, Clone)]
+enum RowScratch {
+    /// A gather refresh needs none.
+    None,
+    /// Sort buffers for the traversal refresh.
+    Traverse(Vec<Vec<(u32, f64)>>),
+    /// The factored refresh: the folded `A_in S_in` values, and one
+    /// lumped-inner-row accumulator per worker.
+    Factored { ains: Vec<f64>, rows: Vec<Vec<f64>> },
 }
 
 impl LumpWorkspace {
-    /// Allocates buffers sized for `plan`, including one sort buffer per
-    /// worker thread when the plan refreshes by traversal.
+    /// Allocates buffers sized for `plan`, including one row buffer per
+    /// worker thread when the plan refreshes by traversal or by factors.
     pub fn for_plan(plan: &LumpPlan) -> Self {
-        let row_scratch = match plan.refresh {
+        let workers = par::threads().max(1);
+        let scratch = match &plan.refresh {
+            Refresh::Gather { .. } => RowScratch::None,
             Refresh::Traverse {
                 max_row_entries, ..
-            } => (0..par::threads().max(1))
-                .map(|_| Vec::with_capacity(max_row_entries))
-                .collect(),
-            Refresh::Gather { .. } => Vec::new(),
+            } => RowScratch::Traverse(
+                (0..workers)
+                    .map(|_| Vec::with_capacity(*max_row_entries))
+                    .collect(),
+            ),
+            Refresh::Factored(f) => {
+                let longest = f.lumped_ptr.windows(2).map(|w| w[1] - w[0]).max();
+                RowScratch::Factored {
+                    ains: Vec::with_capacity(f.ains_pos.len()),
+                    rows: (0..workers)
+                        .map(|_| Vec::with_capacity(longest.unwrap_or(0)))
+                        .collect(),
+                }
+            }
         };
         LumpWorkspace {
             block_weight: vec![0.0; plan.nb],
             wscale: vec![0.0; plan.fine_n],
-            row_scratch,
+            scratch,
         }
     }
 
@@ -694,24 +922,29 @@ fn refresh_shares(partition: &Partition, w: &[f64], ws: &mut LumpWorkspace) {
 /// with **zero heap allocations**.
 ///
 /// A materialized fine chain refreshes by the plan's slot gather over its
-/// stored values, nnz-balanced across workers. A matrix-free one rebuilds
-/// each coarse row by re-traversing its member rows (ascending members,
-/// entries in column order), pushing `(coarse column, wscale_i · value)`
-/// pairs into a preallocated per-worker buffer, sorting with the same
-/// unstable key sort the from-scratch COO assembly runs, and summing
-/// runs in place; its chunks are group-aligned per coarse row. Either
-/// way the summation order is the from-scratch one, so the result is
-/// bit-identical to [`lump_weighted`] for strictly positive weights (see
-/// [`LumpPlan`] for the zero-weight caveat) and, per the determinism
-/// contract, the same bits at any thread count.
+/// stored values, nnz-balanced across workers. A factored plan folds the
+/// inner factor into `A_in S_in` (`O(nnz(A_in))`), then writes each
+/// coarse row `(o, B)` as the runs `A_out(o, o') · v_{o,B}` of its lumped
+/// inner row, accumulated over the block's members in ascending order in
+/// a per-worker buffer. Any other matrix-free chain rebuilds each coarse
+/// row by re-traversing its member rows (ascending members, entries in
+/// column order), pushing `(coarse column, wscale_i · value)` pairs into
+/// a preallocated per-worker buffer, sorting with the same unstable key
+/// sort the from-scratch COO assembly runs, and summing runs in place.
+/// The gather and traversal arms sum in the from-scratch order, so they
+/// are bit-identical to [`lump_weighted`] for strictly positive weights
+/// (see [`LumpPlan`] for the zero-weight caveat); the factored arm sums
+/// in factored order and agrees with them to rounding. Every arm writes
+/// each coarse row on one worker, so each gives the same bits at any
+/// thread count.
 ///
 /// # Errors
 ///
 /// Returns [`MarkovError::InvalidArgument`] for the same malformed-weight
 /// conditions as [`lump_weighted`], if the plan does not
 /// [match](LumpPlan::matches) `fine` or the partition, if `out` does not
-/// have the plan's coarse pattern, or if a traversal refresh gets a
-/// workspace without per-worker scratch.
+/// have the plan's coarse pattern, or if the workspace was not built for
+/// the plan's refresh arm.
 pub fn lump_weighted_into(
     fine: &dyn StochasticOp,
     partition: &Partition,
@@ -732,21 +965,26 @@ pub fn lump_weighted_into(
             "output matrix does not match the plan's coarse pattern".into(),
         ));
     }
-    if matches!(plan.refresh, Refresh::Traverse { .. }) && ws.row_scratch.is_empty() {
+    let fits = match (&plan.refresh, &ws.scratch) {
+        (Refresh::Gather { .. }, _) => true,
+        (Refresh::Traverse { .. }, RowScratch::Traverse(bufs)) => !bufs.is_empty(),
+        (Refresh::Factored(_), RowScratch::Factored { rows, .. }) => !rows.is_empty(),
+        _ => false,
+    };
+    if !fits {
         return Err(MarkovError::InvalidArgument(
-            "workspace lacks row scratch; build it with LumpWorkspace::for_plan".into(),
+            "workspace lacks this plan's row scratch; build it with LumpWorkspace::for_plan".into(),
         ));
     }
     debug_assert_eq!(ws.block_weight.len(), plan.nb);
     debug_assert_eq!(ws.wscale.len(), n);
     refresh_shares(partition, w, ws);
-    // Phase 3: each coarse value is the sum of its fine entries in the
-    // recorded from-scratch order; every slot is summed wholly by one
-    // worker inside a fixed block.
+    // Phase 3: every coarse value is computed wholly by one worker in a
+    // fixed order.
     let (pm, ptm) = out.parts_mut();
     let data = pm.data_mut();
     let wscale = &ws.wscale;
-    match (&plan.refresh, fine.csr()) {
+    match (&plan.refresh, fine.csr(), &mut ws.scratch) {
         (
             Refresh::Gather {
                 ptr,
@@ -755,6 +993,7 @@ pub fn lump_weighted_into(
                 part,
             },
             Some(m),
+            _,
         ) => {
             let vals = m.data();
             par::for_each_partition_mut(data, part, |start, chunk| {
@@ -768,12 +1007,61 @@ pub fn lump_weighted_into(
                 }
             });
         }
-        (Refresh::Traverse { row_cost, .. }, None) => {
+        (Refresh::Factored(f), None, RowScratch::Factored { ains, rows }) => {
+            let (Some(factors), Some(scale)) = (fine.kron_factors(), fine.row_scale()) else {
+                unreachable!("LumpPlan::matches checked the factors and the row scale")
+            };
+            let (a_in, outer) = factors.split_last().expect("matched factors are non-empty");
+            ains.clear();
+            ains.resize(f.ains_pos.len(), 0.0);
+            for (&slot, &v) in f.ain_slot.iter().zip(a_in.data()) {
+                if let Some(a) = ains.get_mut(slot as usize) {
+                    *a += v;
+                }
+            }
+            let ains = &*ains;
+            par::for_each_grouped_chunk_mut(
+                data,
+                &plan.indptr,
+                &plan.indptr,
+                rows,
+                |range, chunk, acc| {
+                    let base = plan.indptr[range.start];
+                    for b in range {
+                        let (o, bi) = (b / f.nb_in, b % f.nb_in);
+                        let len = f.lumped_ptr[bi + 1] - f.lumped_ptr[bi];
+                        if len == 0 {
+                            continue;
+                        }
+                        acc.clear();
+                        acc.resize(len, 0.0);
+                        for &s in partition.block_members(b) {
+                            let c = wscale[s] * scale[s];
+                            let i = s - o * f.n_in;
+                            for t in f.ains_ptr[i]..f.ains_ptr[i + 1] {
+                                acc[f.ains_pos[t] as usize] += c * ains[t];
+                            }
+                        }
+                        let row_out = &mut chunk[plan.indptr[b] - base..plan.indptr[b + 1] - base];
+                        let mut runs = row_out.chunks_exact_mut(len);
+                        kron_row(outer, o, 0, 1.0, &mut |_, a| {
+                            if let Some(run) = runs.next() {
+                                for (d, &v) in run.iter_mut().zip(acc.iter()) {
+                                    *d = a * v;
+                                }
+                            }
+                        });
+                        debug_assert!(runs.next().is_none(), "coarse row {b} out of sync");
+                    }
+                },
+            );
+        }
+        (Refresh::Traverse { row_cost, .. }, None, RowScratch::Traverse(bufs)) => {
             par::for_each_grouped_chunk_mut(
                 data,
                 &plan.indptr,
                 row_cost,
-                &mut ws.row_scratch,
+                bufs,
                 |rows, chunk, scratch| {
                     let base = plan.indptr[rows.start];
                     for b in rows {
@@ -801,7 +1089,7 @@ pub fn lump_weighted_into(
                 },
             );
         }
-        _ => unreachable!("LumpPlan::matches pairs each refresh with its storage"),
+        _ => unreachable!("LumpPlan::matches and the scratch check pair each refresh arm"),
     }
     renorm_and_refresh_transpose(plan, pm, ptm);
     Ok(())
@@ -956,6 +1244,7 @@ pub fn aggregate(partition: &Partition, x: &[f64]) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::implicit::{max_rel_gap, KronTestOp};
     use crate::stationary::{GthSolver, StationarySolver};
     use crate::ImplicitStochastic;
     use stochcdr_linalg::vecops;
@@ -1244,6 +1533,108 @@ mod tests {
                 "transpose values diverge at {t} threads"
             );
         }
+    }
+
+    /// Pairwise aggregation of the innermost of the lanes `dims`: an odd
+    /// inner dimension leaves a singleton block.
+    fn inner_pairs(dims: &[usize]) -> Partition {
+        let n_in = *dims.last().unwrap();
+        let nb_in = n_in.div_ceil(2);
+        let n: usize = dims.iter().product();
+        Partition::from_labels(
+            (0..n)
+                .map(|s| (s / n_in) * nb_in + (s % n_in) / 2)
+                .collect(),
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn factored_refresh_matches_the_traversal_refresh() {
+        let _g = THREADS_LOCK.lock().unwrap();
+        // Two lanes with odd and even inner dimensions, three lanes (two
+        // outer factors) and one lane (no outer factor).
+        for (k, dims) in [vec![5usize, 7], vec![6, 8], vec![3, 4, 5], vec![9]]
+            .into_iter()
+            .enumerate()
+        {
+            let factors = dims
+                .iter()
+                .enumerate()
+                .map(|(l, &d)| random_chain(d, 10 * k as u64 + l as u64).matrix().clone())
+                .collect();
+            let op = KronTestOp::new(factors);
+            let imp = ImplicitStochastic::with_tolerance(&op, &op, 1e-6).unwrap();
+            let part = inner_pairs(&dims);
+            let n = part.n();
+            let fplan = LumpPlan::new(&imp, &part).unwrap();
+            assert!(matches!(fplan.refresh, Refresh::Factored(_)), "{dims:?}");
+            let tplan = LumpPlan::traverse(&imp, &part).unwrap();
+            assert_eq!(fplan.pattern(), tplan.pattern(), "{dims:?}");
+            assert_eq!(fplan.fine_nnz(), tplan.fine_nnz(), "{dims:?}");
+            let mut tws = LumpWorkspace::for_plan(&tplan);
+            let positive: Vec<f64> = (0..n).map(|i| 0.05 + (i as f64 * 0.61).fract()).collect();
+            // No weight on block 1: its shares fall back to uniform.
+            let mut zero_block = positive.clone();
+            for &s in part.block_members(1) {
+                zero_block[s] = 0.0;
+            }
+            for w in [&positive, &zero_block] {
+                let want = lump_with_plan(&imp, &part, w, &tplan, &mut tws).unwrap();
+                let mut runs = Vec::new();
+                for t in [1usize, 4] {
+                    par::set_threads(Some(t));
+                    let mut fws = LumpWorkspace::for_plan(&fplan);
+                    runs.push(lump_with_plan(&imp, &part, w, &fplan, &mut fws).unwrap());
+                    par::set_threads(None);
+                }
+                for got in &runs {
+                    let (g, e) = (got.matrix().data(), want.matrix().data());
+                    assert!(max_rel_gap(g, e) <= 1e-13, "{dims:?}: values");
+                    let (g, e) = (got.transposed().data(), want.transposed().data());
+                    assert!(max_rel_gap(g, e) <= 1e-13, "{dims:?}: transpose");
+                }
+                let (a, b) = (runs[0].matrix().data(), runs[1].matrix().data());
+                assert!(
+                    a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits()),
+                    "{dims:?}: 1 and 4 workers diverge"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn partitions_touching_an_outer_lane_refresh_by_traversal() {
+        let op = KronTestOp::new(vec![
+            random_chain(4, 1).matrix().clone(),
+            random_chain(6, 2).matrix().clone(),
+        ]);
+        let imp = ImplicitStochastic::with_tolerance(&op, &op, 1e-6).unwrap();
+        // Quads along the flat index straddle outer rows (4 does not
+        // divide 6): states 4 and 6 share a block but not an outer digit.
+        let quads = Partition::from_labels((0..24).map(|s| s / 4).collect()).unwrap();
+        let plan = LumpPlan::new(&imp, &quads).unwrap();
+        assert!(matches!(plan.refresh, Refresh::Traverse { .. }));
+        // The inner-only pairs go factored, and a materialized chain
+        // gathers whatever its storage.
+        let pairs = Partition::from_labels((0..24).map(|s| s / 2).collect()).unwrap();
+        assert!(matches!(
+            LumpPlan::new(&imp, &pairs).unwrap().refresh,
+            Refresh::Factored(_)
+        ));
+        let mat = StochasticMatrix::with_tolerance(op.product().clone(), 1e-6).unwrap();
+        assert!(matches!(
+            LumpPlan::new(&mat, &pairs).unwrap().refresh,
+            Refresh::Gather { .. }
+        ));
+        // A factored plan refuses a chain of other factor shapes.
+        let plan = LumpPlan::new(&imp, &pairs).unwrap();
+        let other = KronTestOp::new(vec![
+            random_chain(6, 3).matrix().clone(),
+            random_chain(4, 4).matrix().clone(),
+        ]);
+        let other = ImplicitStochastic::with_tolerance(&other, &other, 1e-6).unwrap();
+        assert!(plan.matches(&imp) && !plan.matches(&other) && !plan.matches(&mat));
     }
 
     #[test]

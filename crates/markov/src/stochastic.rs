@@ -254,6 +254,15 @@ pub trait StochasticOp: TransitionOp + sealed::Sealed {
     /// fill) choose their path from this once, never per entry.
     fn csr(&self) -> Option<&CsrMatrix>;
 
+    /// For a matrix-free chain over a raw operator, the per-row
+    /// renormalization `scale` with `P(r, ·) = scale[r] · raw(r, ·)`;
+    /// the raw operator's structure is what
+    /// [`TransitionOp::kron_factors`] reports. `None` for a materialized
+    /// chain, whose stored values are already scaled.
+    fn row_scale(&self) -> Option<&[f64]> {
+        None
+    }
+
     /// Residual `|| x P - x ||_1` of a candidate stationary vector;
     /// `scratch` receives `x P`. Allocation-free.
     ///

@@ -20,8 +20,9 @@
 //! performs **zero heap allocations** (with instrumentation disabled and a
 //! single worker thread; at higher thread counts the persistent pool's
 //! workers are spawned once, ahead of the first cycle, and parked between
-//! dispatches). Values produced are bit-identical to the from-scratch
-//! path at every thread count.
+//! dispatches). Values produced are the same bits at every thread
+//! count, and bit-identical to the from-scratch path on a materialized
+//! fine chain.
 //!
 //! **Invalidation rules**: a hierarchy is valid for exactly one (fine
 //! pattern, partition sequence) pair. Changing transition *values* never

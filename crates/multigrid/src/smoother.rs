@@ -6,7 +6,7 @@
 //! `RowPartition` blocking and the persistent `linalg::par` worker pool on
 //! levels large enough to clear the parallel nnz gate, and coarse levels
 //! stay serial by the same gate; a matrix-free fine level runs its
-//! operator's gather kernel.
+//! wrapped operator's own product (mode by mode for a Kronecker one).
 
 use stochcdr_markov::stationary::{GaussSeidelSolver, JacobiSolver};
 use stochcdr_markov::{StochasticMatrix, StochasticOp};
@@ -55,8 +55,8 @@ impl Smoother {
     /// chain, with caller-owned scratch: `diag` receives the chain's main
     /// diagonal (Jacobi only) and `scratch` is a work vector, both of
     /// length `fine.rows()`. Same bits as `apply` on a materialized
-    /// chain, and on a matrix-free chain the same bits as on its
-    /// materialized twin; the cycle loop hoists both buffers into the
+    /// chain, and on a matrix-free chain the materialized twin's result
+    /// to rounding; the cycle loop hoists both buffers into the
     /// hierarchy.
     ///
     /// # Panics
@@ -150,10 +150,12 @@ mod tests {
     }
 
     #[test]
-    fn apply_op_ws_matches_apply_ws_bitwise() {
+    fn apply_ws_on_an_implicit_chain_matches_the_materialized_chain() {
         // The implicit chain wraps the same raw CSR the materialized chain
         // validated; Jacobi, the one smoother a matrix-free chain admits,
-        // must produce identical bits on both.
+        // sees the same diagonal bits and products equal to rounding (the
+        // implicit chain scales the vector instead of the stored values),
+        // so five sweeps agree entrywise to 1e-14 relative.
         let n = 16;
         let mut coo = CooMatrix::new(n, n);
         for i in 0..n {
@@ -174,7 +176,9 @@ mod tests {
         s.apply_ws(&p, &mut a, 5, &mut da, &mut sa);
         s.apply_ws(&imp, &mut b, 5, &mut db, &mut sb);
         assert_eq!(da, db, "diagonals diverge");
-        assert_eq!(a, b);
+        for (x, y) in a.iter().zip(&b) {
+            assert!((x - y).abs() <= 1e-14 * x.abs(), "{x} vs {y}");
+        }
     }
 
     #[test]

@@ -2,11 +2,11 @@
 //!
 //! Threading: the grid-transfer kernel (`lump_weighted_into`) fans out
 //! over the `LumpPlan`'s precomputed blocking — gather weights on a
-//! materialized level, coarse-row traversal costs on a matrix-free fine
-//! grid — and every smoothing/residual product rides the chain's own
-//! partition — all on the persistent `linalg::par` pool, with block
-//! fences that are a pure function of the operator, never of the thread
-//! count.
+//! materialized level, coarse-row costs on a matrix-free fine grid
+//! (factored or traversed) — and every smoothing/residual product rides
+//! the chain's own partition — all on the persistent `linalg::par` pool,
+//! with block fences that are a pure function of the operator, never of
+//! the thread count.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -463,8 +463,8 @@ impl MultigridSolver {
     }
 
     /// The cycle loop shared by every fine chain: a matrix-free chain runs
-    /// the same control flow as its materialized twin, so the two produce
-    /// the same bits.
+    /// the same control flow as its materialized twin, on products and
+    /// refreshes equal to rounding.
     fn solve_loop(
         &self,
         fine: &dyn StochasticOp,
@@ -1066,13 +1066,15 @@ mod tests {
     }
 
     #[test]
-    fn implicit_path_is_bitwise_the_materialized_solve() {
-        // A raw CSR plays the role of the never-materialized operator: the
-        // ImplicitStochastic wrapper serves exactly the values the
-        // validated StochasticMatrix stores, so every cycle — fine
-        // smoothing, operator-plan lumping, coarse levels, residuals —
-        // must reproduce the materialized solve bit for bit.
-        let raw = ncd_chain(4, 8, 1e-7).matrix().clone();
+    fn implicit_path_matches_the_materialized_solve() {
+        // A raw CSR whose rows sum to 1 + 3e-7 plays the never-materialized
+        // operator: the implicit chain scales vectors where the validated
+        // StochasticMatrix stores scaled values, and the operator-plan
+        // lumping folds in traversal order, so the two solves run the same
+        // cycles on values equal to rounding — the same cycle count and
+        // hierarchy, and distributions within 1e-13 in L1.
+        let ncd = ncd_chain(4, 8, 1e-7);
+        let raw = ncd.matrix().scale_rows(&vec![1.0 + 3e-7; ncd.n()]);
         let mat = StochasticMatrix::with_tolerance(raw.clone(), 1e-6).unwrap();
         let rawt = raw.transpose();
         let imp = ImplicitStochastic::with_tolerance(&raw, &rawt, 1e-6).unwrap();
@@ -1084,14 +1086,9 @@ mod tests {
         let (rm, sm) = solver.solve_with_stats(&mat, None).unwrap();
         let (ri, si) = solver.solve_with_stats(&imp, None).unwrap();
         assert_eq!(rm.iterations(), ri.iterations());
-        assert_eq!(rm.residual().to_bits(), ri.residual().to_bits());
-        let same = rm
-            .distribution
-            .iter()
-            .zip(&ri.distribution)
-            .all(|(a, b)| a.to_bits() == b.to_bits());
-        assert!(same, "distributions diverge");
-        assert_eq!(sm.residual_history, si.residual_history);
+        assert!(rm.residual() <= 1e-12 && ri.residual() <= 1e-12);
+        let gap = vecops::dist1(&rm.distribution, &ri.distribution);
+        assert!(gap <= 1e-13, "distributions differ by {gap:e} in L1");
         assert_eq!(sm.level_sizes, si.level_sizes);
     }
 
@@ -1153,7 +1150,9 @@ mod tests {
         assert!(p.stationary_residual(&r.distribution) < 1e-12);
         assert_eq!(r.iterations(), 1);
         // A matrix-free chain solves directly too, filling the dense
-        // elimination by row traversal: its materialized twin's bits.
+        // elimination by row traversal: its materialized twin's values,
+        // hence its bits. The residual runs through the scaled product
+        // instead of the stored values, so it agrees to 1e-15.
         let raw = p.matrix().clone();
         let rawt = raw.transpose();
         let mat = StochasticMatrix::with_tolerance(raw.clone(), 1e-6).unwrap();
@@ -1161,7 +1160,7 @@ mod tests {
         let (rm, _) = solver.solve_with_stats(&mat, None).unwrap();
         let (ri, _) = solver.solve_with_stats(&imp, None).unwrap();
         assert_eq!(ri.distribution, rm.distribution);
-        assert_eq!(ri.residual().to_bits(), rm.residual().to_bits());
+        assert!((ri.residual() - rm.residual()).abs() <= 1e-15);
     }
 
     #[test]
