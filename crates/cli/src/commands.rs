@@ -444,7 +444,7 @@ fn scale(opts: &Options) -> Result<String, CliError> {
     let _ = writeln!(out, "joint states        : {}", product.state_count());
     let _ = writeln!(
         out,
-        "stored transitions  : {} (factored; materialized would be {:.3e} = {})",
+        "stored transitions  : {} (factored; materialized would be {:.3e}, peaking at {})",
         product.compact_nnz(),
         product.materialized_nnz() as f64,
         fmt_bytes(product.materialize_cost_bytes()),

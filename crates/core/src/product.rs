@@ -7,11 +7,14 @@
 //! not adds). Product-form front-ends (multi-lane collaborative CDR,
 //! auxiliary frequency loops) compose per-lane chains with a Kronecker
 //! product, and [`ProductChain`] keeps that product *implicit*: the fine
-//! grid lives as a [`KroneckerOp`] holding only the per-lane CSRs, the
-//! multigrid solver smooths through mode-by-mode factor products and
-//! refreshes the first coarse level by sum factorization over the
-//! factors (the first partition aggregates only the innermost lane), and
-//! only the (small) coarse levels are ever materialized.
+//! grid lives as a [`KroneckerOp`] holding only the per-lane CSRs, and
+//! the multigrid solver smooths through mode-by-mode factor products and
+//! refreshes every coarse level by sum factorization over the factors.
+//! The partitions halve the inner lanes' phase bins, so each coarse level
+//! stays in factor form too — the outer lanes times one small inner
+//! block per outer state ([`FactoredChain`](stochcdr_markov::FactoredChain)),
+//! applied by the same mode products; a level is materialized only once
+//! the partitions have aggregated every outer lane.
 //!
 //! # Path selection
 //!
@@ -47,16 +50,6 @@ const PRODUCT_TOL: f64 = 1e-6;
 /// Coarsest-level state cap — matches the multigrid builder's default
 /// direct-solve cap.
 const COARSE_CAP: usize = 4096;
-
-/// Target size for the first (implicit-level) aggregation. The level-1
-/// coarse chain is the largest *materialized* object in an implicit
-/// solve, and its nnz scales with its state count; collapsing the fine
-/// grid to ~10^5 states in one composed partition keeps the whole
-/// hierarchy (coarse CSRs + gather plans) well under the budgets that
-/// forced the implicit path in the first place. Aggressive first-step
-/// aggregation trades some per-cycle contraction for memory — the
-/// weighted (iterate-adaptive) lumping keeps the cycle convergent.
-const FIRST_LEVEL_TARGET: usize = 1 << 17;
 
 /// A product-form chain: the Kronecker product of per-lane CDR chains.
 ///
@@ -180,34 +173,27 @@ impl ProductChain {
         self.op.materialize_cost_bytes()
     }
 
-    /// The multigrid coarsening hierarchy for this product space.
+    /// The multigrid coarsening hierarchy for this product space: plain
+    /// geometric coarsening, one halving of one lane per level,
+    /// innermost lane first, down to 2 states per lane until the coarsest
+    /// product is at or under the direct-solve cap. Every level halves
+    /// phase bins as the paper's coarsening does, and while the halvings
+    /// stay in the inner lanes the coarse levels stay in factor form.
     ///
-    /// Above `FIRST_LEVEL_TARGET` (2¹⁷) joint states, the first partition is
-    /// a *composed* geometric coarsening (several halvings of the
-    /// innermost lanes folded into one aggregation step) so the level-1
-    /// coarse chain — the largest materialized object of an implicit
-    /// solve — lands near the target size instead of at half the fine
-    /// grid. Below the target, plain one-halving-per-level geometric
-    /// coarsening is used. Either way the coarsest level ends at or
-    /// under the direct-solve cap.
+    /// One halving per level is a measured choice: a composed first
+    /// partition (several halvings in one) kept a materialized first
+    /// coarse level small, but with factored coarse levels it only cost
+    /// cycles — 36 against 24 on the scaling table's 574,564- and
+    /// 1,612,900-state rows, and more time on both (DESIGN.md §13). At
+    /// least one level is always built, so even a product under the cap
+    /// cycles instead of running one dense elimination of the whole
+    /// joint chain.
     pub fn hierarchy(&self) -> Vec<Partition> {
         let dims: Vec<usize> = self.lanes.iter().map(CdrChain::state_count).collect();
-        let mut parts = Vec::new();
-        let mut cur = dims;
-        if let Some((first, coarse_dims)) = composed_first_partition(&cur) {
-            parts.push(first);
-            cur = coarse_dims;
-        }
-        // Halve lane dimensions innermost-first down to 2 until the
-        // coarsest product is under the cap; guarantee at least one
-        // level, so even a product under the cap cycles instead of
-        // running one dense elimination of the whole joint chain.
         let mut schedule = Vec::new();
-        let mut sim = cur.clone();
+        let mut sim = dims.clone();
         for c in (0..sim.len()).rev() {
-            if sim.iter().product::<usize>() <= COARSE_CAP
-                && !(parts.is_empty() && schedule.is_empty())
-            {
+            if sim.iter().product::<usize>() <= COARSE_CAP && !schedule.is_empty() {
                 break;
             }
             if sim[c] > 2 {
@@ -215,17 +201,17 @@ impl ProductChain {
                 sim[c] = 2;
             }
         }
-        if parts.is_empty() && schedule.is_empty() {
+        if schedule.is_empty() {
             // Tiny product, nothing above 2 to halve further except one
             // last cut; halve the innermost non-trivial lane once.
-            if let Some(c) = (0..cur.len()).rev().find(|&c| cur[c] > 1) {
-                schedule.push((c, cur[c].div_ceil(2)));
+            if let Some(c) = (0..dims.len()).rev().find(|&c| dims[c] > 1) {
+                schedule.push((c, dims[c].div_ceil(2)));
             }
         }
-        if !schedule.is_empty() {
-            parts.extend(GeometricCoarsening::with_schedule(cur, schedule).levels());
+        if schedule.is_empty() {
+            return Vec::new();
         }
-        parts
+        GeometricCoarsening::with_schedule(dims, schedule).levels()
     }
 
     /// The project-standard solver for product chains: fixed V-cycles
@@ -240,13 +226,13 @@ impl ProductChain {
     ///
     /// V rather than a deeper cycle is a measured choice: on the deep
     /// (~14-level) hierarchies these product chains build, a (truncated)
-    /// W-cycle costs ~2.2+ V-equivalents, because the first lumped level
-    /// is as expensive to visit as the implicit fine grid itself. With
-    /// the Krylov window armed the deeper cycles no longer buy
-    /// convergence — on the 574k-state two-lane chain at tol 1e-8, plain
-    /// V and a schedule escalating to W both converge in 34–37 cycles,
-    /// so plain V wins outright: 36.2 cycle-equivalents and 115 s vs
-    /// 75.5 / 180 s.
+    /// W-cycle cost ~2.2+ V-equivalents when it was measured, because the
+    /// first lumped level, then materialized, was as expensive to visit
+    /// as the implicit fine grid itself. With the Krylov window armed the
+    /// deeper cycles no longer buy convergence — on the 574k-state
+    /// two-lane chain at tol 1e-8, plain V and a schedule escalating to
+    /// W both converge in 34–37 cycles, so plain V wins outright: 36.2
+    /// cycle-equivalents and 115 s vs 75.5 / 180 s.
     ///
     /// # Panics
     ///
@@ -279,7 +265,8 @@ impl ProductChain {
     /// Solves for the stationary distribution without ever materializing
     /// the joint TPM: the fine grid stays a [`KroneckerOp`] wrapped in an
     /// [`ImplicitStochastic`] view (validated lane by lane, applied mode
-    /// by mode), and only coarse levels exist as CSR.
+    /// by mode), and the coarse levels stay in factor form while outer
+    /// lanes remain.
     ///
     /// # Errors
     ///
@@ -373,61 +360,14 @@ impl ProductChain {
     }
 }
 
-/// Row-major strides for dimensions `dims` (first component slowest),
-/// matching [`KroneckerOp`]'s joint-index packing.
-fn row_major_strides(dims: &[usize]) -> Vec<usize> {
-    let mut strides = vec![1usize; dims.len()];
-    for c in (0..dims.len().saturating_sub(1)).rev() {
-        strides[c] = strides[c + 1] * dims[c + 1];
-    }
-    strides
-}
-
-/// Builds the composed first partition when the product is large:
-/// repeatedly halves lane dimensions innermost-first (each lane down to
-/// 8, exactly the per-level maps `v → v/2` of [`GeometricCoarsening`]
-/// composed together, i.e. `v → v >> k`) until the simulated coarse
-/// product is at or under [`FIRST_LEVEL_TARGET`]. Returns the partition
-/// over the fine grid plus the coarse dimensions, or `None` when the
-/// product is already small enough for plain halving.
-fn composed_first_partition(dims: &[usize]) -> Option<(Partition, Vec<usize>)> {
-    let total: usize = dims.iter().product();
-    if total <= FIRST_LEVEL_TARGET {
-        return None;
-    }
-    let mut halvings = vec![0u32; dims.len()];
-    let mut coarse = dims.to_vec();
-    'halve: for c in (0..dims.len()).rev() {
-        while coarse[c] > 8 {
-            coarse[c] = coarse[c].div_ceil(2);
-            halvings[c] += 1;
-            if coarse.iter().product::<usize>() <= FIRST_LEVEL_TARGET {
-                break 'halve;
-            }
-        }
-    }
-    let fine_strides = row_major_strides(dims);
-    let coarse_strides = row_major_strides(&coarse);
-    let mut labels = vec![0usize; total];
-    for (flat, label) in labels.iter_mut().enumerate() {
-        let mut l = 0usize;
-        for c in 0..dims.len() {
-            let v = (flat / fine_strides[c]) % dims[c];
-            l += (v >> halvings[c]) * coarse_strides[c];
-        }
-        *label = l;
-    }
-    let part = Partition::from_labels(labels).expect("composed labels are contiguous");
-    Some((part, coarse))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::data_model::DataModel;
-    use stochcdr_linalg::{vecops, TransitionOp};
-    use stochcdr_markov::lumping::{lump_with_plan, LumpPlan, LumpWorkspace};
+    use stochcdr_linalg::{vecops, CsrMatrix, TransitionOp};
+    use stochcdr_markov::lumping::{lump_factored_into, lump_with_plan, LumpPlan, LumpWorkspace};
     use stochcdr_markov::stationary::GthSolver;
+    use stochcdr_markov::{FactoredChain, StochasticOp};
 
     fn lane_config() -> CdrConfig {
         CdrConfig::builder()
@@ -581,14 +521,109 @@ mod tests {
         }
     }
 
+    /// Positive pseudo-random weights for level `k` of a hierarchy.
+    fn level_weights(n: usize, k: usize) -> Vec<f64> {
+        (0..n)
+            .map(|i| 0.05 + (i as f64 * 0.61 + k as f64 * 0.17).fract())
+            .collect()
+    }
+
+    /// Lumps `fine` level by level through `plans`, level `k` under
+    /// [`level_weights`], into whichever chain each plan refreshes.
+    fn lump_levels(
+        fine: &dyn StochasticOp,
+        parts: &[Partition],
+        plans: &[LumpPlan],
+    ) -> Vec<Box<dyn StochasticOp>> {
+        let mut levels: Vec<Box<dyn StochasticOp>> = Vec::new();
+        for (k, (part, plan)) in parts.iter().zip(plans).enumerate() {
+            let next: Box<dyn StochasticOp> = {
+                let level = levels.last().map_or(fine, |l| l.as_ref());
+                let w = level_weights(part.n(), k);
+                let mut ws = LumpWorkspace::for_plan(plan);
+                match FactoredChain::for_plan(plan) {
+                    Some(mut f) => {
+                        lump_factored_into(level, part, &w, plan, &mut ws, &mut f).unwrap();
+                        Box::new(f)
+                    }
+                    None => Box::new(lump_with_plan(level, part, &w, plan, &mut ws).unwrap()),
+                }
+            };
+            levels.push(next);
+        }
+        levels
+    }
+
+    /// Largest relative gap between the rows of `got` and the stored
+    /// rows of `want`, whose patterns must agree.
+    fn worst_row_gap(got: &dyn StochasticOp, want: &CsrMatrix) -> f64 {
+        let mut worst = 0.0f64;
+        for r in 0..want.rows() {
+            let mut k = want.indptr()[r];
+            got.for_each_in_row(r, &mut |c, v| {
+                assert_eq!(c, want.indices()[k] as usize, "row {r}");
+                let w = want.data()[k];
+                worst = worst.max((v - w).abs() / w.abs());
+                k += 1;
+            });
+            assert_eq!(k, want.indptr()[r + 1], "row {r} length");
+        }
+        worst
+    }
+
+    /// FNV-1a over every row entry's column and value bits.
+    fn row_bits(op: &dyn StochasticOp) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for r in 0..op.rows() {
+            op.for_each_in_row(r, &mut |c, v| {
+                for x in [c as u64, v.to_bits()] {
+                    h = (h ^ x).wrapping_mul(0x0100_0000_01b3);
+                }
+            });
+        }
+        h
+    }
+
+    /// Checks every factored level of the implicit chain over `op` under
+    /// `parts` against the traversal-then-gather hierarchy over the same
+    /// product with its structure hidden: the same rows within 1e-13
+    /// relative under the same weights, and the same bits at 1 and 4
+    /// workers. Returns the factored and the oracle plans.
+    fn check_levels_against_the_oracle(
+        op: &KroneckerOp,
+        parts: &[Partition],
+    ) -> (Vec<LumpPlan>, Vec<LumpPlan>) {
+        let opaque = Opaque(op);
+        let factored = ImplicitStochastic::with_tolerance(op, op, PRODUCT_TOL).unwrap();
+        let walked = ImplicitStochastic::with_tolerance(&opaque, &opaque, PRODUCT_TOL).unwrap();
+        let fplans = LumpPlan::build_stack(&factored, parts).unwrap();
+        let tplans = LumpPlan::build_stack(&walked, parts).unwrap();
+        let want = lump_levels(&walked, parts, &tplans);
+        let mut hashes = Vec::new();
+        for threads in [1usize, 4] {
+            stochcdr_linalg::par::set_threads(Some(threads));
+            let got = lump_levels(&factored, parts, &fplans);
+            stochcdr_linalg::par::set_threads(None);
+            for (k, (g, w)) in got.iter().zip(&want).enumerate() {
+                let gap = worst_row_gap(g.as_ref(), w.csr().expect("the oracle materializes"));
+                assert!(gap <= 1e-13, "level {}: worst relative gap {gap:e}", k + 1);
+            }
+            hashes.push(got.iter().map(|l| row_bits(l.as_ref())).collect::<Vec<_>>());
+        }
+        assert_eq!(hashes[0], hashes[1], "1 and 4 workers diverge");
+        (fplans, tplans)
+    }
+
     #[test]
     fn factored_refresh_matches_the_traversal_refresh_on_the_lane_pair() {
-        // The implicit65k lane pair (two 256-state lanes) and its first
-        // partition, which halves lane 1: the factored plan rebuilds the
-        // traversal plan's coarse pattern exactly, and its values agree
-        // to 1e-13 relative — the refreshes differ only in summation
-        // order and in the row scale (lane sums multiplied versus
-        // product entries summed) — at 1 and 4 workers, bit for bit.
+        // The implicit65k lane pair (two 256-state lanes) and its seven
+        // partitions, each halving lane 1: every coarse level stays in
+        // factor form over lane 0, and each agrees with the traversal and
+        // gather refreshes to 1e-13 relative — they differ only in
+        // summation order and in the row scale (lane sums multiplied
+        // versus product entries summed) — bit for bit at 1 and 4
+        // workers. Level 1 holds 415,744 block values on a 1,624-entry
+        // inner pattern where the materialized level holds 6,541,472.
         let cfg = CdrConfig::builder()
             .phases(8)
             .grid_refinement(2)
@@ -600,44 +635,83 @@ mod tests {
         let lane = CdrModel::new(cfg).build_chain().unwrap();
         assert_eq!(lane.state_count(), 256);
         let p = ProductChain::replicated(&lane, 2).unwrap();
-        let part = &p.hierarchy()[0];
-        let op = p.operator();
-        let opaque = Opaque(op);
-        let factored = ImplicitStochastic::with_tolerance(op, op, PRODUCT_TOL).unwrap();
-        let walked = ImplicitStochastic::with_tolerance(&opaque, &opaque, PRODUCT_TOL).unwrap();
-        let fplan = LumpPlan::new(&factored, part).unwrap();
-        let tplan = LumpPlan::new(&walked, part).unwrap();
-        assert_eq!(fplan.pattern(), tplan.pattern());
-        assert_eq!(fplan.nnz(), 6_541_472);
-        let n = p.state_count();
-        let w: Vec<f64> = (0..n).map(|i| 0.05 + (i as f64 * 0.61).fract()).collect();
-        let want = lump_with_plan(
-            &walked,
-            part,
-            &w,
-            &tplan,
-            &mut LumpWorkspace::for_plan(&tplan),
-        )
-        .unwrap();
-        let mut runs = Vec::new();
-        for threads in [1usize, 4] {
-            stochcdr_linalg::par::set_threads(Some(threads));
-            let mut ws = LumpWorkspace::for_plan(&fplan);
-            runs.push(lump_with_plan(&factored, part, &w, &fplan, &mut ws).unwrap());
+        let parts = p.hierarchy();
+        assert_eq!(parts.len(), 7);
+        let (fplans, tplans) = check_levels_against_the_oracle(p.operator(), &parts);
+        assert!(fplans.iter().all(|plan| plan.factored_output().is_some()));
+        assert_eq!(fplans[0].pattern().1.len(), 1_624);
+        assert_eq!(fplans[0].nnz(), 415_744);
+        assert_eq!(tplans[0].nnz(), 6_541_472);
+    }
+
+    /// A reflecting 8-state walk, up 0.6 and down 0.4: a small lane with
+    /// a geometric stationary vector.
+    fn walk8() -> CsrMatrix {
+        let mut coo = stochcdr_linalg::CooMatrix::new(8, 8);
+        for i in 0..8 {
+            coo.push(i, i.saturating_sub(1), 0.4);
+            coo.push(i, (i + 1).min(7), 0.6);
         }
-        stochcdr_linalg::par::set_threads(None);
-        let worst = runs[0]
-            .matrix()
-            .data()
+        coo.to_csr()
+    }
+
+    #[test]
+    fn three_lane_hierarchies_fold_an_outer_lane() {
+        // Lanes (tiny CDR lane, 8-state walk, tiny CDR lane): halving
+        // lane 2 keeps lanes 0 and 1 outer (a two-lane outer mode
+        // product); the first halving of lane 1 then folds it into the
+        // inner block, leaving lane 0 outer. Every level is checked
+        // against the oracle, and the solve against π_0 ⊗ π_1 ⊗ π_2
+        // within the bounds of the two-lane accuracy lock.
+        let cdr = tiny_lane();
+        assert_eq!(cdr.state_count(), 32);
+        let lanes = vec![
+            cdr.tpm().matrix().clone(),
+            walk8(),
+            cdr.tpm().matrix().clone(),
+        ];
+        let dims: Vec<usize> = lanes.iter().map(CsrMatrix::rows).collect();
+        let op = KroneckerOp::new(lanes);
+        let parts = GeometricCoarsening::with_schedule(dims.clone(), vec![(2, 2), (1, 2)]).levels();
+        let (fplans, _) = check_levels_against_the_oracle(&op, &parts);
+        let kept: Vec<usize> = fplans
             .iter()
-            .zip(want.matrix().data())
-            .map(|(a, b)| (a - b).abs() / b.abs())
-            .fold(0.0, f64::max);
-        assert!(worst <= 1e-13, "worst relative gap {worst:e}");
-        let (a, b) = (runs[0].matrix().data(), runs[1].matrix().data());
-        assert!(a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits()));
-        let (a, b) = (runs[0].transposed().data(), runs[1].transposed().data());
-        assert!(a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits()));
+            .map(|plan| plan.factored_output().map_or(0, |(outer, _)| outer.len()))
+            .collect();
+        assert_eq!(kept, [2, 2, 2, 2, 1, 1]);
+
+        let exact: Vec<Vec<f64>> = op
+            .factors()
+            .iter()
+            .map(|f| {
+                let chain = StochasticMatrix::with_tolerance(f.clone(), PRODUCT_TOL).unwrap();
+                GthSolver::new().solve(&chain, None).unwrap().distribution
+            })
+            .collect();
+        let imp = ImplicitStochastic::with_tolerance(&op, op.transposed(), PRODUCT_TOL).unwrap();
+        let solver = MultigridSolver::builder(parts)
+            .smoother(Smoother::Jacobi { omega: 0.8 })
+            .tol(1e-13)
+            .max_cycles(2_000)
+            .krylov_window(ProductChain::KRYLOV_RESTART)
+            .build();
+        let (r, _) = solver.solve_with_stats(&imp, None).unwrap();
+        let mut l1 = 0.0f64;
+        let mut worst = 0.0f64;
+        for (k, &g) in r.distribution.iter().enumerate() {
+            let (i, j, l) = (
+                k / (dims[1] * dims[2]),
+                (k / dims[2]) % dims[1],
+                k % dims[2],
+            );
+            let want = exact[0][i] * exact[1][j] * exact[2][l];
+            l1 += (g - want).abs();
+            if want > 0.0 {
+                worst = worst.max((g - want).abs() / want);
+            }
+        }
+        assert!(l1 <= 1e-12, "L1 error {l1:e}");
+        assert!(worst <= 1e-6, "worst relative entry error {worst:e}");
     }
 
     #[test]
@@ -712,32 +786,6 @@ mod tests {
             assert!(w[1].block_count() < w[0].block_count());
         }
         assert!(parts.last().unwrap().block_count() <= COARSE_CAP);
-    }
-
-    #[test]
-    fn composed_first_partition_matches_geometric_halvings() {
-        // Composing k halvings of one component must agree with running
-        // GeometricCoarsening's per-level maps k times.
-        let dims = vec![6usize, 70, 700];
-        let (part, coarse) = composed_first_partition(&dims).unwrap();
-        assert!(dims.iter().product::<usize>() > FIRST_LEVEL_TARGET);
-        assert_eq!(part.n(), 6 * 70 * 700);
-        assert_eq!(part.block_count(), coarse.iter().product::<usize>());
-        let mut geo = GeometricCoarsening::new(dims.clone(), 2, coarse[2]).levels();
-        assert!(!geo.is_empty());
-        // Compose the geometric per-level labels into one map.
-        let mut label: Vec<usize> = (0..part.n()).collect();
-        for g in &geo {
-            for l in label.iter_mut() {
-                *l = g.block_of(*l);
-            }
-        }
-        // Only component 2 was halved for these dims (6*70*88 < target).
-        assert_eq!(coarse[..2], dims[..2]);
-        for (s, &l) in label.iter().enumerate() {
-            assert_eq!(part.block_of(s), l, "state {s}");
-        }
-        geo.clear();
     }
 
     #[test]

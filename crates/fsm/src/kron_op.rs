@@ -16,8 +16,12 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, OnceLock};
 
-use stochcdr_linalg::{kron, par, CsrMatrix, TransitionOp};
+use stochcdr_linalg::kron::{self, ModeScratch};
+use stochcdr_linalg::{CsrMatrix, TransitionOp};
 use stochcdr_obs as obs;
+
+/// `linalg::kron::mul_left_modes` or `mul_right_modes`.
+type ModeProduct = fn(&[CsrMatrix], usize, &[f64], &mut [f64], &mut ModeScratch);
 
 /// A lazily-applied Kronecker product of square sparse factors.
 ///
@@ -54,15 +58,7 @@ pub struct KroneckerOp {
     /// multigrid cycles against the implicit fine grid allocate nothing.
     /// `try_lock` keeps concurrent callers correct: a contended call
     /// falls back to fresh temporaries instead of blocking.
-    scratch: Mutex<ApplyScratch>,
-}
-
-/// The two `dim`-length work vectors [`KroneckerOp::mul_left_into`] and
-/// [`KroneckerOp::mul_right_into`] ping-pong between mode applications.
-#[derive(Debug, Default)]
-struct ApplyScratch {
-    cur: Vec<f64>,
-    next: Vec<f64>,
+    scratch: Mutex<ModeScratch>,
 }
 
 impl Clone for KroneckerOp {
@@ -104,45 +100,17 @@ impl KroneckerOp {
             tail,
             transposed: OnceLock::new(),
             budget_reported: AtomicBool::new(false),
-            scratch: Mutex::new(ApplyScratch::default()),
+            scratch: Mutex::new(ModeScratch::default()),
         }
     }
 
-    /// The shared mode-by-mode apply loop behind both product directions,
-    /// with caller-owned ping-pong buffers (grown on first use, reused
-    /// thereafter). The arithmetic is identical whichever buffers arrive,
-    /// so scratch reuse never changes a bit of the output.
-    fn apply_modes(
-        &self,
-        mode: fn(&CsrMatrix, usize, &[f64], &mut [f64]),
-        x: &[f64],
-        y: &mut [f64],
-        ws: &mut ApplyScratch,
-    ) {
-        ws.cur.clear();
-        ws.cur.extend_from_slice(x);
-        ws.next.clear();
-        ws.next.resize(self.dim, 0.0);
-        let mut inner = self.dim;
-        for f in &self.factors {
-            inner /= f.rows();
-            mode(f, inner, &ws.cur, &mut ws.next);
-            std::mem::swap(&mut ws.cur, &mut ws.next);
-        }
-        y.copy_from_slice(&ws.cur);
-    }
-
-    /// Runs `apply_modes` against the op's own scratch when it is free,
-    /// or fresh temporaries when another thread holds it.
-    fn apply_with_scratch(
-        &self,
-        mode: fn(&CsrMatrix, usize, &[f64], &mut [f64]),
-        x: &[f64],
-        y: &mut [f64],
-    ) {
+    /// Runs one of `linalg::kron`'s mode-product drivers against the
+    /// op's own scratch when it is free, or fresh temporaries when
+    /// another thread holds it.
+    fn apply_with_scratch(&self, modes: ModeProduct, x: &[f64], y: &mut [f64]) {
         match self.scratch.try_lock() {
-            Ok(mut ws) => self.apply_modes(mode, x, y, &mut ws),
-            Err(_) => self.apply_modes(mode, x, y, &mut ApplyScratch::default()),
+            Ok(mut ws) => modes(&self.factors, 1, x, y, &mut ws),
+            Err(_) => modes(&self.factors, 1, x, y, &mut ModeScratch::default()),
         }
     }
 
@@ -202,14 +170,23 @@ impl KroneckerOp {
             .fold(1usize, |acc, f| acc.saturating_mul(f.nnz()))
     }
 
-    /// Estimated heap cost of [`materialize`](Self::materialize) in
-    /// bytes: CSR stores one `f64` value and one `usize` column index per
-    /// nonzero plus a `dim + 1` row-pointer array.
+    /// Estimated peak heap cost in bytes of [`materialize`](Self::materialize)
+    /// followed by validating the result as a chain
+    /// (`StochasticMatrix::with_tolerance` in `stochcdr-markov`). A CSR
+    /// stores an 8-byte value and a 4-byte column index per nonzero and an
+    /// 8-byte row pointer per row; the product's rows are emitted in CSR
+    /// order, so materializing holds one such CSR. Validation then holds
+    /// three at once — the product, its row-scaled copy and the transpose
+    /// being built — plus two per-row vectors (row sums and scale factors)
+    /// and the transpose's column counts: 36 bytes per nonzero and 48 per
+    /// row.
     pub fn materialize_cost_bytes(&self) -> u64 {
-        let per_nnz = (size_of::<f64>() + size_of::<usize>()) as u64;
+        const CSR_PER_NNZ: u64 = (size_of::<f64>() + size_of::<u32>()) as u64;
+        const CSR_PER_ROW: u64 = size_of::<usize>() as u64;
         let nnz = self.materialized_nnz() as u64;
-        nnz.saturating_mul(per_nnz)
-            .saturating_add(((self.dim as u64) + 1) * size_of::<usize>() as u64)
+        let rows = self.dim as u64 + 1;
+        nnz.saturating_mul(3 * CSR_PER_NNZ)
+            .saturating_add(rows.saturating_mul(3 * CSR_PER_ROW + 3 * size_of::<f64>() as u64))
     }
 
     /// Budget-aware [`materialize`](Self::materialize): refuses (returns
@@ -249,68 +226,6 @@ impl KroneckerOp {
         );
         m
     }
-}
-
-/// One left-product mode application: `next[(o,·,r)] = cur[(o,·,r)] · f`
-/// for every outer index `o` and trailing index `r < inner`.
-///
-/// Parallel over blocks of `n · inner` elements (one block per outer
-/// index); the scatter of each factor row lands inside its own block, so
-/// the block partition makes every output element single-writer while
-/// preserving the serial accumulation order exactly. Every block performs
-/// the identical factor traversal, so the even, block-aligned split is
-/// already perfectly balanced — the nnz-weighted `RowPartition` the CSR
-/// kernels use would add bookkeeping without moving any work. Dispatches
-/// go to the persistent `linalg::par` pool, so a mode product costs a
-/// park/unpark hand-off, not a thread spawn.
-fn apply_mode_left(f: &CsrMatrix, inner: usize, cur: &[f64], next: &mut [f64]) {
-    let n = f.rows();
-    let block = n * inner;
-    par::for_each_chunk_aligned_mut(next, block, |start, chunk| {
-        for (b, out) in chunk.chunks_mut(block).enumerate() {
-            let base = start + b * block;
-            out.iter_mut().for_each(|v| *v = 0.0);
-            for i in 0..n {
-                let row_base = base + i * inner;
-                for (j, a) in f.row(i) {
-                    let dst = j * inner;
-                    for r in 0..inner {
-                        let v = cur[row_base + r];
-                        if v != 0.0 {
-                            out[dst + r] += v * a;
-                        }
-                    }
-                }
-            }
-        }
-    });
-}
-
-/// One right-product mode application: `next[(o,i,r)] = Σ_j f_ij cur[(o,j,r)]`.
-///
-/// Pure gather per output block — same block-aligned parallel partition as
-/// [`apply_mode_left`].
-fn apply_mode_right(f: &CsrMatrix, inner: usize, cur: &[f64], next: &mut [f64]) {
-    let n = f.rows();
-    let block = n * inner;
-    par::for_each_chunk_aligned_mut(next, block, |start, chunk| {
-        for (b, out) in chunk.chunks_mut(block).enumerate() {
-            let base = start + b * block;
-            out.iter_mut().for_each(|v| *v = 0.0);
-            for i in 0..n {
-                let dst = i * inner;
-                for (j, a) in f.row(i) {
-                    let src = base + j * inner;
-                    for r in 0..inner {
-                        let v = cur[src + r];
-                        if v != 0.0 {
-                            out[dst + r] += a * v;
-                        }
-                    }
-                }
-            }
-        }
-    });
 }
 
 /// Enumerates the row entries of the Kronecker product in ascending column
@@ -386,7 +301,7 @@ impl TransitionOp for KroneckerOp {
             "output length must match joint dimension"
         );
         let _span = obs::enabled().then(|| obs::span("kron.apply"));
-        self.apply_with_scratch(apply_mode_left, x, y);
+        self.apply_with_scratch(kron::mul_left_modes, x, y);
     }
 
     fn mul_right_into(&self, x: &[f64], y: &mut [f64]) {
@@ -401,7 +316,7 @@ impl TransitionOp for KroneckerOp {
             "output length must match joint dimension"
         );
         let _span = obs::enabled().then(|| obs::span("kron.apply"));
-        self.apply_with_scratch(apply_mode_right, x, y);
+        self.apply_with_scratch(kron::mul_right_modes, x, y);
     }
 
     fn for_each_in_row(&self, row: usize, f: &mut dyn FnMut(usize, f64)) {
@@ -592,9 +507,9 @@ mod tests {
         let _g = OBS_LOCK.lock().unwrap();
         let op = KroneckerOp::new(vec![stochastic2(0.3); 10]);
         assert_eq!(op.materialized_nnz(), 4usize.pow(10));
-        assert!(op.materialize_cost_bytes() > 4u64.pow(10) * 16);
+        assert!(op.materialize_cost_bytes() > 4u64.pow(10) * 36);
 
-        // ~16 MiB estimated; a 1 MiB budget must refuse it, no budget
+        // ~36 MiB estimated; a 1 MiB budget must refuse it, no budget
         // (or a generous one) must not.
         assert!(
             op.try_materialize(Some(1 << 20)).is_none(),

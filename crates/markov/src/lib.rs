@@ -5,7 +5,8 @@
 //!
 //! * [`StochasticMatrix`] — a validated transition probability matrix (TPM),
 //!   and [`StochasticOp`], the validated-chain interface the multigrid
-//!   solver consumes (materialized or matrix-free),
+//!   solver consumes (materialized, matrix-free, or a coarse level kept
+//!   in factor form, [`FactoredChain`]),
 //! * [`stationary`] — solvers for the stationary distribution `η P = η`:
 //!   power iteration, (damped) Jacobi, Gauss–Seidel, and the direct GTH
 //!   algorithm used at the coarsest multigrid level,
@@ -42,6 +43,7 @@
 
 pub mod classify;
 mod error;
+mod factored;
 pub mod functional;
 pub mod implicit;
 pub mod lumping;
@@ -52,5 +54,6 @@ pub mod stationary;
 mod stochastic;
 
 pub use error::{MarkovError, Result};
+pub use factored::FactoredChain;
 pub use implicit::ImplicitStochastic;
 pub use stochastic::{StochasticMatrix, StochasticOp};

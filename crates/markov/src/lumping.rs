@@ -24,8 +24,9 @@
 //!   the transpose permutation, and how the numeric refresh reads the
 //!   fine chain,
 //! * [`LumpWorkspace`] — preallocated per-level numeric buffers,
-//! * [`lump_weighted_into`] — the **numeric** refresh: recomputes values
-//!   into an existing matrix with zero heap allocations.
+//! * [`lump_weighted_into`] and [`lump_factored_into`] — the **numeric**
+//!   refresh: recomputes values into an existing materialized or
+//!   factored coarse chain with zero heap allocations.
 //!
 //! # Refresh arms
 //!
@@ -35,29 +36,31 @@
 //! * **gather** — a materialized chain: a fine-entry → coarse-slot gather
 //!   map replaying the from-scratch assembly order exactly, so the result
 //!   is bit-identical to [`lump_weighted`] for strictly positive weights;
-//! * **factored** — a matrix-free Kronecker chain
-//!   `P = diag(scale)·(A_out ⊗ A_in)` whose partition aggregates only the
-//!   innermost factor, `block(o·n_in + i) = o·nb_in + f(i)`. With `S_in`
-//!   the inner aggregation matrix, coarse row `(o, B)` is
-//!   `A_out(o,·) ⊗ [Σ_{i∈B} wscale(o,i)·scale(o,i)·(A_in S_in)(i,·)]` —
-//!   sum factorization in the line of Buchholz ("Multilevel solutions for
-//!   structured Markov chains", SIMAX 2000). The coarse pattern is
-//!   `pattern(A_out) ⊗ (lumped inner pattern)`, built with no traversal
-//!   and no sort, and nothing is stored per fine entry;
+//! * **factored** — a Kronecker-structured chain: a matrix-free Kronecker
+//!   fine grid `P = diag(scale)·(A_out ⊗ A_in)` or a coarse level kept in
+//!   factor form, [`FactoredChain`], `P[(o, i), (o', j)] =
+//!   A_out(o, o')·R_o(i, j)`. The plan keeps the outer lanes the
+//!   partition leaves alone and folds the others into the inner block;
+//!   with `S_in` the inner aggregation, coarse block `R'_o` is
+//!   `Σ_{i∈B} wscale·[scale]·(G ⊗ R_o) S_in` row by row — sum
+//!   factorization in the line of Buchholz ("Multilevel solutions for
+//!   structured Markov chains", SIMAX 2000). The coarse level is again a
+//!   [`FactoredChain`] over the kept lanes, refreshed per outer state by
+//!   one gather plan on the shared inner pattern, and nothing is stored
+//!   per fine entry; once no outer lane is left it is materialized;
 //! * **traversal** — every other matrix-free chain: each refresh re-walks
 //!   the member rows of every coarse row and replays the from-scratch
 //!   assembly order (the same bits again, provided the chain serves the
 //!   entries its materialized twin stores). It is also the oracle the
 //!   factored arm is tested against, to rounding.
 //!
-//! `A_out` is the Kronecker product of every factor but the innermost
-//! (the 1×1 identity for a single factor). Every arm writes each coarse
-//! row wholly on one worker in a fixed order, so each gives the same bits
-//! at any thread count.
+//! Every arm writes each coarse row wholly on one worker in a fixed
+//! order, so each gives the same bits at any thread count.
 
 use stochcdr_linalg::{par, CooMatrix, CsrMatrix};
 
-use crate::{MarkovError, Result, StochasticMatrix, StochasticOp};
+use crate::factored::kron_row;
+use crate::{FactoredChain, MarkovError, Result, StochasticMatrix, StochasticOp};
 
 /// Fixed row-chunk size for the parallel aggregation kernels. A pure
 /// constant (never derived from the thread count) so the order in which
@@ -289,8 +292,11 @@ fn fix_row_sums(m: CsrMatrix) -> CsrMatrix {
 /// The plan precomputes everything [`lump_weighted`] derives from the
 /// sparsity structure alone:
 ///
-/// * the coarse CSR pattern (`indptr`/`indices`),
-/// * the transpose permutation feeding the cached `P^T`,
+/// * the coarse pattern (`indptr`/`indices`): the coarse CSR of a
+///   materialized coarse level, the shared inner pattern of one kept in
+///   factor form,
+/// * the transpose permutation feeding a materialized level's cached
+///   `P^T`,
 /// * how the numeric refresh reads the fine chain, chosen once by
 ///   [`new`](Self::new) (see the module's refresh arms):
 ///   - a **materialized** chain gets a gather map — per coarse slot, the
@@ -299,10 +305,11 @@ fn fix_row_sums(m: CsrMatrix) -> CsrMatrix {
 ///     entries in column order, then the same unstable sort by coarse
 ///     column the COO→CSR merge performs), so refreshed values are
 ///     bit-identical to a fresh [`lump_weighted`];
-///   - a **matrix-free Kronecker** chain whose partition aggregates only
-///     the innermost factor gets a factored plan: the inner map, the
-///     pattern of `A_in S_in` and the lumped inner pattern per inner
-///     block — nothing per fine entry;
+///   - a **Kronecker-structured** chain — a matrix-free Kronecker fine
+///     grid or a [`FactoredChain`] level — gets a factored plan: the
+///     outer lanes the partition leaves alone, the lanes it folds into
+///     the inner block, and per coarse inner slot the gather terms of
+///     one outer state — nothing per fine entry;
 ///   - any other **matrix-free** chain has no fine entry indices to
 ///     record, so each refresh re-traverses its rows and replays the
 ///     from-scratch assembly order — the same bits again, provided the
@@ -318,28 +325,30 @@ fn fix_row_sums(m: CsrMatrix) -> CsrMatrix {
 ///
 /// # Precision
 ///
-/// For strictly positive weights the refresh reproduces the from-scratch
-/// result bit for bit. When a state has weight exactly `0.0` (while its
-/// block has positive total weight), the from-scratch path *drops* that
-/// state's entries before the unstable duplicate-merge sort, which may
-/// permute equal-column entries differently; the refresh instead keeps
-/// the full gather order, so results can differ by the usual summation
-/// round-off. Both are valid aggregations.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// For strictly positive weights the gather refresh reproduces the
+/// from-scratch result bit for bit. When a state has weight exactly `0.0`
+/// (while its block has positive total weight), the from-scratch path
+/// *drops* that state's entries before the unstable duplicate-merge sort,
+/// which may permute equal-column entries differently; the refresh
+/// instead keeps the full gather order, so results can differ by the
+/// usual summation round-off. Both are valid aggregations.
+#[derive(Debug, Clone, PartialEq)]
 pub struct LumpPlan {
     fine_n: usize,
     fine_nnz: usize,
     nb: usize,
-    /// Coarse CSR pattern.
+    /// Coarse CSR pattern, or the shared inner pattern of a coarse level
+    /// kept in factor form.
     indptr: Vec<usize>,
     indices: Vec<u32>,
-    /// Transpose permutation: `pt.data[m] = data[t_from[m]]`.
+    /// Transpose permutation of a materialized coarse level:
+    /// `pt.data[m] = data[t_from[m]]` (empty for a factored one).
     t_from: Vec<u32>,
     refresh: Refresh,
 }
 
 /// How a plan's numeric refresh reads the fine chain.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 enum Refresh {
     /// Gather over a materialized chain's stored values.
     Gather {
@@ -366,84 +375,162 @@ enum Refresh {
         /// per-worker sort scratch.
         max_row_entries: usize,
     },
-    /// Sum factorization over a matrix-free Kronecker chain.
-    Factored(Factored),
+    /// Block-by-block aggregation of a Kronecker-structured chain (boxed,
+    /// so a materialized chain's plan keeps its size).
+    Factored(Box<Factored>),
 }
 
-/// The symbolic side of the factored refresh: a fine chain
-/// `diag(scale)·(A_out ⊗ A_in)` and a partition with
-/// `block(o·n_in + i) = o·nb_in + f(i)`. Coarse row `(o, B)` holds, per
-/// entry `o'` of `A_out(o,·)` in ascending order, one run of the lumped
-/// inner row `v_{o,B} = Σ_{i∈B} wscale(o,i)·scale(o,i)·(A_in S_in)(i,·)`
-/// scaled by `A_out(o, o')`.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// The symbolic side of the factored refresh. The fine chain is
+/// `P[(o, i), (o', j)] = A_out(o, o') · R_o(i, j)` — for a Kronecker fine
+/// grid `R_o(i, j) = scale(o, i) · A_in(i, j)` with `A_in` its innermost
+/// lane, for a [`FactoredChain`] its stored blocks. The partition keeps
+/// the first `keep` outer lanes and folds the rest, `G`, into the inner
+/// block: `block((o, l, i)) = o·nb_in + f(l, i)`. Coarse inner slot
+/// `(B, C)` of outer state `o` is then
+/// `Σ wscale·[scale]·G(l, l')·R_(o,l)(i, j)` over its terms — members
+/// `(l, i) ∈ B` ascending, then `G(l, ·)` entries, then `R(i, ·)`
+/// entries — and each coarse row is scaled to a distribution, with the
+/// kept lanes' row sum `rs_out(o)` folded in.
+#[derive(Debug, Clone, PartialEq)]
 struct Factored {
-    /// `(dimension, stored entries)` of every factor, outermost first —
-    /// the compatibility check a refresh runs against the chain.
-    shape: Vec<(usize, usize)>,
-    /// Inner factor dimension.
+    /// The fine chain's structure, checked against it by `matches`.
+    source: Source,
+    /// Outer lanes kept outer: their patterns, for planning the next
+    /// level and allocating its chain (values follow the chain).
+    outer: Vec<CsrMatrix>,
+    /// Coarse outer states, the product of the kept lanes' dimensions.
+    n_out: usize,
+    /// Fine states per coarse outer state: folded lanes × fine inner.
     n_in: usize,
-    /// Inner block count.
+    /// Coarse inner blocks.
     nb_in: usize,
-    /// Row extents of `A_in S_in` (length `n_in + 1`).
-    ains_ptr: Vec<usize>,
-    /// Per `A_in S_in` entry, its position in the lumped row of its
-    /// row's inner block.
-    ains_pos: Vec<u32>,
-    /// Per stored `A_in` entry, the `A_in S_in` slot it folds into
-    /// (`u32::MAX` for an entry that is zero, hence absent).
-    ain_slot: Vec<u32>,
-    /// Lumped inner row extents per inner block (length `nb_in + 1`).
-    lumped_ptr: Vec<usize>,
+    /// Stored entries of the folded lanes' product `G` (the unit `[1]`
+    /// when nothing is folded).
+    g_nnz: usize,
+    /// Per coarse inner slot, extents into the term arrays (length
+    /// `nnz() + 1` of the inner pattern).
+    ptr: Vec<usize>,
+    /// Per term, the member: a fine inner index `l·n_in_fine + i`.
+    mem: Vec<u32>,
+    /// Per term, the `G` entry.
+    fac: Vec<u32>,
+    /// Per term, the `R` value: an `A_in` entry, or `l·nnz(R) + t` into
+    /// the fine level's blocks of outer states `(o, ·)`.
+    src: Vec<u32>,
 }
 
-/// Visits the nonzero entries of row `row` of `factors[0] ⊗ factors[1] ⊗ …`
-/// in ascending column order, with the values multiplied outermost first
-/// onto `val` (the empty product is the 1×1 identity).
-fn kron_row<F: FnMut(usize, f64)>(
-    factors: &[CsrMatrix],
-    row: usize,
-    col: usize,
-    val: f64,
-    f: &mut F,
-) {
-    match factors.split_first() {
-        None => f(col, val),
-        Some((a, rest)) => {
-            let inner: usize = rest.iter().map(CsrMatrix::rows).product();
-            for (j, v) in a.row(row / inner) {
-                if v != 0.0 {
-                    kron_row(rest, row % inner, col * a.cols() + j, val * v, f);
-                }
-            }
-        }
-    }
+/// The structure of a factored plan's fine chain.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Source {
+    /// A matrix-free Kronecker chain: `(dimension, stored entries)` of
+    /// every lane, outermost first.
+    Kron(Vec<(usize, usize)>),
+    /// A [`FactoredChain`]: its outer lanes' `(dimension, stored
+    /// entries)`, inner dimension and inner pattern size.
+    Factored {
+        outer: Vec<(usize, usize)>,
+        n_in: usize,
+        nnz_in: usize,
+    },
+}
+
+/// `(dimension, stored entries)` of each lane.
+fn shape(lanes: &[CsrMatrix]) -> Vec<(usize, usize)> {
+    lanes.iter().map(|f| (f.rows(), f.nnz())).collect()
+}
+
+/// Whether square lanes have the recorded shape.
+fn has_shape(lanes: &[CsrMatrix], want: &[(usize, usize)]) -> bool {
+    lanes.len() == want.len()
+        && lanes
+            .iter()
+            .zip(want)
+            .all(|(a, &(n, nnz))| a.rows() == n && a.cols() == n && a.nnz() == nnz)
+}
+
+/// The fine side of a factored plan: outer lanes over one inner pattern.
+struct Side<'a> {
+    outer: &'a [CsrMatrix],
+    in_ptr: &'a [usize],
+    in_idx: &'a [u32],
+    /// The innermost lane's values, whose stored zeros are skipped;
+    /// `None` for a factored level, whose blocks vary per outer state and
+    /// whose pattern entries are all structural.
+    in_vals: Option<&'a [f64]>,
+    source: Source,
 }
 
 impl LumpPlan {
     /// Builds the symbolic plan for lumping `fine` with `partition`:
-    /// from the stored pattern of a materialized chain, from the factors
-    /// of a matrix-free Kronecker chain whose partition aggregates only
-    /// its innermost factor, or by traversing the rows of any other
-    /// matrix-free chain.
+    /// from the stored pattern of a materialized chain, from the lanes of
+    /// a matrix-free Kronecker chain or a [`FactoredChain`] level, or by
+    /// traversing the rows of any other matrix-free chain.
     ///
     /// # Errors
     ///
     /// Returns [`MarkovError::InvalidArgument`] if the partition does not
     /// cover `fine`'s state space.
     pub fn new(fine: &dyn StochasticOp, partition: &Partition) -> Result<LumpPlan> {
-        match fine.csr() {
-            Some(m) => LumpPlan::gather(m.rows(), m.indptr(), m.indices(), partition),
-            None => match LumpPlan::factored(fine, partition) {
-                Some(plan) => Ok(plan),
-                None => LumpPlan::traverse(fine, partition),
-            },
+        if let Some(m) = fine.csr() {
+            return LumpPlan::gather(m.rows(), m.indptr(), m.indices(), partition);
+        }
+        if let (Some(lanes), Some(_)) = (fine.kron_factors(), fine.row_scale()) {
+            if let Some((a_in, outer)) = lanes.split_last() {
+                return LumpPlan::factored(
+                    Side {
+                        outer,
+                        in_ptr: a_in.indptr(),
+                        in_idx: a_in.indices(),
+                        in_vals: Some(a_in.data()),
+                        source: Source::Kron(shape(lanes)),
+                    },
+                    partition,
+                );
+            }
+        }
+        match fine.factored() {
+            Some(fc) => LumpPlan::factored(
+                Side {
+                    outer: &fc.outer,
+                    in_ptr: &fc.indptr,
+                    in_idx: &fc.indices,
+                    in_vals: None,
+                    source: Source::Factored {
+                        outer: shape(&fc.outer),
+                        n_in: fc.n_in,
+                        nnz_in: fc.indices.len(),
+                    },
+                },
+                partition,
+            ),
+            None => LumpPlan::traverse(fine, partition),
         }
     }
 
-    /// The gather plan for a raw fine CSR pattern — which is what lets a
-    /// whole plan *stack* be built without intermediate numeric matrices:
-    /// level `k + 1` plans from level `k`'s coarse pattern.
+    /// The plan for lumping this plan's coarse level with `partition`,
+    /// from the pattern alone — which is what lets a whole plan *stack*
+    /// be built without intermediate numeric matrices.
+    fn next(&self, partition: &Partition) -> Result<LumpPlan> {
+        match &self.refresh {
+            Refresh::Factored(f) if !f.outer.is_empty() => LumpPlan::factored(
+                Side {
+                    outer: &f.outer,
+                    in_ptr: &self.indptr,
+                    in_idx: &self.indices,
+                    in_vals: None,
+                    source: Source::Factored {
+                        outer: shape(&f.outer),
+                        n_in: f.nb_in,
+                        nnz_in: self.indices.len(),
+                    },
+                },
+                partition,
+            ),
+            _ => LumpPlan::gather(self.nb, &self.indptr, &self.indices, partition),
+        }
+    }
+
+    /// The gather plan for a raw fine CSR pattern.
     fn gather(
         n: usize,
         indptr: &[usize],
@@ -542,115 +629,124 @@ impl LumpPlan {
         ))
     }
 
-    /// The factored plan, when `fine` is a matrix-free Kronecker chain
-    /// and `partition` satisfies `block(o·n_in + i) = o·nb_in + f(i)`
-    /// (checked in O(n)); `None` sends the caller to the traversal plan.
-    /// The coarse pattern is `pattern(A_out) ⊗ (lumped inner pattern)`,
-    /// emitted in ascending order without traversing or sorting it.
-    fn factored(fine: &dyn StochasticOp, partition: &Partition) -> Option<LumpPlan> {
-        fine.row_scale()?;
-        let factors = fine.kron_factors()?;
-        let (a_in, outer) = factors.split_last()?;
-        let (n, n_in) = (fine.rows(), a_in.rows());
-        if partition.n() != n || n_in == 0 || n % n_in != 0 {
-            return None;
+    /// The factored plan. It keeps the most outer lanes `keep` for which
+    /// the partition lumps only states of one outer state,
+    /// `block((o, i)) = o·nb_in + f(i)` (checked in O(n); keeping none
+    /// always qualifies), folds the other outer lanes into the inner
+    /// block, and records per coarse inner slot its gather terms in
+    /// summation order. With no lane kept the coarse level is
+    /// materialized.
+    fn factored(side: Side<'_>, partition: &Partition) -> Result<LumpPlan> {
+        let n_fine_in = side.in_ptr.len() - 1;
+        let dims: Vec<usize> = side.outer.iter().map(CsrMatrix::rows).collect();
+        let n = dims.iter().product::<usize>() * n_fine_in;
+        if partition.n() != n {
+            return Err(MarkovError::InvalidArgument(
+                "partition size does not match state count".into(),
+            ));
+        }
+        let labels = partition.labels();
+        let (keep, n_in, nb_in) = (0..=dims.len())
+            .rev()
+            .find_map(|keep| {
+                let n_in = dims[keep..].iter().product::<usize>() * n_fine_in;
+                let inner = &labels[..n_in];
+                let nb_in = inner.iter().max()? + 1;
+                let lumps_inner = partition.block_count() == (n / n_in) * nb_in
+                    && labels
+                        .chunks(n_in)
+                        .enumerate()
+                        .all(|(o, ls)| ls.iter().zip(inner).all(|(&l, &f)| l == o * nb_in + f));
+                lumps_inner.then_some((keep, n_in, nb_in))
+            })
+            .expect("keeping no outer lane always qualifies");
+        // The folded lanes' product G, entry by entry in CSR order — the
+        // order the refresh recomputes its values in.
+        let fold = &side.outer[keep..];
+        let mut g_ptr = vec![0usize];
+        let mut g_col: Vec<u32> = Vec::new();
+        let mut g_nonzero: Vec<bool> = Vec::new();
+        for l in 0..n_in / n_fine_in {
+            kron_row(fold, l, 0, 1.0, &mut |c, v| {
+                g_col.push(c as u32);
+                g_nonzero.push(v != 0.0);
+            });
+            g_ptr.push(g_col.len());
+        }
+        // Per coarse inner row, its terms keyed by coarse column; the
+        // stable sort keeps members ascending, then G entries, then R
+        // entries within each column.
+        let nnz_r = side.in_idx.len();
+        let mut c_indptr = vec![0usize];
+        let mut c_indices: Vec<u32> = Vec::new();
+        let mut ptr = vec![0usize];
+        let (mut mem, mut fac, mut src) = (Vec::new(), Vec::new(), Vec::new());
+        let mut terms: Vec<(u32, u32, u32, u32)> = Vec::new();
+        for b in 0..nb_in {
+            terms.clear();
+            for &m in partition.block_members(b) {
+                let (l, i) = (m / n_fine_in, m % n_fine_in);
+                for g in (g_ptr[l]..g_ptr[l + 1]).filter(|&g| g_nonzero[g]) {
+                    let base = g_col[g] as usize * n_fine_in;
+                    for t in side.in_ptr[i]..side.in_ptr[i + 1] {
+                        let s = match side.in_vals {
+                            Some(v) if v[t] == 0.0 => continue,
+                            Some(_) => t,
+                            None => l * nnz_r + t,
+                        };
+                        let c = labels[base + side.in_idx[t] as usize] as u32;
+                        terms.push((c, m as u32, g as u32, s as u32));
+                    }
+                }
+            }
+            terms.sort_by_key(|e| e.0);
+            let mut k = 0;
+            while k < terms.len() {
+                let c = terms[k].0;
+                while k < terms.len() && terms[k].0 == c {
+                    mem.push(terms[k].1);
+                    fac.push(terms[k].2);
+                    src.push(terms[k].3);
+                    k += 1;
+                }
+                c_indices.push(c);
+                ptr.push(mem.len());
+            }
+            c_indptr.push(c_indices.len());
         }
         let n_out = n / n_in;
-        let labels = partition.labels();
-        let inner = &labels[..n_in];
-        let nb_in = inner.iter().max()? + 1;
-        if partition.block_count() != n_out * nb_in
-            || labels
-                .chunks(n_in)
-                .enumerate()
-                .any(|(o, ls)| ls.iter().zip(inner).any(|(&l, &f)| l != o * nb_in + f))
-        {
-            return None;
-        }
-        // A_in S_in: per inner row, the sorted distinct blocks its
-        // nonzero entries land in; each stored entry records its slot.
-        let mut ains_ptr = vec![0usize];
-        let mut ains_col: Vec<u32> = Vec::new();
-        let mut ain_slot = vec![u32::MAX; a_in.nnz()];
-        let mut row: Vec<u32> = Vec::new();
-        for i in 0..n_in {
-            row.clear();
-            row.extend(
-                a_in.row(i)
-                    .filter(|&(_, v)| v != 0.0)
-                    .map(|(j, _)| inner[j] as u32),
-            );
-            row.sort_unstable();
-            row.dedup();
-            for (k, (j, v)) in (a_in.indptr()[i]..).zip(a_in.row(i)) {
-                if v != 0.0 {
-                    let c = inner[j] as u32;
-                    let pos = row.binary_search(&c).expect("block collected above");
-                    ain_slot[k] = (ains_col.len() + pos) as u32;
-                }
+        let f = Factored {
+            source: side.source,
+            outer: side.outer[..keep].to_vec(),
+            n_out,
+            n_in,
+            nb_in,
+            g_nnz: g_col.len(),
+            ptr,
+            mem,
+            fac,
+            src,
+        };
+        let fine_nnz = n_out * f.mem.len();
+        Ok(if keep == 0 {
+            LumpPlan::with_pattern(
+                n,
+                fine_nnz,
+                c_indptr,
+                c_indices,
+                Refresh::Factored(Box::new(f)),
+            )
+        } else {
+            LumpPlan {
+                fine_n: n,
+                fine_nnz,
+                nb: partition.block_count(),
+                indptr: c_indptr,
+                indices: c_indices,
+                t_from: Vec::new(),
+                refresh: Refresh::Factored(Box::new(f)),
             }
-            ains_col.extend_from_slice(&row);
-            ains_ptr.push(ains_col.len());
-        }
-        // The lumped inner pattern of each inner block (the union of its
-        // members' A_in S_in rows), and each A_in S_in entry's position
-        // in its block's lumped row.
-        let mut lumped_ptr = vec![0usize];
-        let mut lumped: Vec<u32> = Vec::new();
-        let mut ains_pos = vec![0u32; ains_col.len()];
-        for b in 0..nb_in {
-            row.clear();
-            for &i in partition.block_members(b) {
-                row.extend_from_slice(&ains_col[ains_ptr[i]..ains_ptr[i + 1]]);
-            }
-            row.sort_unstable();
-            row.dedup();
-            for &i in partition.block_members(b) {
-                for t in ains_ptr[i]..ains_ptr[i + 1] {
-                    let pos = row
-                        .binary_search(&ains_col[t])
-                        .expect("block collected above");
-                    ains_pos[t] = pos as u32;
-                }
-            }
-            lumped.extend_from_slice(&row);
-            lumped_ptr.push(lumped.len());
-        }
-        // Coarse row (o, B): one run of lumped(B) per A_out(o,·) entry.
-        let nonzeros = |f: &CsrMatrix| f.data().iter().filter(|&&v| v != 0.0).count();
-        let outer_nnz = outer.iter().map(nonzeros).product::<usize>();
-        let mut c_indptr = Vec::with_capacity(n_out * nb_in + 1);
-        c_indptr.push(0usize);
-        let mut c_indices: Vec<u32> = Vec::with_capacity(outer_nnz * lumped.len());
-        let mut outer_cols: Vec<usize> = Vec::new();
-        for o in 0..n_out {
-            outer_cols.clear();
-            kron_row(outer, o, 0, 1.0, &mut |c, _| outer_cols.push(c));
-            for b in 0..nb_in {
-                let row = &lumped[lumped_ptr[b]..lumped_ptr[b + 1]];
-                for &oc in &outer_cols {
-                    let base = (oc * nb_in) as u32;
-                    c_indices.extend(row.iter().map(|&c| base + c));
-                }
-                c_indptr.push(c_indices.len());
-            }
-        }
-        debug_assert_eq!(c_indices.len(), outer_nnz * lumped.len());
-        Some(LumpPlan::with_pattern(
-            n,
-            outer_nnz.saturating_mul(nonzeros(a_in)),
-            c_indptr,
-            c_indices,
-            Refresh::Factored(Factored {
-                shape: factors.iter().map(|f| (f.rows(), f.nnz())).collect(),
-                n_in,
-                nb_in,
-                ains_ptr,
-                ains_pos,
-                ain_slot,
-                lumped_ptr,
-            }),
-        ))
+        })
     }
 
     /// The traversal plan for a matrix-free chain: the coarse pattern
@@ -694,9 +790,9 @@ impl LumpPlan {
         ))
     }
 
-    /// Completes a plan from its coarse pattern with the transpose
-    /// placement — a counting sort by coarse column, rows ascending,
-    /// mirroring `CsrMatrix::transpose`.
+    /// Completes a plan whose coarse level is materialized, from its
+    /// coarse pattern, with the transpose placement — a counting sort by
+    /// coarse column, rows ascending, mirroring `CsrMatrix::transpose`.
     fn with_pattern(
         fine_n: usize,
         fine_nnz: usize,
@@ -732,9 +828,9 @@ impl LumpPlan {
 
     /// Builds the plan stack for a whole coarsening hierarchy: plan `0`
     /// lumps `fine` with `partitions[0]` ([`new`](Self::new)), and each
-    /// level `k + 1` gather-plans from plan `k`'s coarse pattern — coarse
-    /// levels are always materialized, and no numeric matrices are
-    /// needed.
+    /// level `k + 1` plans from plan `k`'s coarse pattern — a gather plan
+    /// under a materialized level, a factored plan under one kept in
+    /// factor form — so no numeric matrices are needed.
     ///
     /// # Errors
     ///
@@ -745,7 +841,7 @@ impl LumpPlan {
         for part in partitions {
             let plan = match plans.last() {
                 None => LumpPlan::new(fine, part)?,
-                Some(prev) => LumpPlan::gather(prev.nb, &prev.indptr, &prev.indices, part)?,
+                Some(prev) => prev.next(part)?,
             };
             plans.push(plan);
         }
@@ -755,23 +851,31 @@ impl LumpPlan {
     /// Whether this plan can refresh from `fine`: the same state count,
     /// and a refresh that fits the chain's storage — a gather plan needs
     /// a materialized chain with the planned entry count, a factored plan
-    /// a matrix-free chain with factors of the planned dimensions and
-    /// entry counts, a traversal plan any matrix-free chain. Values never
+    /// a chain of the planned structure (a matrix-free Kronecker chain
+    /// with lanes of the planned dimensions and entry counts, or a
+    /// [`FactoredChain`] with the planned outer lanes and inner pattern
+    /// size), a traversal plan any matrix-free chain. Values never
     /// matter; a matrix-free chain's pattern cannot be cross-checked
     /// cheaply, so callers keep it fixed across reuse.
     pub fn matches(&self, fine: &dyn StochasticOp) -> bool {
         self.fine_n == fine.rows()
             && match (&self.refresh, fine.csr()) {
                 (Refresh::Gather { .. }, Some(m)) => m.nnz() == self.fine_nnz,
-                (Refresh::Factored(f), None) => {
-                    fine.row_scale().is_some()
-                        && fine.kron_factors().is_some_and(|fs| {
-                            fs.len() == f.shape.len()
-                                && fs.iter().zip(&f.shape).all(|(a, &(n, nnz))| {
-                                    a.rows() == n && a.cols() == n && a.nnz() == nnz
-                                })
-                        })
-                }
+                (Refresh::Factored(f), None) => match &f.source {
+                    Source::Kron(lanes) => {
+                        fine.row_scale().is_some()
+                            && fine.kron_factors().is_some_and(|fs| has_shape(fs, lanes))
+                    }
+                    Source::Factored {
+                        outer,
+                        n_in,
+                        nnz_in,
+                    } => fine.factored().is_some_and(|fc| {
+                        has_shape(&fc.outer, outer)
+                            && fc.n_in == *n_in
+                            && fc.indices.len() == *nnz_in
+                    }),
+                },
                 (Refresh::Traverse { .. }, None) => true,
                 _ => false,
             }
@@ -783,7 +887,8 @@ impl LumpPlan {
     }
 
     /// Fine entries the plan folds: the stored count of a materialized
-    /// chain, the traversed count of a matrix-free one.
+    /// chain, the traversed count of a matrix-free one, the gather terms
+    /// of every outer state of a factored one.
     pub fn fine_nnz(&self) -> usize {
         self.fine_nnz
     }
@@ -793,18 +898,34 @@ impl LumpPlan {
         self.nb
     }
 
-    /// Stored entries in the coarse pattern.
+    /// Stored values of the coarse level: its CSR entries, or for one
+    /// kept in factor form its inner blocks, `n_out · nnz(inner pattern)`.
     pub fn nnz(&self) -> usize {
-        self.indices.len()
+        match &self.refresh {
+            Refresh::Factored(f) if !f.outer.is_empty() => f.n_out * self.indices.len(),
+            _ => self.indices.len(),
+        }
     }
 
-    /// The coarse CSR pattern `(indptr, indices)`.
+    /// The coarse CSR pattern `(indptr, indices)`, or the shared inner
+    /// pattern of a coarse level kept in factor form.
     pub fn pattern(&self) -> (&[usize], &[u32]) {
         (&self.indptr, &self.indices)
     }
+
+    /// For a plan whose coarse level stays in factor form, its outer
+    /// lanes (patterns; the chain's values follow the fine chain) and
+    /// inner dimension; `None` when the coarse level is materialized.
+    pub fn factored_output(&self) -> Option<(&[CsrMatrix], usize)> {
+        match &self.refresh {
+            Refresh::Factored(f) if !f.outer.is_empty() => Some((&f.outer, f.nb_in)),
+            _ => None,
+        }
+    }
 }
 
-/// Preallocated numeric buffers for [`lump_weighted_into`].
+/// Preallocated numeric buffers for [`lump_weighted_into`] and
+/// [`lump_factored_into`].
 ///
 /// After a refresh with weights `w`, the buffers double as the
 /// aggregation/disaggregation operators for the *same* `w`:
@@ -820,22 +941,22 @@ pub struct LumpWorkspace {
     scratch: RowScratch,
 }
 
-/// The per-worker buffers a plan's refresh arm needs, each preallocated
-/// to the plan's largest row so the refresh never grows them.
+/// The buffers a plan's refresh arm needs, each preallocated so the
+/// refresh never grows them.
 #[derive(Debug, Clone)]
 enum RowScratch {
     /// A gather refresh needs none.
     None,
-    /// Sort buffers for the traversal refresh.
+    /// Per-worker sort buffers for the traversal refresh.
     Traverse(Vec<Vec<(u32, f64)>>),
-    /// The factored refresh: the folded `A_in S_in` values, and one
-    /// lumped-inner-row accumulator per worker.
-    Factored { ains: Vec<f64>, rows: Vec<Vec<f64>> },
+    /// The factored refresh: the folded lanes' product values and the
+    /// kept lanes' joint row sums.
+    Factored { g: Vec<f64>, rs: Vec<f64> },
 }
 
 impl LumpWorkspace {
-    /// Allocates buffers sized for `plan`, including one row buffer per
-    /// worker thread when the plan refreshes by traversal or by factors.
+    /// Allocates buffers sized for `plan`, including one sort buffer per
+    /// worker thread when the plan refreshes by traversal.
     pub fn for_plan(plan: &LumpPlan) -> Self {
         let workers = par::threads().max(1);
         let scratch = match &plan.refresh {
@@ -847,15 +968,10 @@ impl LumpWorkspace {
                     .map(|_| Vec::with_capacity(*max_row_entries))
                     .collect(),
             ),
-            Refresh::Factored(f) => {
-                let longest = f.lumped_ptr.windows(2).map(|w| w[1] - w[0]).max();
-                RowScratch::Factored {
-                    ains: Vec::with_capacity(f.ains_pos.len()),
-                    rows: (0..workers)
-                        .map(|_| Vec::with_capacity(longest.unwrap_or(0)))
-                        .collect(),
-                }
-            }
+            Refresh::Factored(f) => RowScratch::Factored {
+                g: Vec::with_capacity(f.g_nnz),
+                rs: vec![0.0; f.n_out],
+            },
         };
         LumpWorkspace {
             block_weight: vec![0.0; plan.nb],
@@ -893,8 +1009,8 @@ fn validate_weights(n: usize, w: &[f64]) -> Result<()> {
 /// Phases 1–2 of the numeric refresh: per-block weight totals (gathered
 /// in ascending member order, same as [`block_weights`]) and per-state
 /// shares (zero-weight blocks fall back to uniform).
-fn refresh_shares(partition: &Partition, w: &[f64], ws: &mut LumpWorkspace) {
-    par::for_each_chunk_mut(&mut ws.block_weight, |b0, chunk| {
+fn refresh_shares(partition: &Partition, w: &[f64], block_weight: &mut [f64], wscale: &mut [f64]) {
+    par::for_each_chunk_mut(block_weight, |b0, chunk| {
         for (k, acc) in chunk.iter_mut().enumerate() {
             let mut s = 0.0;
             for &i in partition.block_members(b0 + k) {
@@ -903,8 +1019,8 @@ fn refresh_shares(partition: &Partition, w: &[f64], ws: &mut LumpWorkspace) {
             *acc = s;
         }
     });
-    let bw = &ws.block_weight;
-    par::for_each_chunk_mut(&mut ws.wscale, |i0, chunk| {
+    let bw = &*block_weight;
+    par::for_each_chunk_mut(wscale, |i0, chunk| {
         for (k, o) in chunk.iter_mut().enumerate() {
             let i = i0 + k;
             let b = partition.block_of(i);
@@ -917,41 +1033,15 @@ fn refresh_shares(partition: &Partition, w: &[f64], ws: &mut LumpWorkspace) {
     });
 }
 
-/// Numeric-only refresh of a weighted lumping: recomputes the values of
-/// `out` (pattern fixed by `plan`) from the fine chain and weights `w`,
-/// with **zero heap allocations**.
-///
-/// A materialized fine chain refreshes by the plan's slot gather over its
-/// stored values, nnz-balanced across workers. A factored plan folds the
-/// inner factor into `A_in S_in` (`O(nnz(A_in))`), then writes each
-/// coarse row `(o, B)` as the runs `A_out(o, o') · v_{o,B}` of its lumped
-/// inner row, accumulated over the block's members in ascending order in
-/// a per-worker buffer. Any other matrix-free chain rebuilds each coarse
-/// row by re-traversing its member rows (ascending members, entries in
-/// column order), pushing `(coarse column, wscale_i · value)` pairs into
-/// a preallocated per-worker buffer, sorting with the same unstable key
-/// sort the from-scratch COO assembly runs, and summing runs in place.
-/// The gather and traversal arms sum in the from-scratch order, so they
-/// are bit-identical to [`lump_weighted`] for strictly positive weights
-/// (see [`LumpPlan`] for the zero-weight caveat); the factored arm sums
-/// in factored order and agrees with them to rounding. Every arm writes
-/// each coarse row on one worker, so each gives the same bits at any
-/// thread count.
-///
-/// # Errors
-///
-/// Returns [`MarkovError::InvalidArgument`] for the same malformed-weight
-/// conditions as [`lump_weighted`], if the plan does not
-/// [match](LumpPlan::matches) `fine` or the partition, if `out` does not
-/// have the plan's coarse pattern, or if the workspace was not built for
-/// the plan's refresh arm.
-pub fn lump_weighted_into(
+/// The checks every refresh runs before touching a value: the plan fits
+/// the chain and partition, the weights are valid, and the workspace was
+/// built for the plan's refresh arm.
+fn check_refresh(
     fine: &dyn StochasticOp,
     partition: &Partition,
     w: &[f64],
     plan: &LumpPlan,
-    ws: &mut LumpWorkspace,
-    out: &mut StochasticMatrix,
+    ws: &LumpWorkspace,
 ) -> Result<()> {
     let n = fine.rows();
     if partition.n() != n || !plan.matches(fine) {
@@ -960,31 +1050,73 @@ pub fn lump_weighted_into(
         ));
     }
     validate_weights(n, w)?;
-    if out.n() != plan.nb || out.nnz() != plan.nnz() {
+    let fits = match (&plan.refresh, &ws.scratch) {
+        (Refresh::Gather { .. }, _) => true,
+        (Refresh::Traverse { .. }, RowScratch::Traverse(bufs)) => !bufs.is_empty(),
+        (Refresh::Factored(_), RowScratch::Factored { .. }) => true,
+        _ => false,
+    };
+    if !fits || ws.block_weight.len() != plan.nb || ws.wscale.len() != n {
+        return Err(MarkovError::InvalidArgument(
+            "workspace does not fit this plan; build it with LumpWorkspace::for_plan".into(),
+        ));
+    }
+    Ok(())
+}
+
+/// Numeric-only refresh of a weighted lumping into a materialized coarse
+/// level: recomputes the values of `out` (pattern fixed by `plan`) from
+/// the fine chain and weights `w`, with **zero heap allocations**.
+///
+/// A materialized fine chain refreshes by the plan's slot gather over its
+/// stored values, nnz-balanced across workers. A Kronecker-structured
+/// fine chain whose partition leaves no outer lane (see
+/// [`lump_factored_into`] for the arm) gathers its coarse rows term by
+/// term. Any other matrix-free chain rebuilds each coarse row by
+/// re-traversing its member rows (ascending members, entries in column
+/// order), pushing `(coarse column, wscale_i · value)` pairs into a
+/// preallocated per-worker buffer, sorting with the same unstable key
+/// sort the from-scratch COO assembly runs, and summing runs in place.
+/// The gather and traversal arms sum in the from-scratch order, so they
+/// are bit-identical to [`lump_weighted`] for strictly positive weights
+/// (see [`LumpPlan`] for the zero-weight caveat); the factored arm sums
+/// in factored order and agrees with them to rounding. Every arm writes
+/// each coarse row on one worker, so each gives the same bits at any
+/// thread count. The cached transpose is refreshed last.
+///
+/// # Errors
+///
+/// Returns [`MarkovError::InvalidArgument`] for the same malformed-weight
+/// conditions as [`lump_weighted`], if the plan does not
+/// [match](LumpPlan::matches) `fine` or the partition, if `out` does not
+/// have the plan's coarse pattern (or the plan keeps its coarse level in
+/// factor form), or if the workspace was not built for the plan.
+pub fn lump_weighted_into(
+    fine: &dyn StochasticOp,
+    partition: &Partition,
+    w: &[f64],
+    plan: &LumpPlan,
+    ws: &mut LumpWorkspace,
+    out: &mut StochasticMatrix,
+) -> Result<()> {
+    check_refresh(fine, partition, w, plan, ws)?;
+    if out.n() != plan.nb || out.nnz() != plan.nnz() || plan.factored_output().is_some() {
         return Err(MarkovError::InvalidArgument(
             "output matrix does not match the plan's coarse pattern".into(),
         ));
     }
-    let fits = match (&plan.refresh, &ws.scratch) {
-        (Refresh::Gather { .. }, _) => true,
-        (Refresh::Traverse { .. }, RowScratch::Traverse(bufs)) => !bufs.is_empty(),
-        (Refresh::Factored(_), RowScratch::Factored { rows, .. }) => !rows.is_empty(),
-        _ => false,
-    };
-    if !fits {
-        return Err(MarkovError::InvalidArgument(
-            "workspace lacks this plan's row scratch; build it with LumpWorkspace::for_plan".into(),
-        ));
-    }
-    debug_assert_eq!(ws.block_weight.len(), plan.nb);
-    debug_assert_eq!(ws.wscale.len(), n);
-    refresh_shares(partition, w, ws);
+    let LumpWorkspace {
+        block_weight,
+        wscale,
+        scratch,
+    } = ws;
+    refresh_shares(partition, w, block_weight, wscale);
+    let wscale = &*wscale;
     // Phase 3: every coarse value is computed wholly by one worker in a
     // fixed order.
     let (pm, ptm) = out.parts_mut();
     let data = pm.data_mut();
-    let wscale = &ws.wscale;
-    match (&plan.refresh, fine.csr(), &mut ws.scratch) {
+    match (&plan.refresh, fine.csr(), scratch) {
         (
             Refresh::Gather {
                 ptr,
@@ -1006,55 +1138,10 @@ pub fn lump_weighted_into(
                     *slot = sum;
                 }
             });
+            renormalize(plan, data);
         }
-        (Refresh::Factored(f), None, RowScratch::Factored { ains, rows }) => {
-            let (Some(factors), Some(scale)) = (fine.kron_factors(), fine.row_scale()) else {
-                unreachable!("LumpPlan::matches checked the factors and the row scale")
-            };
-            let (a_in, outer) = factors.split_last().expect("matched factors are non-empty");
-            ains.clear();
-            ains.resize(f.ains_pos.len(), 0.0);
-            for (&slot, &v) in f.ain_slot.iter().zip(a_in.data()) {
-                if let Some(a) = ains.get_mut(slot as usize) {
-                    *a += v;
-                }
-            }
-            let ains = &*ains;
-            par::for_each_grouped_chunk_mut(
-                data,
-                &plan.indptr,
-                &plan.indptr,
-                rows,
-                |range, chunk, acc| {
-                    let base = plan.indptr[range.start];
-                    for b in range {
-                        let (o, bi) = (b / f.nb_in, b % f.nb_in);
-                        let len = f.lumped_ptr[bi + 1] - f.lumped_ptr[bi];
-                        if len == 0 {
-                            continue;
-                        }
-                        acc.clear();
-                        acc.resize(len, 0.0);
-                        for &s in partition.block_members(b) {
-                            let c = wscale[s] * scale[s];
-                            let i = s - o * f.n_in;
-                            for t in f.ains_ptr[i]..f.ains_ptr[i + 1] {
-                                acc[f.ains_pos[t] as usize] += c * ains[t];
-                            }
-                        }
-                        let row_out = &mut chunk[plan.indptr[b] - base..plan.indptr[b + 1] - base];
-                        let mut runs = row_out.chunks_exact_mut(len);
-                        kron_row(outer, o, 0, 1.0, &mut |_, a| {
-                            if let Some(run) = runs.next() {
-                                for (d, &v) in run.iter_mut().zip(acc.iter()) {
-                                    *d = a * v;
-                                }
-                            }
-                        });
-                        debug_assert!(runs.next().is_none(), "coarse row {b} out of sync");
-                    }
-                },
-            );
+        (Refresh::Factored(f), None, RowScratch::Factored { g, rs }) => {
+            refresh_factored(fine, plan, f, wscale, g, rs, &mut [], data);
         }
         (Refresh::Traverse { row_cost, .. }, None, RowScratch::Traverse(bufs)) => {
             par::for_each_grouped_chunk_mut(
@@ -1088,21 +1175,194 @@ pub fn lump_weighted_into(
                     }
                 },
             );
+            renormalize(plan, data);
         }
         _ => unreachable!("LumpPlan::matches and the scratch check pair each refresh arm"),
     }
-    renorm_and_refresh_transpose(plan, pm, ptm);
+    // Phase 5: refresh the cached transpose through the precomputed
+    // permutation.
+    let data = pm.data();
+    let t_data = ptm.data_mut();
+    par::for_each_chunk_mut(t_data, |start, chunk| {
+        for (k, o) in chunk.iter_mut().enumerate() {
+            *o = data[plan.t_from[start + k] as usize];
+        }
+    });
     Ok(())
 }
 
-/// Phases 4–5 of the numeric refresh. Phase 4: the two row-scaling
+/// Numeric-only refresh of a coarse level kept in factor form, with
+/// **zero heap allocations**: the outer lanes take the fine chain's
+/// current values, and every block `R_o` is gathered term by term from
+/// the fine chain's blocks (for a Kronecker fine grid, its innermost
+/// lane scaled by the row scale), folding any lanes the partition
+/// aggregates, with each row's renormalization folded in. Each outer
+/// state's block is written by one worker in a fixed order, so the
+/// refresh gives the same bits at any thread count, and agrees with the
+/// gather and traversal arms over the same chain to rounding.
+///
+/// # Errors
+///
+/// Same conditions as [`lump_weighted_into`], with `out` checked against
+/// the plan's outer lanes and inner pattern.
+pub fn lump_factored_into(
+    fine: &dyn StochasticOp,
+    partition: &Partition,
+    w: &[f64],
+    plan: &LumpPlan,
+    ws: &mut LumpWorkspace,
+    out: &mut FactoredChain,
+) -> Result<()> {
+    check_refresh(fine, partition, w, plan, ws)?;
+    let fits = plan.factored_output().is_some_and(|(outer, n_in)| {
+        out.n_in == n_in
+            && out.indices.len() == plan.indices.len()
+            && out.outer.len() == outer.len()
+            && (out.outer.iter().zip(outer))
+                .all(|(a, b)| a.rows() == b.rows() && a.nnz() == b.nnz())
+    });
+    let LumpWorkspace {
+        block_weight,
+        wscale,
+        scratch,
+    } = ws;
+    let (Refresh::Factored(f), RowScratch::Factored { g, rs }, true) =
+        (&plan.refresh, scratch, fits)
+    else {
+        return Err(MarkovError::InvalidArgument(
+            "factored chain does not match the plan's coarse level".into(),
+        ));
+    };
+    refresh_shares(partition, w, block_weight, wscale);
+    refresh_factored(
+        fine,
+        plan,
+        f,
+        wscale,
+        g,
+        rs,
+        &mut out.outer,
+        &mut out.values,
+    );
+    Ok(())
+}
+
+/// The factored refresh arm (see [`Factored`]): writes every coarse
+/// block of `values` — outer-major, `n_out · nnz(inner pattern)` — and
+/// copies the kept outer lanes' values into `outer` (empty when the
+/// coarse level is materialized).
+#[allow(clippy::too_many_arguments)]
+fn refresh_factored(
+    fine: &dyn StochasticOp,
+    plan: &LumpPlan,
+    f: &Factored,
+    wscale: &[f64],
+    g: &mut Vec<f64>,
+    rs: &mut [f64],
+    outer: &mut [CsrMatrix],
+    values: &mut [f64],
+) {
+    // The fine chain's lanes and block values, and (for a Kronecker fine
+    // grid) its row scale.
+    let (lanes, blocks, scale) = match &f.source {
+        Source::Kron(_) => {
+            let (Some(lanes), Some(scale)) = (fine.kron_factors(), fine.row_scale()) else {
+                unreachable!("LumpPlan::matches checked the lanes and the row scale")
+            };
+            let (a_in, outer) = lanes.split_last().expect("matched lanes are non-empty");
+            (outer, a_in.data(), Some(scale))
+        }
+        Source::Factored { .. } => {
+            let fc = fine
+                .factored()
+                .expect("LumpPlan::matches checked the level");
+            (&fc.outer[..], &fc.values[..], None)
+        }
+    };
+    let (kept, fold) = lanes.split_at(f.outer.len());
+    for (dst, src) in outer.iter_mut().zip(kept) {
+        dst.data_mut().copy_from_slice(src.data());
+    }
+    let d_g: usize = fold.iter().map(CsrMatrix::rows).product();
+    g.clear();
+    for l in 0..d_g {
+        kron_row(fold, l, 0, 1.0, &mut |_, v| g.push(v));
+    }
+    // Joint row sums of the kept lanes, Π_l rs_l(o_l), expanded in place
+    // outermost first (each write lands at or after the entry it reads).
+    rs[0] = 1.0;
+    let mut len = 1usize;
+    for lane in kept {
+        let m = lane.rows();
+        for i in (0..len).rev() {
+            let a = rs[i];
+            for j in (0..m).rev() {
+                rs[i * m + j] = a * lane.row(j).map(|(_, v)| v).sum::<f64>();
+            }
+        }
+        len *= m;
+    }
+    let (g, rs) = (&*g, &*rs);
+    // Where outer state o's fine blocks start: a Kronecker fine grid has
+    // one inner lane for every outer state.
+    let stride = match &f.source {
+        Source::Kron(_) => 0,
+        Source::Factored { nnz_in, .. } => d_g * nnz_in,
+    };
+    let nnz_c = plan.indices.len().max(1);
+    par::for_each_chunk_aligned_mut(values, nnz_c, |start, chunk| {
+        for (k, block) in chunk.chunks_mut(nnz_c).enumerate() {
+            let o = start / nnz_c + k;
+            let m0 = o * f.n_in;
+            let src = &blocks[o * stride..];
+            match scale {
+                Some(scale) => gather_block(f, plan, rs[o], block, g, src, |m| {
+                    wscale[m0 + m] * scale[m0 + m]
+                }),
+                None => gather_block(f, plan, rs[o], block, g, src, |m| wscale[m0 + m]),
+            }
+        }
+    });
+}
+
+/// One outer state's coarse block: each slot sums its terms
+/// `coef(member) · G · R` in plan order, then each row is scaled so the
+/// joint row, `rs_out` times the block row, sums to one.
+fn gather_block(
+    f: &Factored,
+    plan: &LumpPlan,
+    rs_out: f64,
+    block: &mut [f64],
+    g: &[f64],
+    src: &[f64],
+    coef: impl Fn(usize) -> f64,
+) {
+    for b in 0..f.nb_in {
+        let slots = plan.indptr[b]..plan.indptr[b + 1];
+        let mut sum = 0.0;
+        for s in slots.clone() {
+            let mut v = 0.0;
+            for k in f.ptr[s]..f.ptr[s + 1] {
+                v += coef(f.mem[k] as usize) * g[f.fac[k] as usize] * src[f.src[k] as usize];
+            }
+            block[s] = v;
+            sum += v;
+        }
+        let total = rs_out * sum;
+        if total > 0.0 {
+            let inv = 1.0 / total;
+            for v in &mut block[slots] {
+                *v *= inv;
+            }
+        }
+    }
+}
+
+/// Phase 4 of the gather and traversal refreshes: the two row-scaling
 /// passes of the from-scratch path, in order — `fix_row_sums` (guarded
 /// inverse) then the unconditional renormalization
 /// `StochasticMatrix::with_tolerance` performs; serial, O(coarse nnz).
-/// Phase 5: refresh the cached transpose through the precomputed
-/// permutation.
-fn renorm_and_refresh_transpose(plan: &LumpPlan, pm: &mut CsrMatrix, ptm: &mut CsrMatrix) {
-    let data = pm.data_mut();
+fn renormalize(plan: &LumpPlan, data: &mut [f64]) {
     for b in 0..plan.nb {
         let row = &mut data[plan.indptr[b]..plan.indptr[b + 1]];
         let s: f64 = row.iter().sum();
@@ -1117,18 +1377,13 @@ fn renorm_and_refresh_transpose(plan: &LumpPlan, pm: &mut CsrMatrix, ptm: &mut C
             *v *= f2;
         }
     }
-    let data = pm.data();
-    let t_data = ptm.data_mut();
-    par::for_each_chunk_mut(t_data, |start, chunk| {
-        for (k, o) in chunk.iter_mut().enumerate() {
-            *o = data[plan.t_from[start + k] as usize];
-        }
-    });
 }
 
-/// Allocates a coarse matrix from the plan's pattern and refreshes it via
-/// [`lump_weighted_into`] — the allocating entry point for callers that
-/// hold a plan but no matrix yet (hierarchy setup).
+/// Allocates a materialized coarse matrix from the plan's pattern and
+/// refreshes it via [`lump_weighted_into`] — the allocating entry point
+/// for callers that hold a plan but no matrix yet (hierarchy setup). A
+/// plan that keeps its coarse level in factor form allocates it with
+/// [`FactoredChain::for_plan`] instead.
 ///
 /// # Errors
 ///
@@ -1549,11 +1804,55 @@ mod tests {
         .unwrap()
     }
 
+    /// Lumps through `plan` into whichever coarse chain it refreshes.
+    fn lump_any(
+        fine: &dyn StochasticOp,
+        part: &Partition,
+        w: &[f64],
+        plan: &LumpPlan,
+    ) -> Box<dyn StochasticOp> {
+        let mut ws = LumpWorkspace::for_plan(plan);
+        match FactoredChain::for_plan(plan) {
+            Some(mut f) => {
+                lump_factored_into(fine, part, w, plan, &mut ws, &mut f).unwrap();
+                Box::new(f)
+            }
+            None => Box::new(lump_with_plan(fine, part, w, plan, &mut ws).unwrap()),
+        }
+    }
+
+    /// Every row of `op`, entries in column order.
+    fn rows(op: &dyn StochasticOp) -> Vec<Vec<(usize, f64)>> {
+        (0..op.rows())
+            .map(|r| {
+                let mut row = Vec::new();
+                op.for_each_in_row(r, &mut |c, v| row.push((c, v)));
+                row
+            })
+            .collect()
+    }
+
+    /// Largest relative gap between two chains with the same row
+    /// patterns (panics on a pattern mismatch).
+    fn row_gap(a: &dyn StochasticOp, b: &dyn StochasticOp) -> f64 {
+        let (ra, rb) = (rows(a), rows(b));
+        assert_eq!(ra.len(), rb.len(), "state counts differ");
+        let mut worst = 0.0f64;
+        for (r, (x, y)) in ra.iter().zip(&rb).enumerate() {
+            let (cx, vx): (Vec<usize>, Vec<f64>) = x.iter().copied().unzip();
+            let (cy, vy): (Vec<usize>, Vec<f64>) = y.iter().copied().unzip();
+            assert_eq!(cx, cy, "row {r} pattern differs");
+            worst = worst.max(max_rel_gap(&vx, &vy));
+        }
+        worst
+    }
+
     #[test]
     fn factored_refresh_matches_the_traversal_refresh() {
         let _g = THREADS_LOCK.lock().unwrap();
         // Two lanes with odd and even inner dimensions, three lanes (two
-        // outer factors) and one lane (no outer factor).
+        // outer lanes) and one lane (no outer lane: a materialized coarse
+        // level).
         for (k, dims) in [vec![5usize, 7], vec![6, 8], vec![3, 4, 5], vec![9]]
             .into_iter()
             .enumerate()
@@ -1569,10 +1868,9 @@ mod tests {
             let n = part.n();
             let fplan = LumpPlan::new(&imp, &part).unwrap();
             assert!(matches!(fplan.refresh, Refresh::Factored(_)), "{dims:?}");
+            assert_eq!(fplan.factored_output().is_some(), dims.len() > 1);
             let tplan = LumpPlan::traverse(&imp, &part).unwrap();
-            assert_eq!(fplan.pattern(), tplan.pattern(), "{dims:?}");
-            assert_eq!(fplan.fine_nnz(), tplan.fine_nnz(), "{dims:?}");
-            let mut tws = LumpWorkspace::for_plan(&tplan);
+            assert_eq!(fplan.block_count(), tplan.block_count(), "{dims:?}");
             let positive: Vec<f64> = (0..n).map(|i| 0.05 + (i as f64 * 0.61).fract()).collect();
             // No weight on block 1: its shares fall back to uniform.
             let mut zero_block = positive.clone();
@@ -1580,58 +1878,80 @@ mod tests {
                 zero_block[s] = 0.0;
             }
             for w in [&positive, &zero_block] {
-                let want = lump_with_plan(&imp, &part, w, &tplan, &mut tws).unwrap();
+                let want = lump_any(&imp, &part, w, &tplan);
                 let mut runs = Vec::new();
                 for t in [1usize, 4] {
                     par::set_threads(Some(t));
-                    let mut fws = LumpWorkspace::for_plan(&fplan);
-                    runs.push(lump_with_plan(&imp, &part, w, &fplan, &mut fws).unwrap());
+                    runs.push(lump_any(&imp, &part, w, &fplan));
                     par::set_threads(None);
                 }
                 for got in &runs {
-                    let (g, e) = (got.matrix().data(), want.matrix().data());
-                    assert!(max_rel_gap(g, e) <= 1e-13, "{dims:?}: values");
-                    let (g, e) = (got.transposed().data(), want.transposed().data());
-                    assert!(max_rel_gap(g, e) <= 1e-13, "{dims:?}: transpose");
+                    assert!(row_gap(got.as_ref(), want.as_ref()) <= 1e-13, "{dims:?}");
                 }
-                let (a, b) = (runs[0].matrix().data(), runs[1].matrix().data());
-                assert!(
-                    a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits()),
-                    "{dims:?}: 1 and 4 workers diverge"
-                );
+                assert_eq!(rows(runs[0].as_ref()), rows(runs[1].as_ref()), "{dims:?}");
             }
         }
     }
 
     #[test]
-    fn partitions_touching_an_outer_lane_refresh_by_traversal() {
+    fn partitions_touching_an_outer_lane_fold_it_into_the_inner_block() {
+        let _g = THREADS_LOCK.lock().unwrap();
         let op = KronTestOp::new(vec![
-            random_chain(4, 1).matrix().clone(),
-            random_chain(6, 2).matrix().clone(),
+            random_chain(3, 1).matrix().clone(),
+            random_chain(4, 2).matrix().clone(),
+            random_chain(6, 3).matrix().clone(),
         ]);
         let imp = ImplicitStochastic::with_tolerance(&op, &op, 1e-6).unwrap();
-        // Quads along the flat index straddle outer rows (4 does not
-        // divide 6): states 4 and 6 share a block but not an outer digit.
-        let quads = Partition::from_labels((0..24).map(|s| s / 4).collect()).unwrap();
-        let plan = LumpPlan::new(&imp, &quads).unwrap();
-        assert!(matches!(plan.refresh, Refresh::Traverse { .. }));
-        // The inner-only pairs go factored, and a materialized chain
-        // gathers whatever its storage.
-        let pairs = Partition::from_labels((0..24).map(|s| s / 2).collect()).unwrap();
-        assert!(matches!(
-            LumpPlan::new(&imp, &pairs).unwrap().refresh,
-            Refresh::Factored(_)
-        ));
+        let w: Vec<f64> = (0..72).map(|i| 0.1 + (i as f64 * 0.37).fract()).collect();
+        // Quads along the flat index straddle lane-1 digits (4 does not
+        // divide 6), so lanes 1 and 2 fold into one inner block and lane 0
+        // stays outer; sextets straddle nothing; 36-state blocks straddle
+        // lane-0 digits, leave no outer lane, and the coarse level is
+        // materialized.
+        for (size, kept) in [(4usize, 1usize), (6, 2), (36, 0)] {
+            let part = Partition::from_labels((0..72).map(|s| s / size).collect()).unwrap();
+            let plan = LumpPlan::new(&imp, &part).unwrap();
+            let Refresh::Factored(f) = &plan.refresh else {
+                panic!("a Kronecker chain plans a factored refresh")
+            };
+            assert_eq!(f.outer.len(), kept, "blocks of {size}");
+            let tplan = LumpPlan::traverse(&imp, &part).unwrap();
+            let got = lump_any(&imp, &part, &w, &plan);
+            let want = lump_any(&imp, &part, &w, &tplan);
+            assert!(
+                row_gap(got.as_ref(), want.as_ref()) <= 1e-13,
+                "blocks of {size}"
+            );
+            // The next level plans from the coarse level alone; pairs fold
+            // lane 1 under the sextets and stay inner under the quads.
+            if kept > 0 {
+                let nb = part.block_count();
+                let next = Partition::from_labels((0..nb).map(|s| s / 2).collect()).unwrap();
+                let stacked = LumpPlan::build_stack(&imp, &[part.clone(), next.clone()]).unwrap();
+                assert!(stacked[1].matches(got.as_ref()));
+                let w1: Vec<f64> = (0..nb).map(|i| 0.2 + (i as f64 * 0.53).fract()).collect();
+                let gt = LumpPlan::new(want.as_ref(), &next).unwrap();
+                let a = lump_any(got.as_ref(), &next, &w1, &stacked[1]);
+                let b = lump_any(want.as_ref(), &next, &w1, &gt);
+                assert!(
+                    row_gap(a.as_ref(), b.as_ref()) <= 1e-13,
+                    "second level, {size}"
+                );
+            }
+        }
+        // A materialized chain gathers whatever its storage, and a
+        // factored plan refuses a chain of other lane shapes.
+        let pairs = Partition::from_labels((0..72).map(|s| s / 2).collect()).unwrap();
         let mat = StochasticMatrix::with_tolerance(op.product().clone(), 1e-6).unwrap();
         assert!(matches!(
             LumpPlan::new(&mat, &pairs).unwrap().refresh,
             Refresh::Gather { .. }
         ));
-        // A factored plan refuses a chain of other factor shapes.
         let plan = LumpPlan::new(&imp, &pairs).unwrap();
         let other = KronTestOp::new(vec![
             random_chain(6, 3).matrix().clone(),
             random_chain(4, 4).matrix().clone(),
+            random_chain(3, 5).matrix().clone(),
         ]);
         let other = ImplicitStochastic::with_tolerance(&other, &other, 1e-6).unwrap();
         assert!(plan.matches(&imp) && !plan.matches(&other) && !plan.matches(&mat));

@@ -3,7 +3,7 @@
 use stochcdr_linalg::{vecops, CsrMatrix, TransitionOp};
 use stochcdr_obs as obs;
 
-use crate::{MarkovError, Result};
+use crate::{FactoredChain, MarkovError, Result};
 
 /// Row-sum tolerance accepted at construction; rows are renormalized to sum
 /// to exactly one afterwards so downstream analyses see a clean TPM.
@@ -244,9 +244,10 @@ impl TransitionOp for StochasticMatrix {
 /// A validated chain: a [`TransitionOp`] whose rows are probability
 /// distributions, checked once at construction. This is what the
 /// multigrid solver and the lumping refresh consume, so an unvalidated
-/// operator cannot reach them; the trait is sealed to the two validated
-/// chain types, [`StochasticMatrix`] and the matrix-free
-/// [`ImplicitStochastic`](crate::ImplicitStochastic).
+/// operator cannot reach them; the trait is sealed to the three validated
+/// chain types: [`StochasticMatrix`], the matrix-free
+/// [`ImplicitStochastic`](crate::ImplicitStochastic), and the coarse
+/// [`FactoredChain`].
 pub trait StochasticOp: TransitionOp + sealed::Sealed {
     /// The stored row-ordered values `P`, or `None` for a matrix-free
     /// chain. Kernels that can read stored values directly (the lumping
@@ -260,6 +261,13 @@ pub trait StochasticOp: TransitionOp + sealed::Sealed {
     /// [`TransitionOp::kron_factors`] reports. `None` for a materialized
     /// chain, whose stored values are already scaled.
     fn row_scale(&self) -> Option<&[f64]> {
+        None
+    }
+
+    /// The chain itself when it is a coarse level kept in factor form
+    /// (outer lanes times per-outer-state inner blocks), which the
+    /// lumping refresh aggregates block by block. `None` otherwise.
+    fn factored(&self) -> Option<&FactoredChain> {
         None
     }
 
@@ -285,6 +293,7 @@ mod sealed {
     pub trait Sealed {}
     impl Sealed for super::StochasticMatrix {}
     impl Sealed for crate::ImplicitStochastic<'_> {}
+    impl Sealed for crate::FactoredChain {}
 }
 
 #[cfg(test)]

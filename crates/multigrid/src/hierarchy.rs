@@ -8,9 +8,12 @@
 //! ([`stochcdr_markov::lumping::LumpPlan`] per level) and reducing every
 //! subsequent cycle to numeric refreshes into preallocated storage:
 //!
-//! * per level: the coarse [`StochasticMatrix`] (pattern fixed, values
-//!   rewritten), the lumping workspace (block weights + per-state shares),
-//!   the restricted iterate, and smoothing scratch;
+//! * per level: the coarse chain (pattern fixed, values rewritten) — a
+//!   materialized [`StochasticMatrix`], or, under a Kronecker fine grid
+//!   whose outer lanes the partitions have not touched yet, a
+//!   [`FactoredChain`] holding the outer lanes and one inner block per
+//!   outer state — the lumping workspace (block weights + per-state
+//!   shares), the restricted iterate, and smoothing scratch;
 //! * at the coarsest level: one dense scratch matrix for the in-place GTH
 //!   elimination plus its smoothing/residual buffers;
 //! * at the finest level: a residual scratch vector.
@@ -20,9 +23,11 @@
 //! performs **zero heap allocations** (with instrumentation disabled and a
 //! single worker thread; at higher thread counts the persistent pool's
 //! workers are spawned once, ahead of the first cycle, and parked between
-//! dispatches). Values produced are the same bits at every thread
-//! count, and bit-identical to the from-scratch path on a materialized
-//! fine chain.
+//! dispatches). Every level is smoothed, refreshed, restricted and
+//! priced (its [`apply_cost`](stochcdr_linalg::TransitionOp::apply_cost))
+//! through its own products and row walk. Values produced are the same
+//! bits at every thread count, and bit-identical to the from-scratch path
+//! on a materialized fine chain.
 //!
 //! **Invalidation rules**: a hierarchy is valid for exactly one (fine
 //! pattern, partition sequence) pair. Changing transition *values* never
@@ -33,8 +38,10 @@
 use std::sync::Arc;
 
 use stochcdr_linalg::DenseMatrix;
-use stochcdr_markov::lumping::{lump_with_plan, LumpPlan, LumpWorkspace, Partition};
-use stochcdr_markov::{MarkovError, Result, StochasticMatrix, StochasticOp};
+use stochcdr_markov::lumping::{
+    lump_factored_into, lump_weighted_into, lump_with_plan, LumpPlan, LumpWorkspace, Partition,
+};
+use stochcdr_markov::{FactoredChain, MarkovError, Result, StochasticMatrix, StochasticOp};
 
 /// Wall-clock seconds accumulated per multigrid phase.
 ///
@@ -70,12 +77,64 @@ impl MgPhases {
     }
 }
 
+/// A level's coarse chain: materialized (a CSR with its cached
+/// transpose), or kept in factor form when the fine chain is a Kronecker
+/// product whose outer lanes the partitions have not touched yet.
+pub(crate) enum Coarse {
+    Stored(StochasticMatrix),
+    Factored(FactoredChain),
+}
+
+impl Coarse {
+    /// Allocates the chain `plan` refreshes and fills it from `fine`
+    /// with uniform weights.
+    fn build(
+        fine: &dyn StochasticOp,
+        partition: &Partition,
+        plan: &LumpPlan,
+        ws: &mut LumpWorkspace,
+    ) -> Result<Coarse> {
+        let ones = vec![1.0; plan.fine_n()];
+        Ok(match FactoredChain::for_plan(plan) {
+            Some(mut f) => {
+                lump_factored_into(fine, partition, &ones, plan, ws, &mut f)?;
+                Coarse::Factored(f)
+            }
+            None => Coarse::Stored(lump_with_plan(fine, partition, &ones, plan, ws)?),
+        })
+    }
+
+    /// The chain, for smoothing, residuals, the coarsest solve and the
+    /// next level's refresh.
+    pub(crate) fn chain(&self) -> &dyn StochasticOp {
+        match self {
+            Coarse::Stored(m) => m,
+            Coarse::Factored(f) => f,
+        }
+    }
+
+    /// Numeric refresh from `fine` with weights `w`, allocation-free.
+    pub(crate) fn refresh(
+        &mut self,
+        fine: &dyn StochasticOp,
+        partition: &Partition,
+        w: &[f64],
+        plan: &LumpPlan,
+        ws: &mut LumpWorkspace,
+    ) -> Result<()> {
+        match self {
+            Coarse::Stored(m) => lump_weighted_into(fine, partition, w, plan, ws, m),
+            Coarse::Factored(f) => lump_factored_into(fine, partition, w, plan, ws, f),
+        }
+    }
+}
+
 /// Per-level preallocated state: the coarse chain with its fixed pattern,
 /// the lumping workspace, the restricted iterate, and smoothing scratch
 /// sized for the *fine* side of this level's transfer.
 pub(crate) struct MgLevel {
     /// Coarse chain for this level; values refreshed each cycle.
-    pub(crate) coarse: StochasticMatrix,
+    pub(crate) coarse: Coarse,
     /// Block weights + per-state shares from the latest refresh.
     pub(crate) ws: LumpWorkspace,
     /// Restricted iterate (length = this level's block count).
@@ -127,7 +186,10 @@ impl MgHierarchy {
     /// Builds the numeric side of a hierarchy from prevalidated plans:
     /// allocates every level's storage and refreshes each coarse chain
     /// with uniform weights. The fine chain may be materialized or
-    /// matrix-free; every coarse level is materialized.
+    /// matrix-free. Each coarse level is what its plan refreshes: under a
+    /// Kronecker fine grid, a [`FactoredChain`] while outer lanes remain
+    /// untouched by the partitions, and materialized once none is left;
+    /// under any other fine chain, materialized.
     pub(crate) fn build(
         fine: &dyn StochasticOp,
         partitions: &[Partition],
@@ -144,7 +206,7 @@ impl MgHierarchy {
         for (k, plan) in plans.iter().enumerate() {
             let level: &dyn StochasticOp = match levels.last() {
                 None => fine,
-                Some(prev) => &prev.coarse,
+                Some(prev) => prev.coarse.chain(),
             };
             if !plan.matches(level) {
                 return Err(MarkovError::InvalidArgument(format!(
@@ -155,8 +217,7 @@ impl MgHierarchy {
                 )));
             }
             let mut ws = LumpWorkspace::for_plan(plan);
-            let ones = vec![1.0; plan.fine_n()];
-            let coarse = lump_with_plan(level, &partitions[k], &ones, plan, &mut ws)?;
+            let coarse = Coarse::build(level, &partitions[k], plan, &mut ws)?;
             levels.push(MgLevel {
                 coarse,
                 ws,
@@ -166,7 +227,7 @@ impl MgHierarchy {
             });
         }
         let n = fine.rows();
-        let nc = levels.last().map_or(n, |l| l.coarse.n());
+        let nc = levels.last().map_or(n, |l| l.coarse.chain().rows());
         Ok(MgHierarchy {
             plans,
             levels,
@@ -192,7 +253,7 @@ impl MgHierarchy {
     pub fn level_sizes(&self) -> Vec<usize> {
         let mut sizes = Vec::with_capacity(self.levels.len() + 1);
         sizes.push(self.fine_n);
-        sizes.extend(self.levels.iter().map(|l| l.coarse.n()));
+        sizes.extend(self.levels.iter().map(|l| l.coarse.chain().rows()));
         sizes
     }
 

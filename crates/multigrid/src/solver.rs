@@ -1,18 +1,18 @@
 //! The multi-level aggregation/disaggregation solver.
 //!
-//! Threading: the grid-transfer kernel (`lump_weighted_into`) fans out
-//! over the `LumpPlan`'s precomputed blocking — gather weights on a
-//! materialized level, coarse-row costs on a matrix-free fine grid
-//! (factored or traversed) — and every smoothing/residual product rides
-//! the chain's own partition — all on the persistent `linalg::par` pool,
-//! with block fences that are a pure function of the operator, never of
-//! the thread count.
+//! Threading: the grid-transfer kernels (`lump_weighted_into`,
+//! `lump_factored_into`) fan out over the `LumpPlan`'s precomputed
+//! blocking — gather weights on a materialized level, coarse-row costs on
+//! a traversed matrix-free fine grid, outer states on a factored one —
+//! and every smoothing/residual product rides the chain's own partition —
+//! all on the persistent `linalg::par` pool, with block fences that are a
+//! pure function of the operator, never of the thread count.
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use stochcdr_linalg::{vecops, TransitionOp};
-use stochcdr_markov::lumping::{disaggregate_scaled, lump_weighted_into, LumpPlan, Partition};
+use stochcdr_markov::lumping::{disaggregate_scaled, LumpPlan, Partition};
 use stochcdr_markov::stationary::{
     ConvergenceSummary, ConvergenceTrace, GthSolver, SolveReport, StationaryResult,
     StationarySolver,
@@ -232,9 +232,11 @@ pub struct MultigridStats {
     pub convergence: ConvergenceSummary,
     /// Total fine-grid work in units of one V-cycle: each cycle costs
     /// `Σ_ℓ visits(kind, ℓ)·w_ℓ / Σ_ℓ w_ℓ` V-cycle equivalents, where
-    /// `w_ℓ` is the level's apply cost in multiply-adds (its nnz for
-    /// materialized levels; [`TransitionOp::apply_cost`] for an implicit
-    /// fine grid, whose compact nnz badly understates the real work), and
+    /// `w_ℓ` is the level's apply cost in multiply-adds,
+    /// [`TransitionOp::apply_cost`]: the nnz of a materialized level, the
+    /// block values plus outer mode products of a factored one, and the
+    /// mode products of an implicit fine grid (whose compact nnz badly
+    /// understates the real work), and
     /// every extra fine-grid residual evaluation the Krylov safeguard
     /// performs adds `w_0 / Σ_ℓ w_ℓ`. A deterministic cost metric: a
     /// pure function of the hierarchy pattern and the cycle/extrapolation
@@ -328,9 +330,12 @@ impl MultigridSolver {
     /// One-time symbolic + storage setup for the fine chain: validates the
     /// partition sequence, runs (or adopts injected) symbolic lumping
     /// plans, and allocates every buffer the cycle loop needs. The fine
-    /// chain may be materialized or matrix-free; only coarse levels are
-    /// ever materialized, and a matrix-free chain with no partitions is
-    /// solved directly. The returned hierarchy is valid for any chain
+    /// chain may be materialized or matrix-free, and a matrix-free chain
+    /// with no partitions is solved directly. Coarse levels under a
+    /// Kronecker fine grid stay in factor form (outer lanes times one
+    /// inner block per outer state) until a partition has aggregated
+    /// every outer lane; every other coarse level is materialized. The
+    /// returned hierarchy is valid for any chain
     /// sharing `fine`'s sparsity pattern — value changes never require
     /// re-preparation.
     ///
@@ -498,14 +503,14 @@ impl MultigridSolver {
         // heartbeats with an ETA projected from the EWMA contraction.
         let heartbeat = obs::Heartbeat::new("multigrid");
 
-        // Deterministic cost accounting: per-level logical work (nnz) and
-        // the resulting V-cycle-equivalent price of one cycle. The coarse
+        // Deterministic cost accounting: per-level apply work and the
+        // resulting V-cycle-equivalent price of one cycle. The coarse
         // patterns are fixed by the plans, so these are constants of the
         // hierarchy.
         let mut level_work = Vec::with_capacity(h.levels.len() + 1);
         level_work.push(h.fine_work as f64);
         for lvl in &h.levels {
-            level_work.push(lvl.coarse.matrix().nnz() as f64);
+            level_work.push(lvl.coarse.chain().apply_cost() as f64);
         }
         let v_cost: f64 = level_work.iter().sum();
         let cycle_cost = level_work
@@ -697,7 +702,8 @@ impl MultigridSolver {
         let agg_span = obs::span("aggregate");
         {
             let _refresh = obs::span("mg.refresh");
-            lump_weighted_into(chain, part, x, &plans[level], &mut lvl.ws, &mut lvl.coarse)?;
+            lvl.coarse
+                .refresh(chain, part, x, &plans[level], &mut lvl.ws)?;
         }
         // The refresh's block-weight pass *is* the restriction: same block
         // sums, same order, same bits as `aggregate(part, x)`.
@@ -706,7 +712,15 @@ impl MultigridSolver {
         drop(agg_span);
         ph.aggregate_secs += t0.elapsed().as_secs_f64();
         for _ in 0..self.kind.branches(level) {
-            self.run_cycle(&lvl.coarse, level + 1, plans, rest, cw, ph, &mut lvl.xc)?;
+            self.run_cycle(
+                lvl.coarse.chain(),
+                level + 1,
+                plans,
+                rest,
+                cw,
+                ph,
+                &mut lvl.xc,
+            )?;
         }
         let t0 = Instant::now();
         let disagg_span = obs::span("disaggregate");

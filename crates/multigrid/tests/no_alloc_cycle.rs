@@ -97,50 +97,57 @@ fn warm_cycles_do_not_allocate() {
 /// The same zero-allocation claim for a matrix-free fine grid: after
 /// [`MultigridSolver::prepare`], a warm [`MultigridSolver::cycle`]
 /// against a Kronecker product-form operator performs no heap
-/// allocations. In particular the Jacobi smoother's per-sweep diagonal
-/// comes from `KroneckerOp::diagonal_into` writing into the hierarchy's
-/// hoisted buffer, not a fresh vector. (Jacobi is the smoother a
-/// matrix-free chain admits; Gauss–Seidel needs a cached transpose.)
+/// allocations — through the mode products, the factored refreshes and
+/// the coarse levels kept in factor form. In particular the Jacobi
+/// smoother's per-sweep diagonal comes from `diagonal_into` writing into
+/// the hierarchy's hoisted buffer, not a fresh vector. (Jacobi is the
+/// smoother a matrix-free chain admits; Gauss–Seidel needs a cached
+/// transpose.)
 #[test]
 fn warm_implicit_cycles_do_not_allocate() {
     let _serial = serial();
     let _ = stochcdr_obs::uninstall();
     par::set_threads(Some(1));
 
-    // Two ring factors kept in product form: a 64-state joint chain whose
-    // fine level is never materialized.
-    let op = KroneckerOp::new(vec![ring(8).matrix().clone(), ring(8).matrix().clone()]);
-    let tr = op.transposed(); // cached: built once, outside the window
-    let imp = ImplicitStochastic::with_tolerance(&op, tr, 1e-9).unwrap();
-    let n = op.dim();
     assert!(
         mem::tracking_active(),
         "TrackingAlloc must be installed for this proof to mean anything"
     );
-    for kind in [CycleKind::V, CycleKind::W] {
-        let solver = MultigridSolver::builder(pair_partitions(n, 3))
-            .cycle(kind)
-            .smoother(Smoother::Jacobi { omega: 0.8 })
-            .pre_sweeps(1)
-            .post_sweeps(2)
-            .tol(1e-12)
-            .build();
-        let mut h = solver.prepare(&imp).unwrap();
-        let mut x = vec![1.0 / n as f64; n];
-        for _ in 0..3 {
-            solver.cycle(&imp, &mut h, &mut x).unwrap();
+    // Two ring lanes and three, kept in product form: 64-state joint
+    // chains whose fine level is never materialized. Pairwise partitions
+    // keep every coarse level in factor form; on the three-lane product
+    // the outer mode product spans two lanes, and the third partition
+    // pairs lane-1 digits, folding that lane into the inner block.
+    for lanes in [vec![8usize, 8], vec![4, 4, 4]] {
+        let op = KroneckerOp::new(lanes.iter().map(|&d| ring(d).matrix().clone()).collect());
+        let tr = op.transposed(); // cached: built once, outside the window
+        let imp = ImplicitStochastic::with_tolerance(&op, tr, 1e-9).unwrap();
+        let n = op.dim();
+        for kind in [CycleKind::V, CycleKind::W] {
+            let solver = MultigridSolver::builder(pair_partitions(n, 3))
+                .cycle(kind)
+                .smoother(Smoother::Jacobi { omega: 0.8 })
+                .pre_sweeps(1)
+                .post_sweeps(2)
+                .tol(1e-12)
+                .build();
+            let mut h = solver.prepare(&imp).unwrap();
+            let mut x = vec![1.0 / n as f64; n];
+            for _ in 0..3 {
+                solver.cycle(&imp, &mut h, &mut x).unwrap();
+            }
+            let allocated = mem::min_alloc_delta(
+                || {
+                    let res = solver.cycle(&imp, &mut h, &mut x).unwrap();
+                    assert!(res.is_finite());
+                },
+                5,
+            );
+            assert_eq!(
+                allocated, 0,
+                "implicit {kind:?}-cycle on lanes {lanes:?} allocated {allocated} times after setup"
+            );
         }
-        let allocated = mem::min_alloc_delta(
-            || {
-                let res = solver.cycle(&imp, &mut h, &mut x).unwrap();
-                assert!(res.is_finite());
-            },
-            5,
-        );
-        assert_eq!(
-            allocated, 0,
-            "implicit {kind:?}-cycle allocated {allocated} times after setup"
-        );
     }
     par::set_threads(None);
 }

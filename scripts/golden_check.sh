@@ -7,9 +7,9 @@
 #
 # fig4_noise is quick; the two tables redo real solver work — including
 # the scaling table's three implicit Kronecker rows, the long pole — so
-# the full gate takes about 3.5 minutes in release mode after the build
+# the full gate takes about 2.7 minutes in release mode after the build
 # (measured on a shared two-vCPU host: 2 s for the first two artifacts,
-# 195 s for the scaling table, whose million-state row solves in 42 s).
+# ~160 s for the scaling table, whose million-state row solves in 27 s).
 # That cost is deliberate: the implicit rows' cycle counts and residuals
 # are the regression gate on the matrix-free path.
 set -eu
