@@ -76,12 +76,8 @@ pub fn usage() -> String {
      \x20 jitter     recovered-clock jitter report (--max-lag N)\n\
      \x20 spy        ASCII nonzero pattern of the transition matrix (--size N)\n\
      \x20 scale      multi-lane product-form solve on the implicit Kronecker\n\
-     \x20            path (--lanes N, default 2); --path auto|implicit|\n\
-     \x20            materialized (default auto: implicit is selected when\n\
-     \x20            materializing would cross --mem-budget);\n\
-     \x20            --mem-budget BYTES is a soft live-heap budget\n\
-     \x20            (suffixes K/M/G): the Kronecker path refuses to\n\
-     \x20            materialize past it and records mem.budget_exceeded\n\
+     \x20            path, never materializing the joint TPM (--lanes N,\n\
+     \x20            default 2)\n\
      \x20 report     render a recorded artifact (--in FILE): the run table\n\
      \x20            of a --metrics stream (stochcdr-obs/5 JSONL), or the\n\
      \x20            structure check of a --trace Chrome trace\n\
@@ -155,7 +151,7 @@ const COMMANDS: [(&str, &[&str]); 10] = [
     ("acquire", &["horizon"]),
     ("jitter", &["max-lag"]),
     ("spy", &["size"]),
-    ("scale", &["lanes", "path", "mem-budget"]),
+    ("scale", &["lanes"]),
     ("report", &["in"]),
     ("diff", &["baseline", "fresh", "rel-tol", "out"]),
 ];
@@ -332,20 +328,6 @@ fn take_model(flags: &mut BTreeMap<String, String>) -> Result<Model, CliError> {
     Ok((config, solver, tol, threads))
 }
 
-/// Parses a byte size with an optional binary suffix: `1048576`,
-/// `512K`, `64M`, `2G` (case-insensitive, `1024`-based).
-pub(crate) fn parse_mem_size(v: &str) -> Option<u64> {
-    let v = v.trim();
-    let (digits, mult) = match v.chars().last()? {
-        'k' | 'K' => (&v[..v.len() - 1], 1u64 << 10),
-        'm' | 'M' => (&v[..v.len() - 1], 1u64 << 20),
-        'g' | 'G' => (&v[..v.len() - 1], 1u64 << 30),
-        _ => (v, 1),
-    };
-    let n: u64 = digits.trim().parse().ok()?;
-    n.checked_mul(mult)
-}
-
 /// Splices `--config FILE` contents into the argument list.
 fn expand_config_files(argv: &[String]) -> Result<Vec<String>, CliError> {
     let mut out = Vec::with_capacity(argv.len());
@@ -515,7 +497,7 @@ mod tests {
             parse(&argv("analyze stray")),
             Err(CliError::UnknownFlag(_))
         ));
-        // A subcommand rejects any flag it does not read: `--mem-budget`
+        // A subcommand rejects any flag it does not read: `--lanes`
         // belongs to `scale`, and the artifact commands read no model,
         // solver, `--tol` or `--threads` flags.
         for bad in [
@@ -523,7 +505,7 @@ mod tests {
             "sweep --accel gmres",
             "sweep --knob counter --values 4",
             "analyze --points 3",
-            "analyze --mem-budget 1",
+            "analyze --lanes 2",
             "report --in m.jsonl --refinement 0",
             "diff --baseline m.jsonl --fresh m.jsonl --solver gmres --tol 5",
             "diff --baseline m.jsonl --fresh m.jsonl --threads 2",
@@ -604,23 +586,6 @@ mod tests {
         );
         assert!(usage().contains("--trace"));
         assert!(usage().contains("report"));
-    }
-
-    #[test]
-    fn mem_budget_parses_suffixes() {
-        assert_eq!(parse_mem_size("1048576"), Some(1 << 20));
-        assert_eq!(parse_mem_size("512K"), Some(512 << 10));
-        assert_eq!(parse_mem_size("64m"), Some(64 << 20));
-        assert_eq!(parse_mem_size("2G"), Some(2 << 30));
-        assert_eq!(parse_mem_size("lots"), None);
-        assert_eq!(parse_mem_size(&format!("{}G", u64::MAX)), None);
-        // Only `scale` reads the flag; it reaches the command verbatim.
-        let p = parse(&argv("scale --mem-budget 2G")).unwrap();
-        assert_eq!(
-            p.options.extra.get("mem-budget").map(String::as_str),
-            Some("2G")
-        );
-        assert!(usage().contains("--mem-budget"));
     }
 
     #[test]

@@ -12,7 +12,7 @@ use stochcdr_obs as obs;
 use stochcdr_obs::artifact::fmt_bytes;
 use stochcdr_sweep::{render as sweep_render, run as sweep_run, SweepAxis, SweepSpec};
 
-use crate::args::{parse_mem_size, usage, CliError, Options, ParsedArgs};
+use crate::args::{usage, CliError, Options, ParsedArgs};
 
 /// Runs the subcommand and renders its output.
 ///
@@ -397,42 +397,16 @@ fn spy(opts: &Options) -> Result<String, CliError> {
 
 /// `stochcdr scale --lanes N`: replicates the configured chain into an
 /// `N`-lane Kronecker product and solves for the joint stationary
-/// distribution, selecting the implicit (matrix-free) backend whenever
-/// materializing the joint TPM would cross `--mem-budget` (`--path`
-/// forces either backend). This is the paper-scale entry point: the
-/// joint state space multiplies with every lane while the stored
-/// representation only adds one factor CSR.
+/// distribution without materializing the joint TPM. This is the
+/// paper-scale entry point: the joint state space multiplies with every
+/// lane while the stored representation only adds one factor CSR.
 fn scale(opts: &Options) -> Result<String, CliError> {
-    use stochcdr::ProductChain;
-
     let lanes = extra_usize(opts, "lanes", 2)?.max(1);
-    let mem_budget = opts
-        .extra
-        .get("mem-budget")
-        .map(|v| {
-            parse_mem_size(v).ok_or_else(|| CliError::BadValue {
-                flag: "--mem-budget".into(),
-                value: v.clone(),
-                expected: "a byte count, optionally suffixed K/M/G",
-            })
-        })
-        .transpose()?;
     let chain = CdrModel::new(opts.config.clone()).build_chain()?;
-    let product: ProductChain = chain.replicate(lanes)?;
+    let product = chain.replicate(lanes)?;
 
     let start = std::time::Instant::now();
-    let solve = match opts.extra.get("path").map(String::as_str) {
-        None | Some("auto") => product.solve_auto(opts.tol, mem_budget)?,
-        Some("implicit") => product.solve_implicit(opts.tol)?,
-        Some("materialized") => product.solve_materialized(opts.tol, mem_budget)?,
-        Some(v) => {
-            return Err(CliError::BadValue {
-                flag: "--path".into(),
-                value: v.into(),
-                expected: "auto | implicit | materialized",
-            })
-        }
-    };
+    let solve = product.solve_implicit(opts.tol)?;
     let solve_secs = start.elapsed().as_secs_f64();
 
     let mut out = String::new();
@@ -444,23 +418,9 @@ fn scale(opts: &Options) -> Result<String, CliError> {
     let _ = writeln!(out, "joint states        : {}", product.state_count());
     let _ = writeln!(
         out,
-        "stored transitions  : {} (factored; materialized would be {:.3e}, peaking at {})",
+        "stored transitions  : {} (factored; materialized would be {:.3e})",
         product.compact_nnz(),
         product.materialized_nnz() as f64,
-        fmt_bytes(product.materialize_cost_bytes()),
-    );
-    let budget = match mem_budget {
-        Some(b) => format!("budget {}", fmt_bytes(b)),
-        None => "no budget".to_string(),
-    };
-    let _ = writeln!(
-        out,
-        "path                : {} ({budget})",
-        if solve.implicit {
-            "implicit"
-        } else {
-            "materialized"
-        }
     );
     let _ = writeln!(out, "solver              : {}", solve.solver_name);
     let _ = writeln!(out, "cycles              : {}", solve.result.iterations());
@@ -570,24 +530,24 @@ mod tests {
     }
 
     #[test]
-    fn scale_smoke_auto_and_forced_paths() {
-        // Tiny lanes (--counter 2 shrinks SMALL further) keep the double
-        // solve fast; with no budget the auto path materializes.
+    fn scale_solves_and_rejects_path_flags() {
+        // Tiny lanes (--counter 2 shrinks SMALL further) keep the solve
+        // fast.
         let tiny = format!("{SMALL} --counter 2 --lanes 2 --tol 1e-8");
         let out = run(&argv(&format!("scale {tiny}"))).unwrap();
         assert!(out.contains("joint states"), "{out}");
-        assert!(out.contains("materialized (no budget)"), "{out}");
+        assert!(out.contains("cycles"), "{out}");
+        assert!(out.contains("distribution fnv1a"), "{out}");
         assert!(out.contains("peak RSS"), "{out}");
-        // A 1-byte budget flips auto to the implicit backend.
-        let out = run(&argv(&format!("scale {tiny} --mem-budget 1"))).unwrap();
-        assert!(out.contains("implicit (budget"), "{out}");
-        // Forcing the materialized path under that budget is refused.
-        assert!(run(&argv(&format!(
-            "scale {tiny} --mem-budget 1 --path materialized"
-        )))
-        .is_err());
-        // And the flag grammar is validated.
-        assert!(run(&argv(&format!("scale {SMALL} --path sideways"))).is_err());
+        // The product solve has one path, so nothing selects or budgets
+        // it.
+        for flags in ["--path implicit", "--mem-budget 2G"] {
+            let e = run(&argv(&format!("scale {tiny} {flags}"))).unwrap_err();
+            assert!(
+                matches!(e, crate::CliError::UnknownFlag(_)),
+                "{flags}: {e:?}"
+            );
+        }
         assert!(crate::args::usage().contains("scale"));
     }
 

@@ -216,10 +216,8 @@ impl CdrChain {
     }
 
     /// `n`-lane Kronecker replication of this chain — the entry point to
-    /// the implicit product-form solve path
-    /// ([`ProductChain::solve_auto`](crate::ProductChain::solve_auto)
-    /// picks the matrix-free backend whenever materializing the joint
-    /// TPM would cross the soft memory budget).
+    /// the matrix-free product-form solve
+    /// ([`ProductChain::solve_implicit`](crate::ProductChain::solve_implicit)).
     ///
     /// # Errors
     ///

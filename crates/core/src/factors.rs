@@ -276,18 +276,6 @@ fn key(f: impl FnOnce(&mut KeyHasher)) -> u64 {
     h.finish()
 }
 
-/// Cache key covering every parameter the assembled chain depends on:
-/// the skeleton geometry (phases, refinement, dead zone, filter, data,
-/// white jitter) plus the drift spec — together these determine the TPM
-/// bit-for-bit. The `product.lane` cache kind uses this so multi-lane
-/// products rebuild only the lane a sweep axis actually moved.
-pub(crate) fn chain_key(cfg: &CdrConfig) -> u64 {
-    key(|h| {
-        hash_skeleton(h, cfg);
-        hash_drift(h, cfg);
-    })
-}
-
 impl AssemblyFactors {
     /// Computes every factor from scratch (no cache).
     pub fn compute(cfg: &CdrConfig) -> Self {

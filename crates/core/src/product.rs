@@ -16,31 +16,19 @@
 //! applied by the same mode products; a level is materialized only once
 //! the partitions have aggregated every outer lane.
 //!
-//! # Path selection
-//!
-//! [`solve_auto`](ProductChain::solve_auto) picks the backend from a
-//! soft memory budget (`--mem-budget` on the CLI): when
-//! [`KroneckerOp::materialize_cost_bytes`] would push the live heap past
-//! the budget, the solve runs implicitly; otherwise
-//! the product is materialized and solved on the ordinary path. Both
-//! backends share one solver configuration and one hierarchy and agree
-//! to rounding: the implicit path scales vectors instead of stored
-//! values and associates products mode by mode, so on a model small
-//! enough to run both the two land on the same cycle count with
-//! stationary vectors within 1e-13 in L1 (the tests pin this). Each
-//! backend is bit-identical at any thread count.
+//! There is one solve, [`solve_implicit`](ProductChain::solve_implicit):
+//! it matches or beats materializing the joint TPM at every product
+//! size, in time and in memory (DESIGN.md §13), and it is bit-identical
+//! at any thread count.
 
-use std::sync::Arc;
-
-use stochcdr_fsm::{FactorCache, KroneckerOp};
+use stochcdr_fsm::KroneckerOp;
 use stochcdr_markov::lumping::Partition;
 use stochcdr_markov::stationary::{StationaryResult, StationarySolver};
-use stochcdr_markov::{ImplicitStochastic, StochasticMatrix};
+use stochcdr_markov::ImplicitStochastic;
 use stochcdr_multigrid::{GeometricCoarsening, MultigridSolver, MultigridStats, Smoother};
 use stochcdr_obs as obs;
 
-use crate::factors::chain_key;
-use crate::{AssemblyFactors, CdrChain, CdrConfig, CdrError, CdrModel, Result};
+use crate::{CdrChain, CdrError, Result};
 
 /// TPM-validation tolerance for product chains. Each lane's rows sum to
 /// one within the assembly tolerance (1e-9); the product's row sums are
@@ -71,8 +59,6 @@ pub struct ProductSolve {
     pub stats: MultigridStats,
     /// Name of the solver that ran ([`StationarySolver::name`]).
     pub solver_name: &'static str,
-    /// Whether the solve ran on the implicit (matrix-free) fine grid.
-    pub implicit: bool,
 }
 
 impl ProductChain {
@@ -113,36 +99,6 @@ impl ProductChain {
         Self::new(vec![lane.clone(); n])
     }
 
-    /// Builds the lanes through `cache`: assembled lane chains are
-    /// shared under the `product.lane` kind (keyed by each
-    /// configuration's chain-determining parameters), and lane assembly
-    /// itself pulls its tables through [`AssemblyFactors::cached`]. A
-    /// sweep that moves one lane's drift axis therefore reuses every
-    /// untouched lane outright *and* rebuilds the moved lane from cached
-    /// factors — only the drift table (`acc.nr`) is recomputed.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first lane-assembly failure (which is also cached:
-    /// a configuration that failed once fails again without re-running
-    /// the assembler), plus the [`new`](Self::new) conditions.
-    pub fn cached(configs: &[CdrConfig], cache: &FactorCache) -> Result<Self> {
-        let mut lanes = Vec::with_capacity(configs.len());
-        for cfg in configs {
-            // Fetched outside the lane closure: `get_or_build` runs its
-            // builder under the cache lock, so the nested factor lookups
-            // must happen first (they are pure hits when the lane is
-            // cached anyway).
-            let factors = AssemblyFactors::cached(cfg, cache);
-            let built: Arc<Result<CdrChain>> =
-                cache.get_or_build("product.lane", chain_key(cfg), || {
-                    CdrModel::new(cfg.clone()).build_chain_with(&factors)
-                });
-            lanes.push(built.as_ref().clone()?);
-        }
-        Self::new(lanes)
-    }
-
     /// The per-lane chains, outermost first.
     pub fn lanes(&self) -> &[CdrChain] {
         &self.lanes
@@ -166,11 +122,6 @@ impl ProductChain {
     /// Nonzeros the materialized joint TPM would hold.
     pub fn materialized_nnz(&self) -> usize {
         self.op.materialized_nnz()
-    }
-
-    /// Estimated heap bytes of materializing the joint TPM.
-    pub fn materialize_cost_bytes(&self) -> u64 {
-        self.op.materialize_cost_bytes()
     }
 
     /// The multigrid coarsening hierarchy for this product space: plain
@@ -218,11 +169,9 @@ impl ProductChain {
     /// with Krylov window acceleration (window
     /// [`Self::KRYLOV_RESTART`]) over the paper's damped-Jacobi
     /// smoother (`ω = 0.8`, fully parallel on the implicit fine grid),
-    /// 1 pre-/2 post-sweeps. Both solve backends use this exact
-    /// configuration, which is what makes them comparable; the
-    /// extrapolation is a pure function of the residual history, so
-    /// the acceleration preserves the thread-count determinism
-    /// contract.
+    /// 1 pre-/2 post-sweeps. The extrapolation is a pure function of
+    /// the residual history, so the acceleration preserves the
+    /// thread-count determinism contract.
     ///
     /// V rather than a deeper cycle is a measured choice: on the deep
     /// (~14-level) hierarchies these product chains build, a (truncated)
@@ -278,85 +227,20 @@ impl ProductChain {
         let tr = self.op.transposed();
         let imp = ImplicitStochastic::with_tolerance(&self.op, tr, PRODUCT_TOL)?;
         let (result, stats) = solver.solve_with_stats(&imp, None)?;
-        self.solved_event(true, &result);
-        Ok(ProductSolve {
-            result,
-            stats,
-            solver_name: solver.name(),
-            implicit: true,
-        })
-    }
-
-    /// Solves on the materialized joint TPM (the reference path for
-    /// models small enough to afford it) under a soft memory `budget`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CdrError::Config`] when `budget` refuses the
-    /// materialization ([`KroneckerOp::try_materialize`]); use
-    /// [`solve_implicit`](Self::solve_implicit) or
-    /// [`solve_auto`](Self::solve_auto) instead. Propagates TPM
-    /// validation and solver failures.
-    pub fn solve_materialized(&self, tol: f64, budget: Option<u64>) -> Result<ProductSolve> {
-        let solver = self.solver(tol);
-        let _span = obs::span("core.product_solve");
-        let csr = self.op.try_materialize(budget).ok_or_else(|| {
-            CdrError::Config(format!(
-                "materializing the {}-state product TPM needs {} bytes, over the memory \
-                 budget; use the implicit path",
-                self.op.dim(),
-                self.op.materialize_cost_bytes()
-            ))
-        })?;
-        let tpm = StochasticMatrix::with_tolerance(csr, PRODUCT_TOL)?;
-        let (result, stats) = solver.solve_with_stats(&tpm, None)?;
-        self.solved_event(false, &result);
-        Ok(ProductSolve {
-            result,
-            stats,
-            solver_name: solver.name(),
-            implicit: false,
-        })
-    }
-
-    /// Budget-driven backend selection: runs
-    /// [`solve_implicit`](Self::solve_implicit) when materializing the
-    /// joint TPM would cross the soft memory `budget`, and
-    /// [`solve_materialized`](Self::solve_materialized) otherwise. With
-    /// no budget, the materialized path always wins. The two backends
-    /// agree to rounding, not bit for bit (see the module docs).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as the selected backend.
-    pub fn solve_auto(&self, tol: f64, budget: Option<u64>) -> Result<ProductSolve> {
-        if obs::mem::would_exceed(self.op.materialize_cost_bytes(), budget) {
-            obs::event(
-                "core.product_path",
-                &[
-                    ("path", "implicit".into()),
-                    ("states", self.op.dim().into()),
-                    ("materialize_bytes", self.op.materialize_cost_bytes().into()),
-                    ("budget_bytes", budget.unwrap_or(0).into()),
-                ],
-            );
-            self.solve_implicit(tol)
-        } else {
-            self.solve_materialized(tol, budget)
-        }
-    }
-
-    fn solved_event(&self, implicit: bool, result: &StationaryResult) {
         obs::event(
             "core.product_solved",
             &[
-                ("implicit", implicit.into()),
                 ("states", self.op.dim().into()),
                 ("lanes", self.lanes.len().into()),
                 ("cycles", result.iterations().into()),
                 ("residual", result.residual().into()),
             ],
         );
+        Ok(ProductSolve {
+            result,
+            stats,
+            solver_name: solver.name(),
+        })
     }
 }
 
@@ -364,13 +248,14 @@ impl ProductChain {
 mod tests {
     use super::*;
     use crate::data_model::DataModel;
+    use crate::{CdrConfig, CdrModel};
     use stochcdr_linalg::{vecops, CsrMatrix, TransitionOp};
     use stochcdr_markov::lumping::{lump_factored_into, lump_with_plan, LumpPlan, LumpWorkspace};
     use stochcdr_markov::stationary::GthSolver;
-    use stochcdr_markov::{FactoredChain, StochasticOp};
+    use stochcdr_markov::{FactoredChain, StochasticMatrix, StochasticOp};
 
-    fn lane_config() -> CdrConfig {
-        CdrConfig::builder()
+    fn lane() -> CdrChain {
+        let cfg = CdrConfig::builder()
             .phases(4)
             .grid_refinement(2)
             .counter_len(4)
@@ -378,11 +263,8 @@ mod tests {
             .white_sigma_ui(0.08)
             .drift(2e-2, 8e-2)
             .build()
-            .unwrap()
-    }
-
-    fn lane() -> CdrChain {
-        CdrModel::new(lane_config()).build_chain().unwrap()
+            .unwrap();
+        CdrModel::new(cfg).build_chain().unwrap()
     }
 
     /// A deliberately tiny lane so the double solves in these tests stay
@@ -402,21 +284,22 @@ mod tests {
 
     #[test]
     fn implicit_and_materialized_solves_agree() {
-        // The implicit path scales vectors where the materialized one
-        // stores scaled values, applies the product mode by mode and
-        // refreshes level 0 by sum factorization, so the two backends
-        // agree to rounding: the same hierarchy and cycle count, and
+        // The reference materializes the joint TPM and runs the same
+        // solver on it. The implicit solve scales vectors where the
+        // materialized chain stores scaled values, applies the product
+        // mode by mode and refreshes level 0 by sum factorization, so the
+        // two agree to rounding: the same hierarchy and cycle count, and
         // distributions within 1e-13 in L1.
         let p = ProductChain::replicated(&tiny_lane(), 2).unwrap();
-        let a = p.solve_materialized(1e-10, None).unwrap();
+        let tpm =
+            StochasticMatrix::with_tolerance(p.operator().materialize(), PRODUCT_TOL).unwrap();
+        let (a, a_stats) = p.solver(1e-10).solve_with_stats(&tpm, None).unwrap();
         let b = p.solve_implicit(1e-10).unwrap();
-        assert!(!a.implicit);
-        assert!(b.implicit);
-        assert_eq!(a.stats.level_sizes, b.stats.level_sizes);
-        assert_eq!(a.result.iterations(), b.result.iterations());
-        assert!(a.result.residual() <= 1e-10 && b.result.residual() <= 1e-10);
-        let gap = vecops::dist1(&a.result.distribution, &b.result.distribution);
-        assert!(gap <= 1e-13, "backends differ by {gap:e} in L1");
+        assert_eq!(a_stats.level_sizes, b.stats.level_sizes);
+        assert_eq!(a.iterations(), b.result.iterations());
+        assert!(a.residual() <= 1e-10 && b.result.residual() <= 1e-10);
+        let gap = vecops::dist1(&a.distribution, &b.result.distribution);
+        assert!(gap <= 1e-13, "solves differ by {gap:e} in L1");
     }
 
     /// The accuracy-lock lane: phases 8, refinement 2, counter 2 — 128
@@ -712,67 +595,6 @@ mod tests {
         }
         assert!(l1 <= 1e-12, "L1 error {l1:e}");
         assert!(worst <= 1e-6, "worst relative entry error {worst:e}");
-    }
-
-    #[test]
-    fn solve_auto_selects_by_budget() {
-        let p = ProductChain::replicated(&tiny_lane(), 2).unwrap();
-        // Anything materialized exceeds a one-byte budget.
-        let implicit = p.solve_auto(1e-8, Some(1));
-        assert!(implicit.unwrap().implicit, "tight budget must go implicit");
-        let materialized = p.solve_auto(1e-8, None).unwrap();
-        assert!(!materialized.implicit, "no budget must materialize");
-    }
-
-    #[test]
-    fn cached_lanes_are_shared_across_points() {
-        let cache = FactorCache::new();
-        let cfgs = [lane_config(), lane_config()];
-        let p = ProductChain::cached(&cfgs, &cache).unwrap();
-        assert_eq!(p.lanes().len(), 2);
-        let stats = cache.stats();
-        assert_eq!(stats.by_kind["product.lane"].misses, 1);
-        assert_eq!(stats.by_kind["product.lane"].hits, 1);
-        // A second product over the same configs touches nothing new.
-        let q = ProductChain::cached(&cfgs, &cache).unwrap();
-        assert_eq!(cache.stats().by_kind["product.lane"].misses, 1);
-        assert_eq!(q.state_count(), p.state_count());
-    }
-
-    #[test]
-    fn drift_axis_rebuilds_one_lane_from_one_fresh_factor() {
-        let cache = FactorCache::new();
-        let base = lane_config();
-        let moved = {
-            let mut b = base.to_builder();
-            b = b.drift(3e-2, 8e-2);
-            b.build().unwrap()
-        };
-        ProductChain::cached(&[base.clone(), base.clone()], &cache).unwrap();
-        let before = cache.stats();
-        // Move lane 1's drift: lane 0 is a pure cache hit, lane 1
-        // reassembles — but only the drift table is computed fresh.
-        ProductChain::cached(&[base, moved], &cache).unwrap();
-        let after = cache.stats();
-        assert_eq!(after.by_kind["product.lane"].misses, 2);
-        assert_eq!(
-            after.by_kind["acc.nr"].misses,
-            before.by_kind["acc.nr"].misses + 1,
-            "moved drift axis must rebuild the drift factor"
-        );
-        for kind in [
-            "data.branches",
-            "pd.nw",
-            "pd.decisions",
-            "filter.table",
-            "row.skeleton",
-            "wrap.skeleton",
-        ] {
-            assert_eq!(
-                after.by_kind[kind].misses, before.by_kind[kind].misses,
-                "kind {kind} must be shared across the drift axis"
-            );
-        }
     }
 
     #[test]

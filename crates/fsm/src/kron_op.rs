@@ -13,7 +13,6 @@
 //! formed. Row access and the diagonal are served from the factors, so
 //! even Jacobi's diagonal extraction stays compact.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 use stochcdr_linalg::kron::{self, ModeScratch};
@@ -50,10 +49,6 @@ pub struct KroneckerOp {
     tail: Vec<usize>,
     /// Transposed-factor twin, built on first use ((A⊗B)ᵀ = Aᵀ⊗Bᵀ).
     transposed: OnceLock<Box<KroneckerOp>>,
-    /// Whether this op already emitted a `mem.budget_exceeded` event —
-    /// sweep loops retry [`try_materialize`](Self::try_materialize) per
-    /// axis point and must not bloat JSONL artifacts with repeats.
-    budget_reported: AtomicBool,
     /// Reusable ping-pong buffers for the mode-by-mode apply, so warm
     /// multigrid cycles against the implicit fine grid allocate nothing.
     /// `try_lock` keeps concurrent callers correct: a contended call
@@ -62,8 +57,7 @@ pub struct KroneckerOp {
 }
 
 impl Clone for KroneckerOp {
-    /// Clones factors only; the transpose cache and the budget-report
-    /// latch start fresh on the copy.
+    /// Clones factors only; the transpose cache starts fresh on the copy.
     fn clone(&self) -> Self {
         KroneckerOp::new(self.factors.clone())
     }
@@ -99,7 +93,6 @@ impl KroneckerOp {
             dim,
             tail,
             transposed: OnceLock::new(),
-            budget_reported: AtomicBool::new(false),
             scratch: Mutex::new(ModeScratch::default()),
         }
     }
@@ -163,68 +156,17 @@ impl KroneckerOp {
     }
 
     /// Exact nonzero count of the materialized product, `Π nnz(A_i)`
-    /// (saturating — a saturated value is far past any budget anyway).
+    /// (saturating at `usize::MAX`).
     pub fn materialized_nnz(&self) -> usize {
         self.factors
             .iter()
             .fold(1usize, |acc, f| acc.saturating_mul(f.nnz()))
     }
 
-    /// Estimated peak heap cost in bytes of [`materialize`](Self::materialize)
-    /// followed by validating the result as a chain
-    /// (`StochasticMatrix::with_tolerance` in `stochcdr-markov`). A CSR
-    /// stores an 8-byte value and a 4-byte column index per nonzero and an
-    /// 8-byte row pointer per row; the product's rows are emitted in CSR
-    /// order, so materializing holds one such CSR. Validation then holds
-    /// three at once — the product, its row-scaled copy and the transpose
-    /// being built — plus two per-row vectors (row sums and scale factors)
-    /// and the transpose's column counts: 36 bytes per nonzero and 48 per
-    /// row.
-    pub fn materialize_cost_bytes(&self) -> u64 {
-        const CSR_PER_NNZ: u64 = (size_of::<f64>() + size_of::<u32>()) as u64;
-        const CSR_PER_ROW: u64 = size_of::<usize>() as u64;
-        let nnz = self.materialized_nnz() as u64;
-        let rows = self.dim as u64 + 1;
-        nnz.saturating_mul(3 * CSR_PER_NNZ)
-            .saturating_add(rows.saturating_mul(3 * CSR_PER_ROW + 3 * size_of::<f64>() as u64))
-    }
-
-    /// Budget-aware [`materialize`](Self::materialize): refuses (returns
-    /// `None`) when the estimated product size would push the live heap
-    /// past the soft memory `budget` (`--mem-budget` on the CLI). The
-    /// first refusal emits a `mem.budget_exceeded` event; repeat refusals
-    /// on the same op (sweep loops retry per axis point) stay silent so
-    /// artifacts record one line per op, not one per retry. With no
-    /// budget this always materializes.
-    pub fn try_materialize(&self, budget: Option<u64>) -> Option<CsrMatrix> {
-        let bytes = self.materialize_cost_bytes();
-        if self.budget_reported.load(Ordering::Relaxed) {
-            // Already reported for this op: check silently.
-            if obs::mem::would_exceed(bytes, budget) {
-                return None;
-            }
-        } else if !obs::mem::check_budget("fsm.kron_materialize", bytes, budget) {
-            self.budget_reported.store(true, Ordering::Relaxed);
-            return None;
-        }
-        Some(self.materialize())
-    }
-
     /// Materializes the full Kronecker product (for tests and small
     /// systems).
     pub fn materialize(&self) -> CsrMatrix {
-        let _span = obs::span("fsm.kron_materialize");
-        let m = kron::kron_all(self.factors.iter());
-        obs::event(
-            "fsm.kron_materialized",
-            &[
-                ("factors", self.factors.len().into()),
-                ("dim", self.dim.into()),
-                ("compact_nnz", self.compact_nnz().into()),
-                ("nnz", m.nnz().into()),
-            ],
-        );
-        m
+        kron::kron_all(self.factors.iter())
     }
 }
 
@@ -496,55 +438,6 @@ mod tests {
         let total: f64 = y.iter().sum();
         assert!((total - 1.0).abs() < 1e-12);
         assert!(y.iter().all(|&v| v >= 0.0));
-    }
-
-    /// Serializes tests whose refusals emit events into an installed obs
-    /// sink.
-    static OBS_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-    #[test]
-    fn try_materialize_honors_the_soft_budget() {
-        let _g = OBS_LOCK.lock().unwrap();
-        let op = KroneckerOp::new(vec![stochastic2(0.3); 10]);
-        assert_eq!(op.materialized_nnz(), 4usize.pow(10));
-        assert!(op.materialize_cost_bytes() > 4u64.pow(10) * 36);
-
-        // ~36 MiB estimated; a 1 MiB budget must refuse it, no budget
-        // (or a generous one) must not.
-        assert!(
-            op.try_materialize(Some(1 << 20)).is_none(),
-            "oversized product built"
-        );
-        let m = op
-            .try_materialize(None)
-            .expect("no budget, must materialize");
-        assert_eq!(m.nnz(), op.materialized_nnz());
-    }
-
-    #[test]
-    fn budget_refusal_reports_once_per_op() {
-        use stochcdr_obs as obs;
-        let _g = OBS_LOCK.lock().unwrap();
-        let _ = obs::uninstall();
-        let (sink, buf) = obs::JsonLinesSink::to_shared_buffer();
-        obs::install(Box::new(sink));
-        let budget = Some(1 << 20);
-        let op = KroneckerOp::new(vec![stochastic2(0.3); 10]);
-        // A sweep loop retries per axis point; only the first refusal may
-        // emit the event.
-        for _ in 0..5 {
-            assert!(op.try_materialize(budget).is_none());
-        }
-        // A fresh clone is a fresh op: it reports once more.
-        let clone = op.clone();
-        assert!(clone.try_materialize(budget).is_none());
-        obs::uninstall();
-        let text = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
-        let hits = text
-            .lines()
-            .filter(|l| l.contains("mem.budget_exceeded"))
-            .count();
-        assert_eq!(hits, 2, "one event per op, got:\n{text}");
     }
 
     #[test]

@@ -486,11 +486,6 @@ impl CsrMatrix {
         out
     }
 
-    /// Maximum absolute value of any stored entry (`0.0` if empty).
-    pub fn max_abs(&self) -> f64 {
-        self.data.iter().fold(0.0, |m, &v| m.max(v.abs()))
-    }
-
     /// Converts back to a triplet builder (e.g. to edit entries).
     pub fn to_coo(&self) -> CooMatrix {
         let mut coo = CooMatrix::with_capacity(self.rows, self.cols, self.nnz());
@@ -697,12 +692,6 @@ mod tests {
         let a = sample();
         let it = a.row(2);
         assert_eq!(it.len(), 2);
-    }
-
-    #[test]
-    fn max_abs_works() {
-        assert_eq!(sample().max_abs(), 5.0);
-        assert_eq!(CsrMatrix::zeros(2, 2).max_abs(), 0.0);
     }
 
     #[test]

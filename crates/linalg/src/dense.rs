@@ -187,11 +187,6 @@ impl DenseMatrix {
     pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>> {
         self.lu()?.solve(b)
     }
-
-    /// Maximum absolute entry (`0.0` for an empty matrix).
-    pub fn max_abs(&self) -> f64 {
-        self.data.iter().fold(0.0, |m, &v| m.max(v.abs()))
-    }
 }
 
 impl Index<(usize, usize)> for DenseMatrix {

@@ -27,11 +27,6 @@ pub fn sum(x: &[f64]) -> f64 {
     x.iter().sum()
 }
 
-/// L1 norm (sum of absolute values).
-pub fn norm1(x: &[f64]) -> f64 {
-    x.iter().map(|v| v.abs()).sum()
-}
-
 /// L2 (Euclidean) norm.
 pub fn norm2(x: &[f64]) -> f64 {
     x.iter().map(|v| v * v).sum::<f64>().sqrt()
@@ -133,7 +128,6 @@ mod tests {
     #[test]
     fn norms() {
         let x = [3.0, -4.0];
-        assert_eq!(norm1(&x), 7.0);
         assert_eq!(norm2(&x), 5.0);
         assert_eq!(norm_inf(&x), 4.0);
     }

@@ -125,11 +125,6 @@ impl Partition {
         Ok(Partition::build(block_of, blocks))
     }
 
-    /// The trivial partition with every state in its own block.
-    pub fn discrete(n: usize) -> Self {
-        Partition::build((0..n).collect(), n)
-    }
-
     /// Assembles the CSR-style member index (counting sort by block).
     fn build(block_of: Vec<usize>, blocks: usize) -> Self {
         let mut member_ptr = vec![0usize; blocks + 1];
@@ -1984,7 +1979,7 @@ mod tests {
     #[test]
     fn discrete_partition_lumps_to_self() {
         let p = lumpable_chain();
-        let part = Partition::discrete(4);
+        let part = Partition::from_labels((0..4).collect()).unwrap();
         let l = lump_weighted(&p, &part, &[1.0; 4]).unwrap();
         for i in 0..4 {
             for j in 0..4 {

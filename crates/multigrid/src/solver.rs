@@ -44,6 +44,16 @@ fn level_span(level: usize) -> &'static str {
     LEVEL_SPANS[level.min(LEVEL_SPANS.len() - 1)]
 }
 
+/// Writes `{prefix}{level}` into `buf` and returns it: per-level counter
+/// and histogram names without an allocation per traced call.
+fn level_name<'a>(buf: &'a mut [u8; 64], prefix: &str, level: usize) -> &'a str {
+    use std::io::Write as _;
+    let mut cur = std::io::Cursor::new(&mut buf[..]);
+    write!(cur, "{prefix}{level}").expect("level name fits its buffer");
+    let len = cur.position() as usize;
+    std::str::from_utf8(&buf[..len]).expect("level name is UTF-8")
+}
+
 /// Recursion pattern of the multigrid cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CycleKind {
@@ -633,7 +643,8 @@ impl MultigridSolver {
 
     /// Smoothing sweeps with per-level accounting: a `smooth` span, the
     /// level's sweep counter, and a per-level sweep-time histogram. The
-    /// owned names only materialize when instrumentation is enabled.
+    /// per-level names are written on the stack, and only when
+    /// instrumentation is enabled.
     #[allow(clippy::too_many_arguments)]
     fn smooth_ws(
         &self,
@@ -657,11 +668,15 @@ impl MultigridSolver {
         }
         let ns = t0.elapsed().as_nanos() as f64;
         ph.smooth_secs += ns * 1e-9;
+        let mut name = [0u8; 64];
         obs::counter(
-            &format!("multigrid.smooth_sweeps.level{level}"),
+            level_name(&mut name, "multigrid.smooth_sweeps.level", level),
             sweeps as u64,
         );
-        obs::histogram(&format!("multigrid.smooth.ns.level{level}"), ns);
+        obs::histogram(
+            level_name(&mut name, "multigrid.smooth.ns.level", level),
+            ns,
+        );
     }
 
     /// One multigrid cycle at `level`, updating `x` in place. Numeric
@@ -931,11 +946,12 @@ fn checked_init(n: usize, v: &[f64]) -> Result<Vec<f64>> {
 
 impl StationarySolver for MultigridSolver {
     /// Materializes the operator as a validated [`StochasticMatrix`] and
-    /// runs the cycling on it. The aggregation/disaggregation transfers
-    /// need explicit row access and rebuild lumped chains every cycle, so
-    /// multigrid cannot stay matrix-free; backends that already are a
-    /// `StochasticMatrix` take the direct [`solve`](StationarySolver::solve)
-    /// path with no copy.
+    /// runs the cycling on it. The cycling itself runs matrix-free on
+    /// any [`StochasticOp`]: a caller that must not materialize wraps the
+    /// operator in an `ImplicitStochastic` and calls
+    /// [`solve_with_stats`](MultigridSolver::solve_with_stats), as the
+    /// product solve does. A `StochasticMatrix` takes the direct
+    /// [`solve`](StationarySolver::solve) path with no copy.
     fn solve_op(&self, op: &dyn TransitionOp, init: Option<&[f64]>) -> Result<StationaryResult> {
         let p = StochasticMatrix::with_tolerance(op.materialize_csr(), 1e-6)?;
         self.solve_with_stats(&p, init).map(|(r, _)| r)

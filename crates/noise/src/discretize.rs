@@ -141,12 +141,6 @@ impl DiscreteDist {
         let (offsets, probs) = pairs.into_iter().unzip();
         DiscreteDist { offsets, probs }
     }
-
-    /// Returns the distribution reflected about zero: `P'(k) = P(−k)`.
-    pub fn negated(&self) -> DiscreteDist {
-        let pairs: Vec<(i32, f64)> = self.iter().map(|(k, p)| (-k, p)).collect();
-        Self::from_pairs(pairs).expect("negation preserves validity")
-    }
 }
 
 /// Discretizes a continuous distribution onto the grid `… −δ, 0, +δ …`,
@@ -277,14 +271,6 @@ mod tests {
         // Mean and variance add.
         assert!((c.mean_offset() - 2.0 * a.mean_offset()).abs() < 1e-12);
         assert!((c.variance_offset() - 2.0 * a.variance_offset()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn negation_flips_mean() {
-        let d = DiscreteDist::from_pairs([(0, 0.7), (4, 0.3)]).unwrap();
-        let n = d.negated();
-        assert!((n.mean_offset() + d.mean_offset()).abs() < 1e-15);
-        assert_eq!(n.min_offset(), -4);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Special functions: `erf`, `erfc`, their inverses, and Q-factors.
+//! Special functions: `erfc`, its inverse, and Q-factors.
 //!
 //! BER analysis lives in the far tails of the Gaussian: a `1e-10` error
 //! probability corresponds to ~6.4σ. The complementary error function must
@@ -29,11 +29,6 @@ pub fn erfc(x: f64) -> f64 {
     } else {
         2.0 - ans
     }
-}
-
-/// Error function, `erf(x) = 1 − erfc(x)`.
-pub fn erf(x: f64) -> f64 {
-    1.0 - erfc(x)
 }
 
 /// Standard normal cumulative distribution function.
@@ -89,11 +84,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn erf_known_values() {
-        assert!((erf(0.0)).abs() < 1e-6);
-        assert!((erf(1.0) - 0.8427007929497149).abs() < 2e-7);
-        assert!((erf(-1.0) + 0.8427007929497149).abs() < 2e-7);
-        assert!((erf(3.0) - 0.9999779095030014).abs() < 2e-7);
+    fn erfc_known_values() {
+        // erfc(x) = 1 − erf(x), with erf(1) = 0.8427007929497149 and
+        // erf(3) = 0.9999779095030014.
+        assert!((erfc(0.0) - 1.0).abs() < 1e-6);
+        assert!((erfc(1.0) - (1.0 - 0.8427007929497149)).abs() < 2e-7);
+        assert!((erfc(-1.0) - (1.0 + 0.8427007929497149)).abs() < 2e-7);
+        assert!((erfc(3.0) - (1.0 - 0.9999779095030014)).abs() < 2e-7);
     }
 
     #[test]

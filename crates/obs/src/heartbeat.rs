@@ -24,6 +24,8 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
+use crate::artifact::fmt_bytes;
+
 /// Process-wide heartbeat interval in nanoseconds; 0 = disarmed.
 static INTERVAL_NANOS: AtomicU64 = AtomicU64::new(0);
 /// Whether due heartbeats also print a one-liner to stderr.
@@ -197,16 +199,6 @@ fn fmt_secs(secs: f64) -> String {
         format!("{:.1}m", secs / 60.0)
     } else {
         format!("{secs:.1}s")
-    }
-}
-
-fn fmt_bytes(bytes: u64) -> String {
-    const MIB: f64 = 1024.0 * 1024.0;
-    let b = bytes as f64;
-    if b >= MIB {
-        format!("{:.1}MiB", b / MIB)
-    } else {
-        format!("{:.1}KiB", b / 1024.0)
     }
 }
 

@@ -172,18 +172,6 @@ impl LogHist {
             bins,
         }
     }
-
-    /// Folds another histogram into this one.
-    pub fn merge(&mut self, rhs: &LogHist) {
-        self.count += rhs.count;
-        self.other += rhs.other;
-        self.sum += rhs.sum;
-        self.min = self.min.min(rhs.min);
-        self.max = self.max.max(rhs.max);
-        for (k, c) in rhs.bins() {
-            *self.bins.entry(k).or_insert(0) += c;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -235,23 +223,5 @@ mod tests {
         assert_eq!(h.count(), 1000);
         assert!((h.mean() - 500.5).abs() < 1e-9);
         assert_eq!(h.quantile(1.0), 1000.0);
-    }
-
-    #[test]
-    fn merge_matches_sequential_observation() {
-        let mut a = LogHist::new();
-        let mut b = LogHist::new();
-        let mut all = LogHist::new();
-        for i in 0..100 {
-            let v = (i as f64 * 0.37).exp();
-            if i % 2 == 0 {
-                a.observe(v);
-            } else {
-                b.observe(v);
-            }
-            all.observe(v);
-        }
-        a.merge(&b);
-        assert_eq!(a, all);
     }
 }

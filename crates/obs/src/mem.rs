@@ -1,5 +1,4 @@
-//! Memory accounting: a zero-dependency tracking allocator and a soft
-//! memory-budget check.
+//! Memory accounting: a zero-dependency tracking allocator.
 //!
 //! [`TrackingAlloc`] wraps the system allocator and maintains process
 //! totals (live bytes, cumulative bytes, allocation count, high-water
@@ -20,12 +19,6 @@
 //! in schema `stochcdr-obs/3`); without it the counters read zero and
 //! the fields are inert. Attribution is per-thread: work a span hands to
 //! pool workers is charged to the workers' own `par.worker` spans.
-//!
-//! A *soft* memory budget never fails allocations — callers that are
-//! about to materialize a large intermediate (the Kronecker path) pass
-//! their budget to [`check_budget`] first and refuse on their own terms;
-//! the check emits a `mem.budget_exceeded` event so the refusal is
-//! visible in artifacts.
 //!
 //! The `alloc-track` cargo feature (default on) compiles the accounting
 //! in; with the feature disabled [`TrackingAlloc`] degrades to a plain
@@ -204,34 +197,6 @@ impl ThreadAllocMark {
     }
 }
 
-/// Whether allocating `extra_bytes` on top of the current live size
-/// would cross `budget`. Always `false` with no budget.
-pub fn would_exceed(extra_bytes: u64, budget: Option<u64>) -> bool {
-    budget.is_some_and(|b| live_bytes().saturating_add(extra_bytes) > b)
-}
-
-/// Soft-limit check for a caller about to allocate `extra_bytes` for
-/// `what`: returns `true` when within `budget` (or with no budget).
-/// On a would-exceed it emits a `mem.budget_exceeded` event and returns
-/// `false` — the caller decides whether to refuse; nothing is enforced.
-pub fn check_budget(what: &str, extra_bytes: u64, budget: Option<u64>) -> bool {
-    if !would_exceed(extra_bytes, budget) {
-        return true;
-    }
-    if crate::enabled() {
-        crate::event(
-            "mem.budget_exceeded",
-            &[
-                ("what", what.into()),
-                ("requested_bytes", extra_bytes.into()),
-                ("live_bytes", live_bytes().into()),
-                ("budget_bytes", budget.unwrap_or(0).into()),
-            ],
-        );
-    }
-    false
-}
-
 /// Peak resident-set size of this process in bytes (`VmHWM` from
 /// `/proc/self/status`); 0 where unavailable. Allocates — call at
 /// publish points, never from hot paths.
@@ -294,21 +259,10 @@ pub fn min_alloc_delta<F: FnMut()>(mut f: F, attempts: usize) -> u64 {
 mod tests {
     use super::*;
 
-    // These tests exercise the budget logic and marks without relying on
-    // the global allocator (the unit-test binary installs the plain
-    // system allocator); allocator-integration coverage lives in
+    // This test exercises the marks without relying on the global
+    // allocator (the unit-test binary installs the plain system
+    // allocator); allocator-integration coverage lives in
     // `tests/no_alloc.rs`, which does install [`TrackingAlloc`].
-
-    #[test]
-    fn budget_round_trips_and_checks() {
-        assert!(!would_exceed(u64::MAX / 2, None));
-        assert!(check_budget("anything", u64::MAX / 2, None));
-
-        let budget = Some(1 << 20);
-        assert!(would_exceed(u64::MAX / 2, budget));
-        assert!(!check_budget("huge", u64::MAX / 2, budget));
-        assert!(check_budget("tiny", 0, budget));
-    }
 
     #[test]
     fn thread_mark_delta_is_monotone() {
