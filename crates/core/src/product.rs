@@ -344,10 +344,20 @@ mod tests {
         assert!(worst <= 1e-6, "worst relative entry error {worst:e}");
     }
 
+    /// FNV-1a over a vector's f64 bit patterns, as `stochcdr scale`
+    /// prints it.
+    fn fnv1a(v: &[f64]) -> u64 {
+        v.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, x| {
+            (h ^ x.to_bits()).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
     #[test]
     fn implicit_solves_are_bitwise_across_thread_counts() {
         // The factored refresh, the mode products and the scaling each
-        // write every output on one worker in a fixed order.
+        // write every output on one worker in a fixed order. The cycle
+        // count, the final residual and π are also pinned bit for bit, so
+        // a kernel rewrite that reorders a sum fails here.
         let p = ProductChain::replicated(&lock_lane(), 2).unwrap();
         let mut runs = Vec::new();
         for threads in [1usize, 2, 4, 8] {
@@ -371,6 +381,10 @@ mod tests {
                 "{threads} workers diverge from 1"
             );
         }
+        let r = &first.result;
+        assert_eq!(r.iterations(), 7);
+        assert_eq!(r.residual().to_bits(), 0x3eac_d1b0_4f6e_b49b);
+        assert_eq!(fnv1a(&r.distribution), 0x54f6_cc74_2509_8b9b);
     }
 
     /// The product operator with its Kronecker structure hidden, so
@@ -579,6 +593,11 @@ mod tests {
             .krylov_window(ProductChain::KRYLOV_RESTART)
             .build();
         let (r, _) = solver.solve_with_stats(&imp, None).unwrap();
+        // Pinned bit for bit: this solve runs a two-lane outer mode
+        // product and a fold, which the lane-pair pin does not.
+        assert_eq!(r.iterations(), 24);
+        assert_eq!(r.residual().to_bits(), 0x3cd1_c13f_9a00_0000);
+        assert_eq!(fnv1a(&r.distribution), 0x64fc_48ca_b343_3d42);
         let mut l1 = 0.0f64;
         let mut worst = 0.0f64;
         for (k, &g) in r.distribution.iter().enumerate() {

@@ -47,6 +47,9 @@ pub struct KroneckerOp {
     /// level-`l` digit of row `r` is `(r / tail[l]) % n_l` — row
     /// enumeration decomposes indices without a per-call digit buffer.
     tail: Vec<usize>,
+    /// Each factor's diagonal, extracted once: the product's diagonal is
+    /// their outer product, which Jacobi smoothing asks for every sweep.
+    diagonals: Vec<Vec<f64>>,
     /// Transposed-factor twin, built on first use ((A⊗B)ᵀ = Aᵀ⊗Bᵀ).
     transposed: OnceLock<Box<KroneckerOp>>,
     /// Reusable ping-pong buffers for the mode-by-mode apply, so warm
@@ -88,10 +91,12 @@ impl KroneckerOp {
         for i in (0..factors.len() - 1).rev() {
             tail[i] = tail[i + 1] * factors[i + 1].rows();
         }
+        let diagonals = factors.iter().map(CsrMatrix::diagonal).collect();
         KroneckerOp {
             factors,
             dim,
             tail,
+            diagonals,
             transposed: OnceLock::new(),
             scratch: Mutex::new(ModeScratch::default()),
         }
@@ -267,20 +272,21 @@ impl TransitionOp for KroneckerOp {
     }
 
     /// Diagonal of the product written straight into `out`: successive
-    /// outer products of the factor diagonals, expanded in place from the
-    /// back of the buffer — `O(dim)` output, no `O(dim)` temporaries,
-    /// never touches off-diagonal entries. (The write index `i·m + j` is
-    /// always ≥ the read index `i`, so sources survive until consumed.)
+    /// outer products of the cached factor diagonals, expanded in place
+    /// from the back of the buffer — `O(dim)` output, no `O(dim)`
+    /// temporaries, no factor lookups. (The write block `i·m..(i+1)·m`
+    /// never starts below the read index `i`, so sources survive until
+    /// consumed.)
     fn diagonal_into(&self, out: &mut [f64]) {
         assert_eq!(out.len(), self.dim, "diagonal buffer length must match");
         out[0] = 1.0;
         let mut len = 1usize;
-        for f in &self.factors {
-            let m = f.rows();
+        for d in &self.diagonals {
+            let m = d.len();
             for i in (0..len).rev() {
                 let a = out[i];
-                for j in (0..m).rev() {
-                    out[i * m + j] = a * f.get(j, j);
+                for (o, &dj) in out[i * m..(i + 1) * m].iter_mut().zip(d) {
+                    *o = a * dj;
                 }
             }
             len *= m;

@@ -97,6 +97,13 @@ impl DenseMatrix {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
+    /// Mutable view of every entry, row-major: entry `(r, c)` is at
+    /// `r · cols + c`. Lets a kernel split the storage into rows once
+    /// (`split_at_mut`) instead of indexing entry by entry.
+    pub fn as_mut_slice(&mut self) -> &mut [f64] {
+        &mut self.data
+    }
+
     /// Computes `y = A x`.
     ///
     /// # Panics

@@ -79,66 +79,87 @@ impl GthSolver {
             pi[0] = 1.0;
             return Ok(());
         }
-        // Elimination phase: remove states n-1, n-2, ..., 1.
-        for k in (1..n).rev() {
-            let s: f64 = (0..k).map(|j| p[(k, j)]).sum();
-            if s <= 0.0 {
-                return Err(MarkovError::Reducible(format!(
-                    "state {k} has no transitions into states 0..{k}"
-                )));
-            }
-            for j in 0..k {
-                p[(k, j)] /= s;
-            }
-            for i in 0..k {
-                let pik = p[(i, k)];
-                if pik == 0.0 {
-                    continue;
-                }
-                for j in 0..k {
-                    let pkj = p[(k, j)];
-                    if pkj != 0.0 {
-                        p[(i, j)] += pik * pkj;
-                    }
-                }
-            }
-            // Record the normalizer in the (k,k) slot for back-substitution.
-            p[(k, k)] = s;
-        }
-        // Back-substitution phase: `pi` is built relative to `pi[0] = 1`,
-        // so a stationary vector spanning more than f64's range overflows
-        // here. On overflow the computed prefix is rescaled by an exact
-        // power of two and the entry recomputed; so is the whole vector if
-        // its sum overflows. Exact scaling keeps every ratio: a solve whose
-        // entries and sum stay finite keeps its bits, and entries far below
-        // the largest underflow to zero, their value at f64 range.
-        pi.fill(0.0);
-        pi[0] = 1.0;
-        for k in 1..n {
-            let entry = |pi: &[f64]| {
-                let mut acc = 0.0;
-                for i in 0..k {
-                    acc += pi[i] * p[(i, k)];
-                }
-                acc / p[(k, k)]
-            };
-            let mut v = entry(pi);
-            while !v.is_finite() && pi[..k].iter().any(|&x| x > 0.0) {
-                vecops::scale(OVERFLOW_RESCALE, &mut pi[..k]);
-                v = entry(pi);
-            }
-            pi[k] = v;
-        }
-        if !vecops::sum(pi).is_finite() {
-            vecops::scale(OVERFLOW_RESCALE, pi);
-        }
-        if !vecops::normalize_l1(pi) {
-            return Err(MarkovError::InvalidArgument(
-                "GTH back-substitution left no finite probability mass".into(),
-            ));
-        }
-        Ok(())
+        eliminate(p.as_mut_slice(), n)?;
+        back_substitute(p, pi)
     }
+}
+
+/// GTH elimination phase on the row-major `n × n` matrix `p`: removes
+/// states `n−1, n−2, …, 1`, leaving each censored row's normalizer in its
+/// diagonal slot for back-substitution.
+///
+/// Works on row slices: row `k` is split off the rows above it once per
+/// step, and each update `p_i· += p_ik · p_k·` runs over contiguous
+/// slices without a per-entry test, so the compiler vectorizes it. The
+/// dropped test skipped `p_kj == 0`; adding `p_ik · 0 = ±0.0` to a finite
+/// entry changes at most the sign of a zero, which neither the row sums
+/// nor the back-substitution can see, so the stationary vector keeps the
+/// bits of the entry-by-entry loop. Rows with `p_ik == 0` are still
+/// skipped whole.
+fn eliminate(p: &mut [f64], n: usize) -> Result<()> {
+    for k in (1..n).rev() {
+        let (above, rest) = p.split_at_mut(k * n);
+        let row_k = &mut rest[..n];
+        let s: f64 = row_k[..k].iter().sum();
+        if s <= 0.0 {
+            return Err(MarkovError::Reducible(format!(
+                "state {k} has no transitions into states 0..{k}"
+            )));
+        }
+        for v in &mut row_k[..k] {
+            *v /= s;
+        }
+        let pk = &row_k[..k];
+        for row_i in above.chunks_exact_mut(n) {
+            let pik = row_i[k];
+            if pik == 0.0 {
+                continue;
+            }
+            for (v, &pkj) in row_i[..k].iter_mut().zip(pk) {
+                *v += pik * pkj;
+            }
+        }
+        // Record the normalizer in the (k,k) slot for back-substitution.
+        row_k[k] = s;
+    }
+    Ok(())
+}
+
+/// GTH back-substitution phase on an eliminated matrix: `pi` is built
+/// relative to `pi[0] = 1`, so a stationary vector spanning more than
+/// f64's range overflows here. On overflow the computed prefix is
+/// rescaled by an exact power of two and the entry recomputed; so is the
+/// whole vector if its sum overflows. Exact scaling keeps every ratio: a
+/// solve whose entries and sum stay finite keeps its bits, and entries far
+/// below the largest underflow to zero, their value at f64 range.
+fn back_substitute(p: &DenseMatrix, pi: &mut [f64]) -> Result<()> {
+    let n = p.rows();
+    pi.fill(0.0);
+    pi[0] = 1.0;
+    for k in 1..n {
+        let entry = |pi: &[f64]| {
+            let mut acc = 0.0;
+            for i in 0..k {
+                acc += pi[i] * p[(i, k)];
+            }
+            acc / p[(k, k)]
+        };
+        let mut v = entry(pi);
+        while !v.is_finite() && pi[..k].iter().any(|&x| x > 0.0) {
+            vecops::scale(OVERFLOW_RESCALE, &mut pi[..k]);
+            v = entry(pi);
+        }
+        pi[k] = v;
+    }
+    if !vecops::sum(pi).is_finite() {
+        vecops::scale(OVERFLOW_RESCALE, pi);
+    }
+    if !vecops::normalize_l1(pi) {
+        return Err(MarkovError::InvalidArgument(
+            "GTH back-substitution left no finite probability mass".into(),
+        ));
+    }
+    Ok(())
 }
 
 /// Exact power of two, 2^-512, applied to the partial stationary vector
@@ -185,6 +206,86 @@ mod tests {
     use super::super::PowerIteration;
     use super::*;
     use crate::StochasticMatrix;
+
+    /// The entry-by-entry elimination [`eliminate`] replaced, kept as its
+    /// oracle.
+    fn eliminate_indexed(p: &mut DenseMatrix) -> Result<()> {
+        let n = p.rows();
+        for k in (1..n).rev() {
+            let s: f64 = (0..k).map(|j| p[(k, j)]).sum();
+            if s <= 0.0 {
+                return Err(MarkovError::Reducible(format!(
+                    "state {k} has no transitions into states 0..{k}"
+                )));
+            }
+            for j in 0..k {
+                p[(k, j)] /= s;
+            }
+            for i in 0..k {
+                let pik = p[(i, k)];
+                if pik == 0.0 {
+                    continue;
+                }
+                for j in 0..k {
+                    let pkj = p[(k, j)];
+                    if pkj != 0.0 {
+                        p[(i, j)] += pik * pkj;
+                    }
+                }
+            }
+            p[(k, k)] = s;
+        }
+        Ok(())
+    }
+
+    /// Runs both eliminations on copies of `a` and checks the eliminated
+    /// matrices, and the stationary vectors built from them, bit for bit.
+    fn assert_elimination_is_bitwise(a: &DenseMatrix) {
+        let n = a.rows();
+        let (mut fast, mut slow) = (a.clone(), a.clone());
+        eliminate(fast.as_mut_slice(), n).unwrap();
+        eliminate_indexed(&mut slow).unwrap();
+        for i in 0..n {
+            for (j, (x, y)) in fast.row(i).iter().zip(slow.row(i)).enumerate() {
+                assert_eq!(x.to_bits(), y.to_bits(), "entry ({i}, {j})");
+            }
+        }
+        let (mut pi_fast, mut pi_slow) = (vec![0.0; n], vec![0.0; n]);
+        back_substitute(&fast, &mut pi_fast).unwrap();
+        back_substitute(&slow, &mut pi_slow).unwrap();
+        assert!(pi_fast
+            .iter()
+            .zip(&pi_slow)
+            .all(|(x, y)| x.to_bits() == y.to_bits()));
+    }
+
+    #[test]
+    fn slice_elimination_is_bitwise_the_indexed_loop() {
+        assert_elimination_is_bitwise(&pseudo_random(40, 5).matrix().to_dense());
+        // Tridiagonal, so most updates add zero products; its
+        // back-substitution overflows and rescales.
+        assert_elimination_is_bitwise(&birth_death(2000, 0.6).0.matrix().to_dense());
+
+        // States {2, 3} are closed: both eliminations stop at state 2.
+        let mut a = DenseMatrix::zeros(4, 4);
+        for (i, j, v) in [
+            (0, 1, 1.0),
+            (1, 0, 0.5),
+            (1, 2, 0.5),
+            (2, 3, 1.0),
+            (3, 2, 1.0),
+        ] {
+            a[(i, j)] = v;
+        }
+        let fast = eliminate(a.clone().as_mut_slice(), 4);
+        assert_eq!(fast, eliminate_indexed(&mut a.clone()));
+        assert_eq!(
+            fast,
+            Err(MarkovError::Reducible(
+                "state 2 has no transitions into states 0..2".into()
+            ))
+        );
+    }
 
     #[test]
     fn two_state_closed_form() {

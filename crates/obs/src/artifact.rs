@@ -80,7 +80,7 @@ impl SpanStat {
 
 /// The entry for `key`, created empty on first use. Only that first use
 /// allocates, which keeps live folding cheap on repeated names.
-fn slot<'m, V: Default>(map: &'m mut BTreeMap<String, V>, key: &str) -> &'m mut V {
+pub(crate) fn slot<'m, V: Default>(map: &'m mut BTreeMap<String, V>, key: &str) -> &'m mut V {
     if !map.contains_key(key) {
         map.insert(key.to_string(), V::default());
     }

@@ -87,14 +87,45 @@ struct Recorder {
     sink: Box<dyn Sink>,
     epoch: Instant,
     session: u64,
-    /// Every currently *open* span's full `/`-joined path, by id.
-    /// Because a child's path is looked up through its parent **id**
-    /// (not the opening thread's stack), a span opened on a pool worker
-    /// with [`span_child_of`] inherits the dispatching span's path and
-    /// lands under it in path-grouped reports, instead of orphaned at top
-    /// level. Entries are removed when their span closes; the map dies
-    /// with the recorder at session end.
-    paths: HashMap<u64, String>,
+    /// Every currently *open* span's path, by span id, as an index into
+    /// `paths`. Because a child's path is looked up through its parent
+    /// **id** (not the opening thread's stack), a span opened on a pool
+    /// worker with [`span_child_of`] inherits the dispatching span's path
+    /// and lands under it in path-grouped reports, instead of orphaned at
+    /// top level. Entries are removed when their span closes; the maps
+    /// die with the recorder at session end.
+    open: HashMap<u64, usize>,
+    /// Every `/`-joined span path seen this session, built once.
+    paths: Vec<SpanPath>,
+    /// Index into `paths` by (parent path, name); a top-level span has
+    /// no parent path. Opening a span whose path exists only looks it up,
+    /// so warm spans allocate nothing.
+    path_ids: HashMap<(Option<usize>, &'static str), usize>,
+}
+
+struct SpanPath {
+    path: String,
+    /// Number of `/`-separated names in `path`.
+    depth: usize,
+}
+
+impl Recorder {
+    /// The interned path of a span named `name` under the open span
+    /// `parent` (top level when `parent` is not open).
+    fn intern(&mut self, parent: u64, name: &'static str) -> usize {
+        let up = self.open.get(&parent).copied();
+        if let Some(&ix) = self.path_ids.get(&(up, name)) {
+            return ix;
+        }
+        let path = match up {
+            Some(p) => format!("{}/{name}", self.paths[p].path),
+            None => name.to_string(),
+        };
+        let depth = path.split('/').count();
+        self.paths.push(SpanPath { path, depth });
+        self.path_ids.insert((up, name), self.paths.len() - 1);
+        self.paths.len() - 1
+    }
 }
 
 #[derive(Clone, Copy)]
@@ -133,7 +164,9 @@ pub fn install(sink: Box<dyn Sink>) -> Option<Box<dyn Sink>> {
         sink,
         epoch: Instant::now(),
         session,
-        paths: HashMap::new(),
+        open: HashMap::new(),
+        paths: Vec::new(),
+        path_ids: HashMap::new(),
     });
     ENABLED.store(true, Ordering::Release);
     prev
@@ -277,11 +310,8 @@ fn open_span(name: &'static str, parent: Option<u64>) -> SpanGuard {
     // this reproduces the thread stack's joined names, and for an
     // explicit cross-thread parent it attributes the span to the scope
     // that dispatched the work.
-    let path = match rec.paths.get(&parent) {
-        Some(p) => format!("{p}/{name}"),
-        None => name.to_string(),
-    };
-    let depth = path.split('/').count();
+    let ix = rec.intern(parent, name);
+    let depth = rec.paths[ix].depth;
     let at = rec.epoch.elapsed().as_nanos() as u64;
     rec.sink.record(
         at,
@@ -293,7 +323,7 @@ fn open_span(name: &'static str, parent: Option<u64>) -> SpanGuard {
             depth,
         },
     );
-    rec.paths.insert(id, path);
+    rec.open.insert(id, ix);
     SpanGuard {
         id,
         parent,
@@ -333,11 +363,11 @@ impl Drop for SpanGuard {
         let popped = THREAD.with(|t| {
             let mut t = t.borrow_mut();
             let idx = t.stack.iter().rposition(|e| e.id == self.id)?;
-            let path_names: Vec<&'static str> = t.stack[..=idx].iter().map(|e| e.name).collect();
+            let name = t.stack[idx].name;
             t.stack.truncate(idx);
-            Some(path_names)
+            Some(name)
         });
-        let Some(path_names) = popped else { return };
+        let Some(name) = popped else { return };
         if !enabled() {
             return;
         }
@@ -347,26 +377,23 @@ impl Drop for SpanGuard {
             // The sink changed under us; nothing sensible to record.
             return;
         }
-        let name = path_names.last().copied().unwrap_or("");
-        // Prefer the path registered at open (which resolves cross-thread
-        // parent linkage); the thread-local join is the fallback for
-        // guards whose open predated the registry (defensive only).
-        let path = rec
-            .paths
-            .remove(&self.id)
-            .unwrap_or_else(|| path_names.join("/"));
-        let depth = path.split('/').count();
+        // The path registered at open, which resolves cross-thread
+        // parent linkage.
+        let Some(ix) = rec.open.remove(&self.id) else {
+            return;
+        };
+        let SpanPath { path, depth } = &rec.paths[ix];
         let at = rec.epoch.elapsed().as_nanos() as u64;
         rec.sink.record(
             at,
             &Record::Span {
-                path: &path,
+                path,
                 name,
                 id: self.id,
                 parent: self.parent,
                 tid: self.tid,
                 nanos,
-                depth,
+                depth: *depth,
                 alloc_bytes,
                 allocs,
             },

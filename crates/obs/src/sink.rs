@@ -10,7 +10,7 @@ use std::io::{self, BufWriter, Write};
 use std::path::Path;
 use std::sync::{Arc, Mutex};
 
-use crate::artifact::Artifact;
+use crate::artifact::{slot, Artifact};
 use crate::hist::LogHist;
 use crate::json;
 use crate::record::{Record, Value};
@@ -296,10 +296,7 @@ impl Sink for JsonLinesSink {
             Record::SpanBegin { .. } => return,
             Record::Histogram { name, value } => {
                 self.end_ns = self.end_ns.max(at_nanos);
-                self.hists
-                    .entry((*name).to_string())
-                    .or_default()
-                    .observe(*value);
+                slot(&mut self.hists, name).observe(*value);
                 return;
             }
             Record::Span {

@@ -18,8 +18,16 @@ fn min_delta<F: FnMut()>(f: F, attempts: usize) -> u64 {
     mem::min_alloc_delta(f, attempts)
 }
 
+/// The recorder is process-wide: tests that install or uninstall a sink
+/// take this lock so one test's sink never sees another's spans.
+fn recorder_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 #[test]
 fn disabled_instrumentation_does_not_allocate() {
+    let _recorder = recorder_lock();
     let _ = obs::uninstall();
     assert!(!obs::enabled());
     assert!(mem::tracking_active(), "tracking allocator not installed");
@@ -59,6 +67,7 @@ fn disabled_instrumentation_does_not_allocate() {
 /// wraps: the obs calls add zero allocations per cycle.
 #[test]
 fn disabled_obs_adds_no_allocations_to_a_hot_loop() {
+    let _recorder = recorder_lock();
     let _ = obs::uninstall();
 
     // A stand-in for the smoothing/residual kernel: pure arithmetic over
@@ -116,6 +125,51 @@ fn disabled_obs_adds_no_allocations_to_a_hot_loop() {
     );
 }
 
+/// With a sink installed, warm spans allocate nothing either: a span's
+/// path is built once per (parent path, name) and later opens and closes
+/// only look it up. The nesting includes a span attached to its parent
+/// by id, as pool workers attach theirs. The JSONL sink, which reuses
+/// its line buffer, adds no allocation of its own once every histogram
+/// name has been seen.
+#[test]
+fn traced_spans_do_not_allocate_once_warm() {
+    let _recorder = recorder_lock();
+    let nest = || {
+        let _solve = obs::span("multigrid.solve");
+        for _ in 0..4 {
+            let _cycle = obs::span("cycle");
+            let _level = obs::span("mg.level0");
+            let _worker = obs::span_child_of("par.worker", obs::current_span_id());
+            obs::histogram("multigrid.smooth.ns.level0", 1.0e3);
+        }
+    };
+    let sinks: [(&str, Box<dyn obs::Sink>); 2] = [
+        ("NullSink", Box::new(obs::NullSink)),
+        (
+            "JsonLinesSink",
+            Box::new(obs::JsonLinesSink::new(Box::new(std::io::sink()))),
+        ),
+    ];
+    for (label, sink) in sinks {
+        let _ = obs::uninstall();
+        obs::install(sink);
+        nest();
+        let allocated = min_delta(
+            || {
+                for _ in 0..1_000 {
+                    nest();
+                }
+            },
+            5,
+        );
+        let _ = obs::uninstall();
+        assert_eq!(
+            allocated, 0,
+            "warm traced spans allocated {allocated} times under {label}"
+        );
+    }
+}
+
 /// The tracking allocator's process totals move with real allocations,
 /// and a span charged with a known allocation reports it in its record.
 #[test]
@@ -123,6 +177,7 @@ fn tracking_allocator_attributes_bytes_to_spans() {
     use std::sync::{Arc, Mutex};
     use stochcdr_obs::{Record, Sink};
 
+    let _recorder = recorder_lock();
     let _ = obs::uninstall();
 
     // Process totals move with a real allocation.
