@@ -123,17 +123,6 @@ impl Batch {
 }
 
 impl ModeScratch {
-    /// Ping-pong buffers preallocated for products of length `n`, so even
-    /// the first product allocates nothing unless its innermost mode
-    /// needs batch buffers.
-    pub fn with_capacity(n: usize) -> Self {
-        ModeScratch {
-            cur: Vec::with_capacity(n),
-            next: Vec::with_capacity(n),
-            batches: Vec::new(),
-        }
-    }
-
     /// Makes one batch slot per worker, each holding at least `len`
     /// values per buffer.
     fn grow_batches(&mut self, len: usize) {

@@ -493,16 +493,26 @@ impl RowPartition {
     }
 }
 
+/// Worker counts whose busy counters [`ScopeObs`] keeps inline; a wider
+/// pool's counters go to the heap.
+const INLINE_WORKERS: usize = 16;
+
 /// Per-kernel-invocation worker profiler, active only while a sink is
 /// installed (`None` otherwise — the disabled path adds one relaxed
-/// atomic load per kernel call and allocates nothing).
+/// atomic load per kernel call and allocates nothing). Pools of up to
+/// [`INLINE_WORKERS`] keep their counters inline, so a traced dispatch
+/// allocates nothing either.
 struct ScopeObs {
     kernel: &'static str,
     /// Span open on the launching thread, so worker-lane spans link back
     /// to the scope that fanned out.
     parent: u64,
     start: Instant,
-    busy: Vec<AtomicU64>,
+    /// Busy nanoseconds of the first `workers` workers of a small pool.
+    inline: [AtomicU64; INLINE_WORKERS],
+    /// Busy nanoseconds of every worker of a wider pool (empty otherwise).
+    heap: Vec<AtomicU64>,
+    workers: usize,
     /// Offset (ns since `start`) at which the earliest worker began its
     /// share — everything before it is dispatch wake-up.
     first_start_ns: AtomicU64,
@@ -520,10 +530,25 @@ impl ScopeObs {
             kernel,
             parent: obs::current_span_id(),
             start: Instant::now(),
-            busy: (0..workers).map(|_| AtomicU64::new(0)).collect(),
+            inline: [const { AtomicU64::new(0) }; INLINE_WORKERS],
+            heap: if workers > INLINE_WORKERS {
+                (0..workers).map(|_| AtomicU64::new(0)).collect()
+            } else {
+                Vec::new()
+            },
+            workers,
             first_start_ns: AtomicU64::new(u64::MAX),
             last_end_ns: AtomicU64::new(0),
         })
+    }
+
+    /// One busy counter per worker.
+    fn busy(&self) -> &[AtomicU64] {
+        if self.workers > INLINE_WORKERS {
+            &self.heap
+        } else {
+            &self.inline[..self.workers]
+        }
     }
 
     /// Runs one worker's whole share under a `par.worker` span.
@@ -541,7 +566,7 @@ impl ScopeObs {
         let t0 = s.start.elapsed().as_nanos() as u64;
         let r = f();
         let t1 = s.start.elapsed().as_nanos() as u64;
-        s.busy[worker].fetch_add(t1 - t0, Ordering::Relaxed);
+        s.busy()[worker].fetch_add(t1 - t0, Ordering::Relaxed);
         s.first_start_ns.fetch_min(t0, Ordering::Relaxed);
         s.last_end_ns.fetch_max(t1, Ordering::Relaxed);
         r
@@ -561,7 +586,7 @@ impl ScopeObs {
         let Some(s) = this else { return };
         let wall = s.start.elapsed().as_nanos() as u64;
         let mut total = 0u64;
-        for b in &s.busy {
+        for b in s.busy() {
             let ns = b.load(Ordering::Relaxed);
             total += ns;
             obs::histogram("par.worker.busy_ns", ns as f64);

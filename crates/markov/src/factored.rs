@@ -54,13 +54,15 @@ pub struct FactoredChain {
     diag: Vec<u32>,
     /// `R_o` for every outer state, outer-major: `values[o·nnz_in + t]`.
     pub(crate) values: Vec<f64>,
-    /// Product scratch, preallocated so warm products allocate nothing.
+    /// Product scratch, reused so warm products allocate nothing.
     /// `try_lock` keeps concurrent callers correct: a contended call
     /// works in fresh temporaries.
     scratch: Mutex<ProductScratch>,
 }
 
-/// The block product's output and the mode products' ping-pong buffers.
+/// The block product's output and the mode products' buffers. The
+/// latter start empty and grow on first use: only a level with two or
+/// more outer lanes ping-pongs between modes.
 struct ProductScratch {
     z: Vec<f64>,
     modes: ModeScratch,
@@ -70,7 +72,7 @@ impl ProductScratch {
     fn new(n: usize) -> Self {
         ProductScratch {
             z: vec![0.0; n],
-            modes: ModeScratch::with_capacity(n),
+            modes: ModeScratch::default(),
         }
     }
 }

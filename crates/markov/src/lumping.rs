@@ -45,9 +45,10 @@
 //!   `Σ_{i∈B} wscale·[scale]·(G ⊗ R_o) S_in` row by row — sum
 //!   factorization in the line of Buchholz ("Multilevel solutions for
 //!   structured Markov chains", SIMAX 2000). The coarse level is again a
-//!   [`FactoredChain`] over the kept lanes, refreshed per outer state by
-//!   one gather plan on the shared inner pattern, and nothing is stored
-//!   per fine entry; once no outer lane is left it is materialized;
+//!   [`FactoredChain`] over the kept lanes, refreshed by one gather plan
+//!   on the shared inner pattern that each pass applies to 16 outer
+//!   states at once, and nothing is stored per fine entry; once no outer
+//!   lane is left it is materialized;
 //! * **traversal** — every other matrix-free chain: each refresh re-walks
 //!   the member rows of every coarse row and replays the from-scratch
 //!   assembly order (the same bits again, provided the chain serves the
@@ -56,6 +57,8 @@
 //!
 //! Every arm writes each coarse row wholly on one worker in a fixed
 //! order, so each gives the same bits at any thread count.
+
+use std::sync::Mutex;
 
 use stochcdr_linalg::{par, CooMatrix, CsrMatrix};
 
@@ -412,6 +415,26 @@ struct Factored {
     /// Per term, the `R` value: an `A_in` entry, or `l·nnz(R) + t` into
     /// the fine level's blocks of outer states `(o, ·)`.
     src: Vec<u32>,
+}
+
+impl Factored {
+    /// How far apart consecutive coarse outer states' fine blocks lie:
+    /// `d_g · nnz_in` values on a factored level, 0 on a Kronecker fine
+    /// grid, whose one inner lane every outer state shares.
+    fn stride(&self) -> usize {
+        match &self.source {
+            Source::Kron(_) => 0,
+            Source::Factored { n_in, nnz_in, .. } => self.n_in / n_in * nnz_in,
+        }
+    }
+
+    /// Rows of a [`Batch`]'s buffers: one coefficient row per fine inner
+    /// member, one transposed row per fine block value and one per slot
+    /// of the longest coarse inner row.
+    fn batch_lens(&self, plan: &LumpPlan) -> [usize; 3] {
+        let row = plan.indptr.windows(2).map(|w| w[1] - w[0]).max();
+        [self.n_in, self.stride(), row.unwrap_or(0)]
+    }
 }
 
 /// The structure of a factored plan's fine chain.
@@ -929,7 +952,7 @@ impl LumpPlan {
 /// [`wscale`](Self::wscale) the per-state shares
 /// (`w[i] / W_block`, uniform for zero-weight blocks) — exactly the
 /// factors [`disaggregate`] recomputes from scratch.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct LumpWorkspace {
     block_weight: Vec<f64>,
     wscale: Vec<f64>,
@@ -938,20 +961,70 @@ pub struct LumpWorkspace {
 
 /// The buffers a plan's refresh arm needs, each preallocated so the
 /// refresh never grows them.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 enum RowScratch {
     /// A gather refresh needs none.
     None,
     /// Per-worker sort buffers for the traversal refresh.
     Traverse(Vec<Vec<(u32, f64)>>),
-    /// The factored refresh: the folded lanes' product values and the
-    /// kept lanes' joint row sums.
-    Factored { g: Vec<f64>, rs: Vec<f64> },
+    /// The factored refresh's buffers (boxed, so a gather workspace
+    /// keeps its size).
+    Factored(Box<FactoredScratch>),
+}
+
+/// The factored refresh's buffers: the folded lanes' product values, the
+/// kept lanes' joint row sums and one set of batch buffers per worker.
+#[derive(Debug)]
+struct FactoredScratch {
+    g: Vec<f64>,
+    rs: Vec<f64>,
+    batches: Vec<Mutex<Batch>>,
+}
+
+/// Outer states the factored refresh gathers in one pass over the shared
+/// term list. The outer state is the innermost, contiguous index of the
+/// batch buffers, so each term's multiply-add runs over `BATCH` values,
+/// which the compiler vectorizes.
+const BATCH: usize = 16;
+
+/// One worker's buffers for a batch of outer states, `BATCH` values per
+/// row with the outer state innermost.
+#[derive(Debug, Default)]
+struct Batch {
+    /// Per fine inner member `m`, each outer state's coefficient:
+    /// `wscale·scale` from a Kronecker fine grid, `wscale` from a
+    /// factored level (`n_in` rows).
+    coef: Vec<f64>,
+    /// A factored fine level's blocks of the batch, transposed (`d_g ·
+    /// nnz_in` rows); empty for a Kronecker fine grid, whose inner lane
+    /// every outer state shares.
+    r: Vec<f64>,
+    /// One coarse inner row's slot values (longest row's length in rows).
+    row: Vec<f64>,
+}
+
+impl Batch {
+    /// Buffers for `lens = [coef, r, row]` rows of `BATCH` values each.
+    fn new(lens: [usize; 3]) -> Self {
+        Batch {
+            coef: vec![0.0; lens[0] * BATCH],
+            r: vec![0.0; lens[1] * BATCH],
+            row: vec![0.0; lens[2] * BATCH],
+        }
+    }
+
+    fn fits(&self, lens: [usize; 3]) -> bool {
+        [&self.coef, &self.r, &self.row]
+            .iter()
+            .zip(lens)
+            .all(|(b, len)| b.len() == len * BATCH)
+    }
 }
 
 impl LumpWorkspace {
-    /// Allocates buffers sized for `plan`, including one sort buffer per
-    /// worker thread when the plan refreshes by traversal.
+    /// Allocates buffers sized for `plan`, including one sort buffer (or
+    /// set of batch buffers) per worker thread when the plan refreshes by
+    /// traversal (or in factor form).
     pub fn for_plan(plan: &LumpPlan) -> Self {
         let workers = par::threads().max(1);
         let scratch = match &plan.refresh {
@@ -963,10 +1036,13 @@ impl LumpWorkspace {
                     .map(|_| Vec::with_capacity(*max_row_entries))
                     .collect(),
             ),
-            Refresh::Factored(f) => RowScratch::Factored {
+            Refresh::Factored(f) => RowScratch::Factored(Box::new(FactoredScratch {
                 g: Vec::with_capacity(f.g_nnz),
                 rs: vec![0.0; f.n_out],
-            },
+                batches: (0..workers)
+                    .map(|_| Mutex::new(Batch::new(f.batch_lens(plan))))
+                    .collect(),
+            })),
         };
         LumpWorkspace {
             block_weight: vec![0.0; plan.nb],
@@ -1048,7 +1124,7 @@ fn check_refresh(
     let fits = match (&plan.refresh, &ws.scratch) {
         (Refresh::Gather { .. }, _) => true,
         (Refresh::Traverse { .. }, RowScratch::Traverse(bufs)) => !bufs.is_empty(),
-        (Refresh::Factored(_), RowScratch::Factored { .. }) => true,
+        (Refresh::Factored(f), RowScratch::Factored(fs)) => fs.rs.len() == f.n_out,
         _ => false,
     };
     if !fits || ws.block_weight.len() != plan.nb || ws.wscale.len() != n {
@@ -1135,8 +1211,8 @@ pub fn lump_weighted_into(
             });
             renormalize(plan, data);
         }
-        (Refresh::Factored(f), None, RowScratch::Factored { g, rs }) => {
-            refresh_factored(fine, plan, f, wscale, g, rs, &mut [], data);
+        (Refresh::Factored(f), None, RowScratch::Factored(fs)) => {
+            refresh_factored(fine, plan, f, wscale, fs, &mut [], data);
         }
         (Refresh::Traverse { row_cost, .. }, None, RowScratch::Traverse(bufs)) => {
             par::for_each_grouped_chunk_mut(
@@ -1221,24 +1297,14 @@ pub fn lump_factored_into(
         wscale,
         scratch,
     } = ws;
-    let (Refresh::Factored(f), RowScratch::Factored { g, rs }, true) =
-        (&plan.refresh, scratch, fits)
+    let (Refresh::Factored(f), RowScratch::Factored(fs), true) = (&plan.refresh, scratch, fits)
     else {
         return Err(MarkovError::InvalidArgument(
             "factored chain does not match the plan's coarse level".into(),
         ));
     };
     refresh_shares(partition, w, block_weight, wscale);
-    refresh_factored(
-        fine,
-        plan,
-        f,
-        wscale,
-        g,
-        rs,
-        &mut out.outer,
-        &mut out.values,
-    );
+    refresh_factored(fine, plan, f, wscale, fs, &mut out.outer, &mut out.values);
     Ok(())
 }
 
@@ -1246,38 +1312,27 @@ pub fn lump_factored_into(
 /// block of `values` — outer-major, `n_out · nnz(inner pattern)` — and
 /// copies the kept outer lanes' values into `outer` (empty when the
 /// coarse level is materialized).
-#[allow(clippy::too_many_arguments)]
+///
+/// Each worker refreshes its chunk of outer states [`BATCH`] at a time in
+/// one pass over the shared term list, and a chunk's last `n mod BATCH`
+/// outer states one at a time through the same kernel. Every value takes
+/// the same products in the same order whatever its batch, so the bits
+/// do not depend on the chunk boundaries, hence not on the thread count.
 fn refresh_factored(
     fine: &dyn StochasticOp,
     plan: &LumpPlan,
     f: &Factored,
     wscale: &[f64],
-    g: &mut Vec<f64>,
-    rs: &mut [f64],
+    fs: &mut FactoredScratch,
     outer: &mut [CsrMatrix],
     values: &mut [f64],
 ) {
-    // The fine chain's lanes and block values, and (for a Kronecker fine
-    // grid) its row scale.
-    let (lanes, blocks, scale) = match &f.source {
-        Source::Kron(_) => {
-            let (Some(lanes), Some(scale)) = (fine.kron_factors(), fine.row_scale()) else {
-                unreachable!("LumpPlan::matches checked the lanes and the row scale")
-            };
-            let (a_in, outer) = lanes.split_last().expect("matched lanes are non-empty");
-            (outer, a_in.data(), Some(scale))
-        }
-        Source::Factored { .. } => {
-            let fc = fine
-                .factored()
-                .expect("LumpPlan::matches checked the level");
-            (&fc.outer[..], &fc.values[..], None)
-        }
-    };
+    let (lanes, blocks) = fine_blocks(fine, f);
     let (kept, fold) = lanes.split_at(f.outer.len());
     for (dst, src) in outer.iter_mut().zip(kept) {
         dst.data_mut().copy_from_slice(src.data());
     }
+    let FactoredScratch { g, rs, batches } = fs;
     let d_g: usize = fold.iter().map(CsrMatrix::rows).product();
     g.clear();
     for l in 0..d_g {
@@ -1297,32 +1352,189 @@ fn refresh_factored(
         }
         len *= m;
     }
-    let (g, rs) = (&*g, &*rs);
-    // Where outer state o's fine blocks start: a Kronecker fine grid has
-    // one inner lane for every outer state.
-    let stride = match &f.source {
-        Source::Kron(_) => 0,
-        Source::Factored { nnz_in, .. } => d_g * nnz_in,
+    let gather = Gather {
+        f,
+        indptr: &plan.indptr,
+        blocks,
+        wscale,
+        g,
+        rs,
     };
+    let lens = f.batch_lens(plan);
     let nnz_c = plan.indices.len().max(1);
     par::for_each_chunk_aligned_mut(values, nnz_c, |start, chunk| {
-        for (k, block) in chunk.chunks_mut(nnz_c).enumerate() {
-            let o = start / nnz_c + k;
-            let m0 = o * f.n_in;
-            let src = &blocks[o * stride..];
-            match scale {
-                Some(scale) => gather_block(f, plan, rs[o], block, g, src, |m| {
-                    wscale[m0 + m] * scale[m0 + m]
-                }),
-                None => gather_block(f, plan, rs[o], block, g, src, |m| wscale[m0 + m]),
+        // A free slot when the workspace was sized for this worker count;
+        // fresh buffers otherwise (more workers than when it was built).
+        let mut slot = batches
+            .iter()
+            .find_map(|b| b.try_lock().ok())
+            .filter(|b| b.fits(lens));
+        let mut spare;
+        let buf = match slot.as_deref_mut() {
+            Some(b) => b,
+            None => {
+                spare = Batch::new(lens);
+                &mut spare
             }
+        };
+        let o0 = start / nnz_c;
+        let full = chunk.len() / nnz_c / BATCH * BATCH;
+        let (head, tail) = chunk.split_at_mut(full * nnz_c);
+        for (k, out) in head.chunks_exact_mut(BATCH * nnz_c).enumerate() {
+            gather.outer::<BATCH>(o0 + k * BATCH, buf, out);
+        }
+        for (k, out) in tail.chunks_exact_mut(nnz_c).enumerate() {
+            gather.outer::<1>(o0 + full + k, buf, out);
         }
     });
 }
 
-/// One outer state's coarse block: each slot sums its terms
+/// The fine chain's outer lanes and block values, as a factored plan
+/// reads them.
+fn fine_blocks<'a>(fine: &'a dyn StochasticOp, f: &Factored) -> (&'a [CsrMatrix], Blocks<'a>) {
+    match &f.source {
+        Source::Kron(_) => {
+            let (Some(lanes), Some(scale)) = (fine.kron_factors(), fine.row_scale()) else {
+                unreachable!("LumpPlan::matches checked the lanes and the row scale")
+            };
+            let (a_in, outer) = lanes.split_last().expect("matched lanes are non-empty");
+            let a_in = a_in.data();
+            (outer, Blocks::Kron { a_in, scale })
+        }
+        Source::Factored { .. } => {
+            let fc = fine
+                .factored()
+                .expect("LumpPlan::matches checked the level");
+            let stride = f.stride();
+            let values = &fc.values[..];
+            (&fc.outer[..], Blocks::Factored { values, stride })
+        }
+    }
+}
+
+/// The `R` values of a factored plan's fine chain.
+#[derive(Clone, Copy)]
+enum Blocks<'a> {
+    /// A Kronecker fine grid: its innermost lane, which every outer state
+    /// shares, and its row scale.
+    Kron { a_in: &'a [f64], scale: &'a [f64] },
+    /// A factored level: its blocks, coarse outer state `o`'s from
+    /// `o · stride`.
+    Factored { values: &'a [f64], stride: usize },
+}
+
+/// What one factored refresh reads, shared by its workers.
+struct Gather<'a> {
+    f: &'a Factored,
+    /// The coarse inner pattern's row extents.
+    indptr: &'a [usize],
+    blocks: Blocks<'a>,
+    wscale: &'a [f64],
+    /// The folded lanes' product values.
+    g: &'a [f64],
+    /// The kept lanes' joint row sums.
+    rs: &'a [f64],
+}
+
+impl Gather<'_> {
+    /// The coarse blocks of the `W` outer states from `o0` into `out`
+    /// (outer-major, `W · nnz(inner pattern)` values). Each slot sums its
+    /// terms `(coef · G) · R` in plan order from `+0.0`, and each row is
+    /// scaled by the guarded `1 / (rs_out · Σ row)` so the joint row sums
+    /// to one. The outer state is the innermost index of the batch
+    /// buffers, so a term's multiply-adds run over `W` contiguous values,
+    /// and each value takes the products and order of a one-state pass.
+    fn outer<const W: usize>(&self, o0: usize, buf: &mut Batch, out: &mut [f64]) {
+        let (f, n_in) = (self.f, self.f.n_in);
+        let (coef, _) = buf.coef.as_chunks_mut::<W>();
+        let (r, _) = buf.r.as_chunks_mut::<W>();
+        let (row, _) = buf.row.as_chunks_mut::<W>();
+        for q in 0..W {
+            let m0 = (o0 + q) * n_in;
+            let w = &self.wscale[m0..m0 + n_in];
+            match self.blocks {
+                Blocks::Kron { scale, .. } => {
+                    for (c, (&w, &s)) in coef.iter_mut().zip(w.iter().zip(&scale[m0..])) {
+                        c[q] = w * s;
+                    }
+                }
+                Blocks::Factored { .. } => {
+                    for (c, &w) in coef.iter_mut().zip(w) {
+                        c[q] = w;
+                    }
+                }
+            }
+        }
+        // A factored level's blocks of the batch, transposed value by
+        // value, so the writes run along the contiguous outer-state index.
+        if let Blocks::Factored { values, stride } = self.blocks {
+            let rows: [&[f64]; W] =
+                std::array::from_fn(|q| &values[(o0 + q) * stride..(o0 + q + 1) * stride]);
+            for (t, r) in r.iter_mut().take(stride).enumerate() {
+                for q in 0..W {
+                    r[q] = rows[q][t];
+                }
+            }
+        }
+        let (coef, r) = (&*coef, &*r);
+        let nnz_c = out.len() / W;
+        for b in 0..f.nb_in {
+            let (lo, hi) = (self.indptr[b], self.indptr[b + 1]);
+            let mut sum = [0.0; W];
+            for (s, slot) in (lo..hi).zip(row.iter_mut()) {
+                let mut v = [0.0; W];
+                let t = f.ptr[s]..f.ptr[s + 1];
+                let terms = (f.mem[t.clone()].iter())
+                    .zip(&f.fac[t.clone()])
+                    .zip(&f.src[t]);
+                match self.blocks {
+                    Blocks::Kron { a_in, .. } => {
+                        for ((&m, &fac), &src) in terms {
+                            let (c, g, a) =
+                                (&coef[m as usize], self.g[fac as usize], a_in[src as usize]);
+                            for q in 0..W {
+                                v[q] += (c[q] * g) * a;
+                            }
+                        }
+                    }
+                    Blocks::Factored { .. } => {
+                        for ((&m, &fac), &src) in terms {
+                            let (c, g, r) =
+                                (&coef[m as usize], self.g[fac as usize], &r[src as usize]);
+                            for q in 0..W {
+                                v[q] += (c[q] * g) * r[q];
+                            }
+                        }
+                    }
+                }
+                for q in 0..W {
+                    sum[q] += v[q];
+                }
+                *slot = v;
+            }
+            for (q, block) in out.chunks_exact_mut(nnz_c).enumerate() {
+                let dst = &mut block[lo..hi];
+                let total = self.rs[o0 + q] * sum[q];
+                if total > 0.0 {
+                    let inv = 1.0 / total;
+                    for (d, v) in dst.iter_mut().zip(&*row) {
+                        *d = v[q] * inv;
+                    }
+                } else {
+                    for (d, v) in dst.iter_mut().zip(&*row) {
+                        *d = v[q];
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// One outer state's coarse block, term by term: each slot sums its terms
 /// `coef(member) · G · R` in plan order, then each row is scaled so the
-/// joint row, `rs_out` times the block row, sums to one.
+/// joint row, `rs_out` times the block row, sums to one. The scalar
+/// oracle the batched refresh ([`Gather::outer`]) is pinned against.
+#[cfg(test)]
 fn gather_block(
     f: &Factored,
     plan: &LumpPlan,
@@ -1886,6 +2098,107 @@ mod tests {
                 assert_eq!(rows(runs[0].as_ref()), rows(runs[1].as_ref()), "{dims:?}");
             }
         }
+    }
+
+    /// The coarse blocks one outer state at a time through
+    /// [`gather_block`], from the shares, `G` and row sums a refresh left
+    /// in `ws`: the loop the batched refresh replaced.
+    fn blocks_by_state(fine: &dyn StochasticOp, plan: &LumpPlan, ws: &LumpWorkspace) -> Vec<f64> {
+        let Refresh::Factored(f) = &plan.refresh else {
+            panic!("a factored plan")
+        };
+        let RowScratch::Factored(fs) = &ws.scratch else {
+            panic!("a factored workspace")
+        };
+        let nnz_c = plan.indices.len();
+        let mut out = vec![0.0; f.n_out * nnz_c];
+        for (o, block) in out.chunks_mut(nnz_c).enumerate() {
+            let (m0, rs, g) = (o * f.n_in, fs.rs[o], &fs.g[..]);
+            match fine_blocks(fine, f).1 {
+                Blocks::Kron { a_in, scale } => gather_block(f, plan, rs, block, g, a_in, |m| {
+                    ws.wscale[m0 + m] * scale[m0 + m]
+                }),
+                Blocks::Factored { values, stride } => {
+                    let src = &values[o * stride..];
+                    gather_block(f, plan, rs, block, g, src, |m| ws.wscale[m0 + m])
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn batched_factored_refresh_is_bitwise_the_per_state_loop() {
+        let _g = THREADS_LOCK.lock().unwrap();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        // Checks one factored refresh of `fine` against the per-state
+        // loop at 1, 2, 4 and 8 workers, with a workspace sized for each
+        // count and one sized for a single worker; returns the coarse
+        // chain.
+        let check = |fine: &dyn StochasticOp, part: &Partition, name: &str| {
+            let plan = LumpPlan::new(fine, part).unwrap();
+            let n = part.n();
+            // Positive weights with some subnormals, and none on block 1,
+            // whose shares fall back to uniform.
+            let mut w: Vec<f64> = (0..n).map(|i| 0.05 + (i as f64 * 0.61).fract()).collect();
+            for i in (0..n).step_by(7) {
+                w[i] = 5e-324 * (i % 5 + 1) as f64;
+            }
+            for &s in part.block_members(1) {
+                w[s] = 0.0;
+            }
+            let mut one_slot = LumpWorkspace::for_plan(&plan);
+            let mut out = FactoredChain::for_plan(&plan).unwrap();
+            for t in [1usize, 2, 4, 8] {
+                par::set_threads(Some(t));
+                let mut ws = LumpWorkspace::for_plan(&plan);
+                lump_factored_into(fine, part, &w, &plan, &mut ws, &mut out).unwrap();
+                let sized = out.values.clone();
+                lump_factored_into(fine, part, &w, &plan, &mut one_slot, &mut out).unwrap();
+                par::set_threads(None);
+                let want = blocks_by_state(fine, &plan, &ws);
+                assert_eq!(bits(&sized), bits(&want), "{name}, {t} workers");
+                assert_eq!(
+                    bits(&out.values),
+                    bits(&want),
+                    "{name}, {t} workers, one slot"
+                );
+            }
+            out
+        };
+        let lanes = |dims: &[usize]| {
+            let factors = dims
+                .iter()
+                .enumerate()
+                .map(|(l, &d)| random_chain(d, 30 + l as u64).matrix().clone())
+                .collect();
+            KronTestOp::new(factors)
+        };
+        // Two lanes, 37 outer states (two batches and five single states at
+        // one worker): a Kronecker fine grid, then its factored level. The
+        // first refresh is large enough to split across workers.
+        let op = lanes(&[37, 229]);
+        let imp = ImplicitStochastic::with_tolerance(&op, &op, 1e-6).unwrap();
+        let l1 = check(&imp, &inner_pairs(&[37, 229]), "37x229 Kronecker");
+        assert!(l1.values.len() >= par::PARALLEL_CUTOFF);
+        check(&l1, &inner_pairs(&[37, l1.n_in]), "37x229 factored");
+        // Three lanes: pairs along lanes 1 and 2 straddle lane-1 digits,
+        // so lane 1 folds into the inner block and G is its 5-state lane.
+        let op = lanes(&[18, 5, 3]);
+        let imp = ImplicitStochastic::with_tolerance(&op, &op, 1e-6).unwrap();
+        let fold = |n_out: usize, n_in: usize, size: usize| {
+            let nb_in = n_in.div_ceil(size);
+            let labels = (0..n_out * n_in).map(|s| (s / n_in) * nb_in + (s % n_in) / size);
+            Partition::from_labels(labels.collect()).unwrap()
+        };
+        let folded = check(&imp, &fold(18, 15, 2), "18x5x3 Kronecker, folded");
+        assert_eq!(folded.outer.len(), 1);
+        // The same lanes through a factored level that keeps lanes 0 and
+        // 1 outer; triples then fold lane 1.
+        let kept = check(&imp, &inner_pairs(&[18, 5, 3]), "18x5x3 Kronecker");
+        assert_eq!((kept.outer.len(), kept.n_in), (2, 2));
+        let folded = check(&kept, &fold(18, 10, 3), "18x5x3 factored, folded");
+        assert_eq!(folded.outer.len(), 1);
     }
 
     #[test]

@@ -78,21 +78,37 @@ impl GaussSeidelSolver {
     /// values of the states swept before it, so this kernel does not
     /// parallelize.
     ///
+    /// Each row's columns ascend, so the row splits at the diagonal: the
+    /// entries below it, the diagonal entry if stored, and the entries
+    /// above it, summed over row slices with no per-entry test. `x[i]` is
+    /// final once row `i` is swept, so the closing L1 normalization's sum
+    /// is accumulated along the sweep, in the same order and from the same
+    /// `-0.0` as [`vecops::normalize_l1`]'s.
+    ///
     /// # Panics
     ///
     /// Panics if `x.len() != pt.rows()`.
     pub fn sweep_transposed(pt: &CsrMatrix, x: &mut [f64]) -> f64 {
         assert_eq!(x.len(), pt.rows(), "vector length must match state count");
+        let (indptr, indices, data) = (pt.indptr(), pt.indices(), pt.data());
         let mut change = 0.0;
+        let mut total = -0.0;
         for i in 0..x.len() {
+            let cols = &indices[indptr[i]..indptr[i + 1]];
+            let vals = &data[indptr[i]..indptr[i + 1]];
             let mut acc = 0.0;
+            let mut k = 0;
+            while k < cols.len() && (cols[k] as usize) < i {
+                acc += vals[k] * x[cols[k] as usize];
+                k += 1;
+            }
             let mut pii = 0.0;
-            for (j, v) in pt.row(i) {
-                if j == i {
-                    pii = v;
-                } else {
-                    acc += v * x[j];
-                }
+            if k < cols.len() && cols[k] as usize == i {
+                pii = vals[k];
+                k += 1;
+            }
+            for (&j, &v) in cols[k..].iter().zip(&vals[k..]) {
+                acc += v * x[j as usize];
             }
             let denom = 1.0 - pii;
             if denom > f64::EPSILON {
@@ -100,10 +116,39 @@ impl GaussSeidelSolver {
                 change += (new - x[i]).abs();
                 x[i] = new;
             }
+            total += x[i];
         }
-        vecops::normalize_l1(x);
+        if total != 0.0 && total.is_finite() {
+            vecops::scale(1.0 / total, x);
+        }
         change
     }
+}
+
+/// The per-entry loop [`GaussSeidelSolver::sweep_transposed`] replaced:
+/// the oracle its row split and fused normalization are pinned against.
+#[cfg(test)]
+fn sweep_by_entries(pt: &CsrMatrix, x: &mut [f64]) -> f64 {
+    let mut change = 0.0;
+    for i in 0..x.len() {
+        let mut acc = 0.0;
+        let mut pii = 0.0;
+        for (j, v) in pt.row(i) {
+            if j == i {
+                pii = v;
+            } else {
+                acc += v * x[j];
+            }
+        }
+        let denom = 1.0 - pii;
+        if denom > f64::EPSILON {
+            let new = (acc / denom).max(0.0);
+            change += (new - x[i]).abs();
+            x[i] = new;
+        }
+    }
+    vecops::normalize_l1(x);
+    change
 }
 
 /// [`GaussSeidelSolver::sweep_transposed`] over a transposed operator
@@ -279,6 +324,48 @@ mod tests {
         let p = pseudo_random(18, 5);
         let r = GaussSeidelSolver::default().solve(&p, None).unwrap();
         assert_eq!(r.residual(), p.stationary_residual(&r.distribution));
+    }
+
+    #[test]
+    fn row_split_sweep_is_bitwise_the_entry_loop() {
+        // Row 1 of P^T has no diagonal entry (state 1 has no self loop)
+        // and state 3 is absorbing (p_33 = 1 keeps its value).
+        let mut coo = stochcdr_linalg::CooMatrix::new(4, 4);
+        for (r, c, v) in [
+            (0, 0, 0.2),
+            (0, 1, 0.5),
+            (0, 2, 0.3),
+            (1, 0, 0.6),
+            (1, 2, 0.4),
+            (2, 1, 0.1),
+            (2, 2, 0.3),
+            (2, 3, 0.6),
+            (3, 3, 1.0),
+        ] {
+            coo.push(r, c, v);
+        }
+        let absorbing = StochasticMatrix::new(coo.to_csr()).unwrap();
+        let (annihilating, _) = two_state(0.3, 0.6);
+        let cases = [
+            (absorbing, vec![0.1, 0.2, 5e-324, 0.4]),
+            // A delta the first sweep overwrites: x is left at zero and
+            // not rescaled.
+            (annihilating, vec![1.0, 0.0]),
+            (pseudo_random(25, 99), vec![1.0 / 25.0; 25]),
+        ];
+        for (k, (p, x0)) in cases.into_iter().enumerate() {
+            let (mut x, mut y) = (x0.clone(), x0);
+            for sweep in 0..4 {
+                let a = GaussSeidelSolver::sweep_transposed(p.transposed(), &mut x);
+                let b = sweep_by_entries(p.transposed(), &mut y);
+                assert_eq!(a.to_bits(), b.to_bits(), "case {k}, sweep {sweep}");
+                let bits = |v: &[f64]| v.iter().map(|e| e.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&x), bits(&y), "case {k}, sweep {sweep}");
+            }
+            if k == 1 {
+                assert_eq!(x, [0.0, 0.0], "the delta is annihilated");
+            }
+        }
     }
 
     #[test]

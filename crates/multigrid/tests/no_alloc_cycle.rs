@@ -94,6 +94,51 @@ fn warm_cycles_do_not_allocate() {
     par::set_threads(None);
 }
 
+/// The claim holds for traced, parallel cycles too: with a sink
+/// installed, every pool dispatch profiles its workers (`par.worker`
+/// spans, busy counters, a utilization gauge), and none of that may
+/// touch the heap once warm. The ring is large enough (98,304 nnz, over
+/// `PARALLEL_NNZ_CUTOFF`) that the fine level's kernels dispatch to the
+/// pool; two workers are the caller plus one pool thread.
+#[test]
+fn traced_two_thread_cycles_do_not_allocate() {
+    let _serial = serial();
+    par::set_threads(Some(2));
+    let n = 1 << 15;
+    let p = ring(n);
+    assert!(p.nnz() > par::PARALLEL_NNZ_CUTOFF);
+    assert!(
+        mem::tracking_active(),
+        "TrackingAlloc must be installed for this proof to mean anything"
+    );
+    let solver = MultigridSolver::builder(pair_partitions(n, 9))
+        .cycle(CycleKind::V)
+        .smoother(Smoother::Jacobi { omega: 0.8 })
+        .pre_sweeps(1)
+        .post_sweeps(2)
+        .tol(1e-12)
+        .build();
+    let _ = stochcdr_obs::install(Box::new(stochcdr_obs::NullSink));
+    let mut h = solver.prepare(&p).unwrap();
+    let mut x = vec![1.0 / n as f64; n];
+    for _ in 0..3 {
+        solver.cycle(&p, &mut h, &mut x).unwrap();
+    }
+    let allocated = mem::min_alloc_delta(
+        || {
+            let res = solver.cycle(&p, &mut h, &mut x).unwrap();
+            assert!(res.is_finite());
+        },
+        5,
+    );
+    let _ = stochcdr_obs::uninstall();
+    par::set_threads(None);
+    assert_eq!(
+        allocated, 0,
+        "traced two-thread V-cycle allocated {allocated} times after setup"
+    );
+}
+
 /// The same zero-allocation claim for a matrix-free fine grid: after
 /// [`MultigridSolver::prepare`], a warm [`MultigridSolver::cycle`]
 /// against a Kronecker product-form operator performs no heap

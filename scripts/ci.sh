@@ -7,9 +7,10 @@
 #
 # The test suite runs twice, pinned to 1 and 4 worker threads, so the
 # determinism contract of the parallel kernels (bit-identical results for
-# every pool size) is exercised on every CI pass; the two suites most
-# sensitive to partition boundaries (operator equivalence and multigrid
-# invariance) additionally run at 2 and 8 threads. The benchmark harness
+# every pool size) is exercised on every CI pass; the suites most
+# sensitive to partition boundaries (operator equivalence, multigrid
+# invariance and the implicit product path's pins in `product::`)
+# additionally run at 2 and 8 threads. The benchmark harness
 # (bench_e2e/, a package of its own that the workspace commands never
 # compile) is built and tested against the current library API. A final
 # trace smoke (scripts/trace_smoke.sh) captures and validates one
@@ -30,6 +31,7 @@ for t in 2 8; do
     echo "ci: determinism matrix at STOCHCDR_THREADS=$t"
     STOCHCDR_THREADS=$t cargo test -q --offline -p stochcdr-integration --test operator_equivalence
     STOCHCDR_THREADS=$t cargo test -q --offline -p stochcdr-bench --test mg_invariance
+    STOCHCDR_THREADS=$t cargo test -q --offline -p stochcdr --lib product::
 done
 cargo test -q --offline --manifest-path bench_e2e/Cargo.toml
 cargo clippy --offline --all-targets -- -D warnings
