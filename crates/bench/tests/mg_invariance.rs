@@ -9,12 +9,15 @@
 //!
 //! The same family at refinement 32 is the point the repository quotes
 //! its answer at; [`reference_answer_is_pinned`] holds every
-//! deterministic figure of that answer exactly.
+//! deterministic figure of that answer exactly. The stiff dead-zone chain
+//! is the one whose V-cycles stall;
+//! [`stiff_chain_switches_to_w_cycles_at_the_stall`] pins that switch.
 
 use std::sync::{Mutex, MutexGuard};
 
+use stochcdr::analysis::DEFAULT_TOL;
 use stochcdr::monte_carlo::MonteCarlo;
-use stochcdr::{CdrConfig, CdrModel, SolverChoice};
+use stochcdr::{CdrConfig, CdrModel, SolverChoice, StationarySolver};
 use stochcdr_bench::{FIG5_DRIFT_DEV, FIG5_DRIFT_MEAN, FIG5_SIGMA};
 use stochcdr_linalg::par;
 use stochcdr_obs as obs;
@@ -149,6 +152,17 @@ fn reference_answer_is_pinned() {
     assert_eq!(mg.mg_cycle_equivalents, Some(31.0));
     assert_eq!(mg.residual, 8.967117212089966e-13);
     assert_eq!(mg.ber, 1.789626982242345e-13);
+    // Its V-cycles never stall, so the solve never leaves them.
+    let (_, stats) = chain
+        .multigrid_solver(
+            SolverChoice::Multigrid,
+            DEFAULT_TOL,
+            chain.phase_hierarchy(),
+            None,
+        )
+        .solve_with_stats(chain.tpm(), None)
+        .expect("mg stats");
+    assert!(!stats.convergence.stalled);
 
     let mgk = chain.analyze(SolverChoice::MgKrylov).expect("mgk");
     assert_eq!(mgk.solver_name, "multigrid-krylov");
@@ -189,4 +203,52 @@ fn reference_answer_is_pinned() {
     };
     assert_eq!(traffic("mg.level"), (18, 6));
     assert_eq!(traffic("mg.plan"), (3, 1));
+}
+
+/// FNV-1a over a vector's f64 bit patterns, as `stochcdr scale` prints
+/// it: equal checksums mean equal bits.
+fn fnv1a(v: &[f64]) -> u64 {
+    v.iter().fold(0xcbf2_9ce4_8422_2325, |h, x| {
+        (h ^ x.to_bits()).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// The stiff dead-zone chain at refinement 32 (1,040 states; the
+/// `stiff128` benchmark workload's model): dead zone UI/4, σ(n_w) 0.01 UI,
+/// drift 2e-4 ± 2e-3 UI, counter 8. Its V-cycles stall, and `mg` runs
+/// W-cycles from the cycle the stall detector trips. The switch reads
+/// only the residual history, so every figure is exact at any worker
+/// count: the pool's default (CI runs this file at 2 and 8 threads), 1
+/// and 4. The reference solves above never stall, so they never switch.
+#[test]
+fn stiff_chain_switches_to_w_cycles_at_the_stall() {
+    let _pool = pool_lock();
+    let config = CdrConfig::builder()
+        .phases(8)
+        .grid_refinement(32)
+        .counter_len(8)
+        .white_sigma_ui(0.01)
+        .drift(2e-4, 2e-3)
+        .dead_zone_bins(64)
+        .build()
+        .expect("stiff config");
+    let chain = CdrModel::new(config).build_chain().expect("chain");
+    assert_eq!(chain.state_count(), 1040);
+    let solver = chain.multigrid_solver(
+        SolverChoice::Multigrid,
+        DEFAULT_TOL,
+        chain.phase_hierarchy(),
+        None,
+    );
+    assert_eq!(solver.name(), "multigrid-v");
+    for threads in [None, Some(1), Some(4)] {
+        par::set_threads(threads);
+        let (r, stats) = solver.solve_with_stats(chain.tpm(), None).expect("solve");
+        par::set_threads(None);
+        assert_eq!(r.report.iterations, 57, "cycles at {threads:?} threads");
+        assert_eq!(stats.convergence.stalled_at, Some(21), "switch cycle");
+        assert_eq!(r.report.residual, 8.738788968126005e-13);
+        assert_eq!(stats.cycle_equivalents, 159.2527969531064);
+        assert_eq!(fnv1a(&r.distribution), 0x9420_a61c_1d6c_8082);
+    }
 }

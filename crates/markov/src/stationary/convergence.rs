@@ -11,12 +11,15 @@
 //! contracting, e.g. power iteration on a nearly-completely-decomposable
 //! chain whose subdominant eigenvalue is `1 − O(ε)`).
 //!
-//! The trace is **observation-only**: it is a pure function of the metric
-//! sequence, never feeds back into the iteration, and therefore cannot
-//! perturb bit-exact solver results. Its [`ConvergenceSummary`] is attached
-//! to [`super::SolveReport`] (and `MultigridStats` in the multigrid crate),
-//! and the stall fires an `obs` event so artifacts record *when* a solve
-//! went flat, not just that it eventually did or did not converge.
+//! The trace is a **pure function of the metric sequence**. Most solvers
+//! only report it; the multigrid loop also reads its stall verdict and
+//! continues a stalled V-cycle solve on W-cycles. Since the verdict
+//! depends on the residual history alone, that feedback keeps solver
+//! results bit-identical at any thread count. Its [`ConvergenceSummary`]
+//! is attached to [`super::SolveReport`] (and `MultigridStats` in the
+//! multigrid crate), and the stall fires an `obs` event so artifacts
+//! record *when* a solve went flat, not just that it eventually did or
+//! did not converge.
 
 use stochcdr_obs as obs;
 

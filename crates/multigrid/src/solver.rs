@@ -95,6 +95,31 @@ impl CycleKind {
             CycleKind::W => (depth.min(MAX_W_DEPTH) as f64).exp2(),
         }
     }
+
+    /// V-cycle equivalents of one cycle of this kind,
+    /// `Σ_ℓ visits(ℓ)·w_ℓ / Σ_ℓ w_ℓ`, over levels whose applies cost
+    /// `level_work` multiply-adds, fine first. Exactly 1 for a V-cycle.
+    fn price(self, level_work: &[f64]) -> f64 {
+        let v_cost: f64 = level_work.iter().sum();
+        level_work
+            .iter()
+            .enumerate()
+            .map(|(depth, w)| self.visits(depth) * w)
+            .sum::<f64>()
+            / v_cost
+    }
+}
+
+/// Apply cost of each level of `h` in multiply-adds, fine first:
+/// [`TransitionOp::apply_cost`] of every level's chain.
+fn level_work(h: &MgHierarchy) -> Vec<f64> {
+    std::iter::once(h.fine_work as f64)
+        .chain(
+            h.levels
+                .iter()
+                .map(|l| l.coarse.chain().apply_cost() as f64),
+        )
+        .collect()
 }
 
 /// Largest coarsest-level size accepted for the direct (GTH) solve: its
@@ -137,7 +162,9 @@ impl MultigridBuilder {
         self
     }
 
-    /// Cycle kind of every cycle (default V).
+    /// Cycle kind (default V). A V-cycle solve without a Krylov window
+    /// continues on W-cycles once its stall detector trips; see
+    /// [`MultigridSolver::solve_prepared`].
     pub fn cycle(mut self, kind: CycleKind) -> Self {
         self.kind = kind;
         self
@@ -241,7 +268,8 @@ pub struct MultigridStats {
     /// thread counts.
     pub convergence: ConvergenceSummary,
     /// Total fine-grid work in units of one V-cycle: each cycle costs
-    /// `Σ_ℓ visits(kind, ℓ)·w_ℓ / Σ_ℓ w_ℓ` V-cycle equivalents, where
+    /// `Σ_ℓ visits(kind, ℓ)·w_ℓ / Σ_ℓ w_ℓ` V-cycle equivalents, priced by
+    /// the kind it ran, where
     /// `w_ℓ` is the level's apply cost in multiply-adds,
     /// [`TransitionOp::apply_cost`]: the nnz of a materialized level, the
     /// block values plus outer mode products of a factored one, and the
@@ -251,7 +279,7 @@ pub struct MultigridStats {
     /// performs adds `w_0 / Σ_ℓ w_ℓ`. A deterministic cost metric: a
     /// pure function of the hierarchy pattern and the cycle/extrapolation
     /// decisions, never of timing. Equals the cycle count exactly for an
-    /// unaccelerated V-cycle solve.
+    /// unaccelerated solve that never leaves V-cycles.
     pub cycle_equivalents: f64,
     /// Krylov extrapolation windows completed.
     pub krylov_windows: u64,
@@ -426,6 +454,19 @@ impl MultigridSolver {
         h: &mut MgHierarchy,
         x: &mut [f64],
     ) -> Result<f64> {
+        self.cycle_of(self.kind, fine, h, x)
+    }
+
+    /// [`cycle`](Self::cycle) with the recursion pattern chosen by the
+    /// caller: the solve loop runs the builder's kind until a stall
+    /// switches it.
+    fn cycle_of(
+        &self,
+        kind: CycleKind,
+        fine: &dyn StochasticOp,
+        h: &mut MgHierarchy,
+        x: &mut [f64],
+    ) -> Result<f64> {
         if !h.matches(fine) {
             return Err(MarkovError::InvalidArgument(
                 "hierarchy was prepared for a different chain".into(),
@@ -440,7 +481,7 @@ impl MultigridSolver {
             phases,
             ..
         } = h;
-        self.run_cycle(fine, 0, plans, levels, gth, phases, x)?;
+        self.run_cycle(kind, fine, 0, plans, levels, gth, phases, x)?;
         let t0 = Instant::now();
         let res = fine.stationary_residual_with(x, resid);
         phases.residual_secs += t0.elapsed().as_secs_f64();
@@ -453,6 +494,13 @@ impl MultigridSolver {
     /// prepare once and reuse `h`. A matrix-free chain that serves the
     /// same values as a materialized one returns the same distribution,
     /// cycle count and residuals, bit for bit, at any thread count.
+    ///
+    /// A V-cycle solve without a Krylov window runs W-cycles from the
+    /// cycle after its stall detector trips (5 consecutive residual
+    /// reductions of at least 0.9): that cycle is
+    /// [`ConvergenceSummary::stalled_at`], marked by the
+    /// `multigrid.stall` event. A solve that never stalls runs V-cycles
+    /// throughout.
     ///
     /// # Errors
     ///
@@ -514,22 +562,15 @@ impl MultigridSolver {
         let heartbeat = obs::Heartbeat::new("multigrid");
 
         // Deterministic cost accounting: per-level apply work and the
-        // resulting V-cycle-equivalent price of one cycle. The coarse
-        // patterns are fixed by the plans, so these are constants of the
-        // hierarchy.
-        let mut level_work = Vec::with_capacity(h.levels.len() + 1);
-        level_work.push(h.fine_work as f64);
-        for lvl in &h.levels {
-            level_work.push(lvl.coarse.chain().apply_cost() as f64);
-        }
-        let v_cost: f64 = level_work.iter().sum();
-        let cycle_cost = level_work
-            .iter()
-            .enumerate()
-            .map(|(depth, w)| self.kind.visits(depth) * w)
-            .sum::<f64>()
-            / v_cost;
-        let fine_apply_cost = level_work[0] / v_cost;
+        // resulting V-cycle-equivalent price of one cycle of each kind.
+        // The coarse patterns are fixed by the plans, so these are
+        // constants of the hierarchy.
+        let level_work = level_work(h);
+        let (v_price, w_price) = (
+            CycleKind::V.price(&level_work),
+            CycleKind::W.price(&level_work),
+        );
+        let fine_apply_cost = level_work[0] / level_work.iter().sum::<f64>();
         let mut cycle_equivalents = 0.0;
 
         let mut krylov = self
@@ -538,12 +579,22 @@ impl MultigridSolver {
         let mut krylov_windows = 0u64;
         let mut krylov_accepts = 0u64;
 
+        // A stall means one coarse visit per level has stopped correcting
+        // the slow modes, so an unwindowed V-cycle solve continues on
+        // W-cycles from the cycle where the detector trips. The switch
+        // reads only the residual history, so it is as deterministic as
+        // the trace. A Krylov window collapses the slow modes itself and
+        // keeps its V-cycles.
+        let mut kind = self.kind;
         for cycle in 1..=self.max_cycles {
             let cycle_t0 = obs::enabled().then(Instant::now);
             let cycle_span = obs::span("cycle");
-            let mut res = self.cycle(fine, h, &mut x)?;
+            let mut res = self.cycle_of(kind, fine, h, &mut x)?;
             drop(cycle_span);
-            cycle_equivalents += cycle_cost;
+            cycle_equivalents += match kind {
+                CycleKind::V => v_price,
+                CycleKind::W => w_price,
+            };
             if let Some(w) = krylov.as_mut() {
                 // `h.resid` holds xP from the residual evaluation above,
                 // so the residual *vector* of the cycle's iterate is free.
@@ -574,6 +625,9 @@ impl MultigridSolver {
                 }
             }
             trace.observe(res);
+            if kind == CycleKind::V && krylov.is_none() && trace.summary().stalled {
+                kind = CycleKind::W;
+            }
             if heartbeat.active() {
                 heartbeat.tick_solve(cycle as u64, res, trace.summary().ewma_reduction, self.tol);
             }
@@ -686,6 +740,7 @@ impl MultigridSolver {
     #[allow(clippy::too_many_arguments)]
     fn run_cycle(
         &self,
+        kind: CycleKind,
         chain: &dyn StochasticOp,
         level: usize,
         plans: &[LumpPlan],
@@ -726,8 +781,9 @@ impl MultigridSolver {
         vecops::normalize_l1(&mut lvl.xc);
         drop(agg_span);
         ph.aggregate_secs += t0.elapsed().as_secs_f64();
-        for _ in 0..self.kind.branches(level) {
+        for _ in 0..kind.branches(level) {
             self.run_cycle(
+                kind,
                 lvl.coarse.chain(),
                 level + 1,
                 plans,
@@ -974,7 +1030,7 @@ impl StationarySolver for MultigridSolver {
 mod tests {
     use super::*;
     use crate::{GeometricCoarsening, PairwiseCoarsening};
-    use stochcdr_linalg::CooMatrix;
+    use stochcdr_linalg::{par, CooMatrix};
     use stochcdr_markov::stationary::PowerIteration;
     use stochcdr_markov::ImplicitStochastic;
 
@@ -1256,6 +1312,94 @@ mod tests {
         let (r, stats) = solver.solve_with_stats(&p, None).unwrap();
         assert_eq!(stats.cycle_equivalents, r.report.iterations as f64);
         assert_eq!(stats.krylov_windows, 0);
+    }
+
+    /// Underdamped smoothing on an NCD chain: its V-cycles stall within
+    /// a few cycles (the chain `tests/stall_once.rs` stalls W-cycles on).
+    fn stalling_solver(p: &StochasticMatrix) -> MultigridBuilder {
+        MultigridSolver::builder(PairwiseCoarsening::until(4).levels(p.n()))
+            .smoother(Smoother::Jacobi { omega: 0.15 })
+            .pre_sweeps(0)
+            .post_sweeps(1)
+            .tol(1e-12)
+            .max_cycles(20_000)
+    }
+
+    /// Solves at a pinned worker count; the result as exact bits.
+    fn solve_bits(
+        solver: &MultigridSolver,
+        p: &StochasticMatrix,
+        threads: usize,
+    ) -> (Vec<u64>, MultigridStats) {
+        par::set_threads(Some(threads));
+        let (r, stats) = solver.solve_with_stats(p, None).unwrap();
+        par::set_threads(None);
+        (r.distribution.iter().map(|v| v.to_bits()).collect(), stats)
+    }
+
+    #[test]
+    fn stalled_v_cycle_solve_continues_on_w_cycles() {
+        let p = ncd_chain(4, 8, 0.2);
+        let solver = stalling_solver(&p).build();
+        assert_eq!(solver.name(), "multigrid-v");
+        let (bits, stats) = solve_bits(&solver, &p, 1);
+        let k = stats.convergence.stalled_at.expect("the V-cycles stall");
+        let n = stats.residual_history.len();
+        assert!(k < n, "stalled at {k} of {n} cycles");
+
+        // k V-cycles, then n − k W-cycles, priced in cycle order.
+        let mut h = solver.prepare(&p).unwrap();
+        let c_w = CycleKind::W.price(&level_work(&h));
+        assert!(c_w > 1.0);
+        let expected = (0..n).fold(0.0, |acc, c| acc + if c < k { 1.0 } else { c_w });
+        assert_eq!(stats.cycle_equivalents, expected);
+
+        // Replaying those cycles through the public entry points gives
+        // the solve's bits: the switch happens right after cycle k.
+        let w = stalling_solver(&p).cycle(CycleKind::W).build();
+        let mut x = vecops::uniform(p.n());
+        for c in 0..n {
+            let cycler = if c < k { &solver } else { &w };
+            cycler.cycle(&p, &mut h, &mut x).unwrap();
+        }
+        vecops::clamp_roundoff(&mut x, 1e-12);
+        assert_eq!(x.iter().map(|v| v.to_bits()).collect::<Vec<_>>(), bits);
+        let gth = GthSolver::new().solve(&p, None).unwrap();
+        assert!(vecops::dist1(&x, &gth.distribution) < 1e-8);
+
+        let (bits4, stats4) = solve_bits(&solver, &p, 4);
+        assert_eq!(bits4, bits);
+        assert_eq!(stats4.convergence, stats.convergence);
+        assert_eq!(
+            stats4.cycle_equivalents.to_bits(),
+            stats.cycle_equivalents.to_bits()
+        );
+    }
+
+    #[test]
+    fn windowed_solve_keeps_v_cycles_through_a_stall() {
+        let p = ncd_chain(4, 8, 0.2);
+        let solver = stalling_solver(&p).krylov_window(6).build();
+        let (bits, stats) = solve_bits(&solver, &p, 1);
+        let k = stats.convergence.stalled_at.expect("the detector trips");
+        let n = stats.residual_history.len();
+        assert!(k < n, "stalled at {k} of {n} cycles");
+
+        // Every cycle is priced as a V-cycle, plus at most one fine
+        // residual per window; W-cycles after k would cost far more.
+        let lw = level_work(&solver.prepare(&p).unwrap());
+        let fine = lw[0] / lw.iter().sum::<f64>();
+        let v_only = n as f64 + stats.krylov_windows as f64 * fine;
+        assert!(stats.cycle_equivalents >= n as f64);
+        assert!(stats.cycle_equivalents <= v_only);
+        assert!(v_only < k as f64 + (n - k) as f64 * CycleKind::W.price(&lw));
+
+        let (bits4, stats4) = solve_bits(&solver, &p, 4);
+        assert_eq!(bits4, bits);
+        assert_eq!(
+            stats4.cycle_equivalents.to_bits(),
+            stats.cycle_equivalents.to_bits()
+        );
     }
 
     #[test]

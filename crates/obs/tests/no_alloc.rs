@@ -256,24 +256,3 @@ fn tracking_allocator_attributes_bytes_to_spans() {
         idle.1
     );
 }
-
-/// Peak-tracking and reset: the high-water mark ratchets over a large
-/// transient allocation and resets back down to the live size.
-#[test]
-fn peak_tracking_ratchets_and_resets() {
-    mem::reset_peak();
-    let before = mem::peak_bytes();
-    {
-        let big = vec![0u8; 1 << 20];
-        std::hint::black_box(&big);
-        assert!(
-            mem::peak_bytes() >= before + (1 << 20),
-            "peak did not ratchet over a 1 MiB transient"
-        );
-    }
-    mem::reset_peak();
-    assert!(
-        mem::peak_bytes() < before + (1 << 20),
-        "reset_peak left the old high-water mark"
-    );
-}

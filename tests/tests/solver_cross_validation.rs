@@ -123,3 +123,77 @@ fn autocorrelation_of_phase_decays() {
     // Short-lag correlation is high: the phase moves at most G per symbol.
     assert!(rho[1] > 0.5, "rho(1) = {}", rho[1]);
 }
+
+/// The default `analyze` model (8 phases, counter 8) at `refinement`:
+/// the Fig-5 noise, or the stiff dead-zone chain (dead zone UI/4,
+/// σ(n_w) 0.01 UI, drift 2e-4 ± 2e-3 UI).
+fn counter8_config(refinement: usize, stiff: bool) -> stochcdr::CdrConfig {
+    let b = stochcdr::CdrConfig::builder()
+        .phases(8)
+        .grid_refinement(refinement)
+        .counter_len(8);
+    let b = if stiff {
+        b.white_sigma_ui(0.01)
+            .drift(2e-4, 2e-3)
+            .dead_zone_bins(2 * refinement)
+    } else {
+        b.white_sigma_ui(0.05).drift(2e-3, 8e-3)
+    };
+    b.build().expect("valid config")
+}
+
+/// The tail oracle. BER and MTBS rest on stationary entries far below the
+/// residual tolerance (down to ~1e-116 here), which an L1 residual of
+/// 1e-12 says nothing about. The multiplicative cycles keep relative
+/// accuracy in the tail: `mg` and `mgw` must match GTH's BER, discrete
+/// BER, finite MTBS and the smallest bin of both densities to 1e-6
+/// relative, on GTH's support. r8 and r16 stay on V-cycles; stiff r32's
+/// V-cycles stall and `mg` finishes on W-cycles.
+#[test]
+fn multigrid_tail_measures_match_gth() {
+    use stochcdr::cycle_slip::mean_time_between_slips;
+    use stochcdr::density::PhiDensity;
+
+    fn close(what: &str, got: f64, want: f64) {
+        let rel = ((got - want) / want).abs();
+        assert!(rel <= 1e-6, "{what}: {got:e} vs GTH {want:e} ({rel:.1e})");
+    }
+    fn smallest_bin_close(what: &str, got: &PhiDensity, want: &PhiDensity) {
+        let offsets = |d: &PhiDensity| d.bins().iter().map(|b| b.0).collect::<Vec<_>>();
+        assert_eq!(offsets(got), offsets(want), "{what}: support differs");
+        let smallest = (0..want.bins().len())
+            .min_by(|&i, &j| want.bins()[i].1.total_cmp(&want.bins()[j].1))
+            .expect("non-empty density");
+        let (o, w) = want.bins()[smallest];
+        close(&format!("{what} bin {o}"), got.bins()[smallest].1, w);
+    }
+
+    for (refinement, stiff) in [(8, false), (16, false), (32, true)] {
+        let chain = CdrModel::new(counter8_config(refinement, stiff))
+            .build_chain()
+            .expect("chain");
+        let exact = chain.analyze(SolverChoice::Direct).expect("GTH");
+        let exact_mtbs = mean_time_between_slips(&chain, &exact.stationary);
+        for choice in [SolverChoice::Multigrid, SolverChoice::MultigridW] {
+            let a = chain.analyze(choice).expect("multigrid");
+            let at = format!("{} at r{refinement} (stiff: {stiff})", a.solver_name);
+            close(&format!("{at} BER"), a.ber, exact.ber);
+            close(
+                &format!("{at} ber_discrete"),
+                a.ber_discrete,
+                exact.ber_discrete,
+            );
+            let mtbs = mean_time_between_slips(&chain, &a.stationary);
+            match &exact_mtbs {
+                Ok(want) => close(&format!("{at} MTBS"), mtbs.expect("finite"), *want),
+                Err(_) => assert!(mtbs.is_err(), "{at}: GTH's slip rate is exactly zero"),
+            }
+            smallest_bin_close(&format!("{at} phi"), &a.phi_density, &exact.phi_density);
+            smallest_bin_close(
+                &format!("{at} pd input"),
+                &a.pd_input_density,
+                &exact.pd_input_density,
+            );
+        }
+    }
+}
