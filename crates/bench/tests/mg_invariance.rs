@@ -1,11 +1,12 @@
 //! Regression pins for the paper's reference operating point (Fig. 5
 //! noise parameters at counter length 8).
 //!
-//! The perf work must not change a single bit of the solve: the cycle
-//! count and the final residual are pinned to the exact values the
-//! pre-split solver produced. Any arithmetic reordering — in the plan
-//! replay, the workspace smoothers, or the in-place coarsest solve —
-//! shows up here as a changed bit, not as a tolerance drift.
+//! Performance work must not change a single bit of the solve: the
+//! cycle count and the final residual are pinned exactly. Any arithmetic
+//! reordering — in the plan replay, the workspace smoothers, or the
+//! in-place coarsest solve — shows up here as a changed bit, not as a
+//! tolerance drift. Only a change to the solver's schedule (its sweeps
+//! or its stall rule) moves these pins.
 //!
 //! The same family at refinement 32 is the point the repository quotes
 //! its answer at; [`reference_answer_is_pinned`] holds every
@@ -58,10 +59,10 @@ fn reference_point_cycle_count_and_residual_are_bit_stable() {
         .expect("chain");
     let analysis = chain.analyze(SolverChoice::Multigrid).expect("analysis");
 
-    assert_eq!(analysis.iterations, 36, "multigrid cycle count drifted");
+    assert_eq!(analysis.iterations, 11, "multigrid cycle count drifted");
     assert_eq!(
-        analysis.residual, 8.904770992370091e-13,
-        "final residual is no longer bit-identical to the pre-split solver"
+        analysis.residual, 1.7285216793214047e-13,
+        "final residual is no longer bit-identical"
     );
     // The phase accounting must cover the phases the solve actually ran.
     let phases = analysis.mg_phases.expect("multigrid solve records phases");
@@ -106,14 +107,14 @@ fn residual_trajectory_is_bit_identical_across_thread_counts() {
     );
 
     // And it is the trajectory the reference pin describes.
-    assert_eq!(r1.report.iterations, 36);
-    assert_eq!(r1.report.residual, 8.904770992370091e-13);
-    assert_eq!(s1.residual_history.len(), 36);
+    assert_eq!(r1.report.iterations, 11);
+    assert_eq!(r1.report.residual, 1.7285216793214047e-13);
+    assert_eq!(s1.residual_history.len(), 11);
     // A healthy multigrid solve at the reference point never stalls, and
-    // its average contraction is well below the 0.9 stall threshold.
+    // its average contraction is well below the 0.5 stall threshold.
     assert!(!s1.convergence.stalled);
-    assert_eq!(s1.convergence.reductions, 35);
-    assert!(s1.convergence.ewma_reduction.expect("reductions seen") < 0.9);
+    assert_eq!(s1.convergence.reductions, 10);
+    assert!(s1.convergence.ewma_reduction.expect("reductions seen") < 0.5);
 }
 
 /// The paper's answer at the reference point, every deterministic
@@ -144,14 +145,14 @@ fn reference_answer_is_pinned() {
     // Release codegen elides five of the build's allocations.
     let expected_build = if cfg!(debug_assertions) { 1238 } else { 1233 };
     assert_eq!(build_allocs, expected_build, "chain build allocations");
-    assert_eq!(solve_allocs, 725, "solve allocations");
+    assert_eq!(solve_allocs, 723, "solve allocations");
 
     assert_eq!((chain.state_count(), chain.nnz()), (8108, 190_589));
     assert_eq!(mg.solver_name, "multigrid-v");
-    assert_eq!(mg.iterations, 31);
-    assert_eq!(mg.mg_cycle_equivalents, Some(31.0));
-    assert_eq!(mg.residual, 8.967117212089966e-13);
-    assert_eq!(mg.ber, 1.789626982242345e-13);
+    assert_eq!(mg.iterations, 7);
+    assert_eq!(mg.mg_cycle_equivalents, Some(7.0));
+    assert_eq!(mg.residual, 5.078162288891241e-13);
+    assert_eq!(mg.ber, 1.789626982217282e-13);
     // Its V-cycles never stall, so the solve never leaves them.
     let (_, stats) = chain
         .multigrid_solver(
@@ -245,10 +246,10 @@ fn stiff_chain_switches_to_w_cycles_at_the_stall() {
         par::set_threads(threads);
         let (r, stats) = solver.solve_with_stats(chain.tpm(), None).expect("solve");
         par::set_threads(None);
-        assert_eq!(r.report.iterations, 57, "cycles at {threads:?} threads");
-        assert_eq!(stats.convergence.stalled_at, Some(21), "switch cycle");
-        assert_eq!(r.report.residual, 8.738788968126005e-13);
-        assert_eq!(stats.cycle_equivalents, 159.2527969531064);
-        assert_eq!(fnv1a(&r.distribution), 0x9420_a61c_1d6c_8082);
+        assert_eq!(r.report.iterations, 41, "cycles at {threads:?} threads");
+        assert_eq!(stats.convergence.stalled_at, Some(3), "switch cycle");
+        assert_eq!(r.report.residual, 9.439232270993245e-13);
+        assert_eq!(stats.cycle_equivalents, 148.93350789494562);
+        assert_eq!(fnv1a(&r.distribution), 0x8999_ab52_48e0_4777);
     }
 }

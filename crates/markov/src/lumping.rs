@@ -624,14 +624,14 @@ impl LumpPlan {
             }
             c_indptr.push(c_indices.len());
         }
-        let row: Vec<u32> = src
-            .iter()
-            .map(|&k| {
-                // Fine row of entry k: the partition of indptr is
-                // monotone, so a binary search recovers the row.
-                (indptr.partition_point(|&p| p <= k as usize) - 1) as u32
-            })
-            .collect();
+        // Step 3: the fine row of each gather term, read from a
+        // row-of-entry table filled in one pass over `indptr`; it reuses
+        // the column buffer, which step 2 has consumed.
+        let mut row_of = cols_buf;
+        for i in 0..n {
+            row_of[indptr[i]..indptr[i + 1]].fill(i as u32);
+        }
+        let row: Vec<u32> = src.iter().map(|&k| row_of[k as usize]).collect();
         let part = par::RowPartition::from_weight_prefix(&ptr);
         Ok(LumpPlan::with_pattern(
             n,
@@ -1866,6 +1866,27 @@ mod tests {
                 "transpose values diverge for seed {seed}"
             );
         }
+    }
+
+    /// The gather plan's fine row of each term equals the one a binary
+    /// search over `indptr` finds, on a pattern with empty rows at the
+    /// start, in the middle (two in a row) and at the end.
+    #[test]
+    fn gather_rows_match_the_binary_search() {
+        let indptr = [0, 0, 3, 3, 3, 5, 9, 9];
+        let indices = [1, 4, 6, 0, 2, 1, 3, 5, 6];
+        let part = Partition::from_labels(vec![0, 1, 0, 2, 1, 2, 0]).unwrap();
+        let plan = LumpPlan::gather(7, &indptr, &indices, &part).unwrap();
+        let mut searched = plan.clone();
+        let Refresh::Gather { src, row, .. } = &mut searched.refresh else {
+            panic!("a CSR pattern gets a gather plan");
+        };
+        *row = src
+            .iter()
+            .map(|&k| (indptr.partition_point(|&p| p <= k as usize) - 1) as u32)
+            .collect();
+        assert_eq!(row.len(), indices.len());
+        assert_eq!(plan, searched);
     }
 
     #[test]

@@ -13,7 +13,11 @@
 //!
 //! The trace is a **pure function of the metric sequence**. Most solvers
 //! only report it; the multigrid loop also reads its stall verdict and
-//! continues a stalled V-cycle solve on W-cycles. Since the verdict
+//! continues a stalled V-cycle solve on W-cycles. Its detector is far
+//! stricter than the default: 2 consecutive residual reductions of 0.5
+//! or more, where a healthy `mg` V-cycle keeps about a quarter of the
+//! residual or less, so a stiff chain switches within its first few
+//! cycles. Since the verdict
 //! depends on the residual history alone, that feedback keeps solver
 //! results bit-identical at any thread count. Its [`ConvergenceSummary`]
 //! is attached to [`super::SolveReport`] (and `MultigridStats` in the

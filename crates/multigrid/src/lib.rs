@@ -67,5 +67,5 @@ pub use hierarchy::{MgHierarchy, MgPhases};
 pub use smoother::Smoother;
 pub use solver::{
     CycleKind, MultigridBuilder, MultigridSolver, MultigridStats, DEFAULT_KRYLOV_RESTART,
-    MAX_KRYLOV_WINDOW, MAX_W_DEPTH,
+    MAX_KRYLOV_WINDOW, MAX_W_DEPTH, STALL_W_SWEEPS,
 };

@@ -76,6 +76,13 @@ pub enum CycleKind {
 /// multiple of one fine apply instead of an exponential in the depth.
 pub const MAX_W_DEPTH: usize = 6;
 
+/// Pre- and post-smoothing sweeps per level visit of the W-cycles that a
+/// stalled V-cycle solve continues on, whatever the builder's sweeps (see
+/// [`MultigridSolver::solve_prepared`]). A W-cycle visits level `ℓ` up to
+/// `2^ℓ` times, so it smooths lightly per visit: its repeated coarse
+/// corrections, not its sweeps, are what break the stall.
+pub const STALL_W_SWEEPS: (usize, usize) = (1, 2);
+
 impl CycleKind {
     /// Recursive visits below `level`: a V-cycle recurses once, a
     /// W-cycle twice until the [`MAX_W_DEPTH`] truncation stops the
@@ -163,8 +170,9 @@ impl MultigridBuilder {
     }
 
     /// Cycle kind (default V). A V-cycle solve without a Krylov window
-    /// continues on W-cycles once its stall detector trips; see
-    /// [`MultigridSolver::solve_prepared`].
+    /// continues on W-cycles, smoothed [`STALL_W_SWEEPS`] per visit
+    /// instead of the builder's sweeps, once its stall detector trips;
+    /// see [`MultigridSolver::solve_prepared`].
     pub fn cycle(mut self, kind: CycleKind) -> Self {
         self.kind = kind;
         self
@@ -454,15 +462,17 @@ impl MultigridSolver {
         h: &mut MgHierarchy,
         x: &mut [f64],
     ) -> Result<f64> {
-        self.cycle_of(self.kind, fine, h, x)
+        let sweeps = (self.pre_sweeps, self.post_sweeps);
+        self.cycle_of(self.kind, sweeps, fine, h, x)
     }
 
-    /// [`cycle`](Self::cycle) with the recursion pattern chosen by the
-    /// caller: the solve loop runs the builder's kind until a stall
-    /// switches it.
+    /// [`cycle`](Self::cycle) with the recursion pattern and the
+    /// `(pre, post)` sweeps chosen by the caller: the solve loop runs the
+    /// builder's schedule until a stall switches it.
     fn cycle_of(
         &self,
         kind: CycleKind,
+        sweeps: (usize, usize),
         fine: &dyn StochasticOp,
         h: &mut MgHierarchy,
         x: &mut [f64],
@@ -481,7 +491,7 @@ impl MultigridSolver {
             phases,
             ..
         } = h;
-        self.run_cycle(kind, fine, 0, plans, levels, gth, phases, x)?;
+        self.run_cycle(kind, sweeps, fine, 0, plans, levels, gth, phases, x)?;
         let t0 = Instant::now();
         let res = fine.stationary_residual_with(x, resid);
         phases.residual_secs += t0.elapsed().as_secs_f64();
@@ -495,12 +505,12 @@ impl MultigridSolver {
     /// same values as a materialized one returns the same distribution,
     /// cycle count and residuals, bit for bit, at any thread count.
     ///
-    /// A V-cycle solve without a Krylov window runs W-cycles from the
-    /// cycle after its stall detector trips (5 consecutive residual
-    /// reductions of at least 0.9): that cycle is
-    /// [`ConvergenceSummary::stalled_at`], marked by the
-    /// `multigrid.stall` event. A solve that never stalls runs V-cycles
-    /// throughout.
+    /// A V-cycle solve without a Krylov window runs W-cycles, smoothed
+    /// [`STALL_W_SWEEPS`] per visit, from the cycle after its stall
+    /// detector trips (2 consecutive residual reductions of at least
+    /// 0.5): that cycle is [`ConvergenceSummary::stalled_at`], marked by
+    /// the `multigrid.stall` event. A solve that never stalls runs the
+    /// builder's V-cycles throughout.
     ///
     /// # Errors
     ///
@@ -553,10 +563,11 @@ impl MultigridSolver {
 
         let mut history = Vec::new();
         // Multigrid stalls much faster than a slowly-grinding power
-        // iteration would: a healthy cycle contracts by ~0.1, so even a
-        // 0.9 reduction sustained over 5 cycles means the coarse
-        // correction has stopped helping.
-        let mut trace = ConvergenceTrace::new("multigrid.stall").with_stall(0.9, 5);
+        // iteration would: a healthy Gauss–Seidel V(5,5) cycle keeps
+        // about a quarter of the residual or less, so two reductions of
+        // 0.5 or more in a row mean the coarse correction has stopped
+        // helping.
+        let mut trace = ConvergenceTrace::new("multigrid.stall").with_stall(0.5, 2);
         // Live progress (default off): interval-throttled solve.progress
         // heartbeats with an ETA projected from the EWMA contraction.
         let heartbeat = obs::Heartbeat::new("multigrid");
@@ -581,15 +592,15 @@ impl MultigridSolver {
 
         // A stall means one coarse visit per level has stopped correcting
         // the slow modes, so an unwindowed V-cycle solve continues on
-        // W-cycles from the cycle where the detector trips. The switch
-        // reads only the residual history, so it is as deterministic as
-        // the trace. A Krylov window collapses the slow modes itself and
-        // keeps its V-cycles.
-        let mut kind = self.kind;
+        // lightly smoothed W-cycles from the cycle where the detector
+        // trips. The switch reads only the residual history, so it is as
+        // deterministic as the trace. A Krylov window collapses the slow
+        // modes itself and keeps its V-cycles.
+        let (mut kind, mut sweeps) = (self.kind, (self.pre_sweeps, self.post_sweeps));
         for cycle in 1..=self.max_cycles {
             let cycle_t0 = obs::enabled().then(Instant::now);
             let cycle_span = obs::span("cycle");
-            let mut res = self.cycle_of(kind, fine, h, &mut x)?;
+            let mut res = self.cycle_of(kind, sweeps, fine, h, &mut x)?;
             drop(cycle_span);
             cycle_equivalents += match kind {
                 CycleKind::V => v_price,
@@ -626,7 +637,7 @@ impl MultigridSolver {
             }
             trace.observe(res);
             if kind == CycleKind::V && krylov.is_none() && trace.summary().stalled {
-                kind = CycleKind::W;
+                (kind, sweeps) = (CycleKind::W, STALL_W_SWEEPS);
             }
             if heartbeat.active() {
                 heartbeat.tick_solve(cycle as u64, res, trace.summary().ewma_reduction, self.tol);
@@ -741,6 +752,7 @@ impl MultigridSolver {
     fn run_cycle(
         &self,
         kind: CycleKind,
+        sweeps: (usize, usize),
         chain: &dyn StochasticOp,
         level: usize,
         plans: &[LumpPlan],
@@ -757,15 +769,7 @@ impl MultigridSolver {
             ph.coarse_solve_secs += t0.elapsed().as_secs_f64();
             return r;
         };
-        self.smooth_ws(
-            chain,
-            x,
-            self.pre_sweeps,
-            level,
-            &mut lvl.diag,
-            &mut lvl.sm,
-            ph,
-        );
+        self.smooth_ws(chain, x, sweeps.0, level, &mut lvl.diag, &mut lvl.sm, ph);
 
         let part = &self.partitions[level];
         let t0 = Instant::now();
@@ -784,6 +788,7 @@ impl MultigridSolver {
         for _ in 0..kind.branches(level) {
             self.run_cycle(
                 kind,
+                sweeps,
                 lvl.coarse.chain(),
                 level + 1,
                 plans,
@@ -800,15 +805,7 @@ impl MultigridSolver {
         drop(disagg_span);
         ph.disaggregate_secs += t0.elapsed().as_secs_f64();
 
-        self.smooth_ws(
-            chain,
-            x,
-            self.post_sweeps,
-            level,
-            &mut lvl.diag,
-            &mut lvl.sm,
-            ph,
-        );
+        self.smooth_ws(chain, x, sweeps.1, level, &mut lvl.diag, &mut lvl.sm, ph);
         Ok(())
     }
 
@@ -1305,11 +1302,18 @@ mod tests {
 
     #[test]
     fn fixed_v_cycle_equivalents_equal_cycle_count() {
-        let p = birth_death(64, 0.45);
+        // Gauss–Seidel V(5,5) cycles contract this chain ~10× per cycle,
+        // far from tripping the stall switch, so the solve stays on
+        // V-cycles.
+        let p = birth_death(64, 0.3);
         let solver = MultigridSolver::builder(PairwiseCoarsening::until(8).levels(64))
+            .smoother(Smoother::GaussSeidel)
+            .pre_sweeps(5)
+            .post_sweeps(5)
             .tol(1e-10)
             .build();
         let (r, stats) = solver.solve_with_stats(&p, None).unwrap();
+        assert_eq!(stats.convergence.stalled_at, None);
         assert_eq!(stats.cycle_equivalents, r.report.iterations as f64);
         assert_eq!(stats.krylov_windows, 0);
     }
@@ -1355,8 +1359,13 @@ mod tests {
         assert_eq!(stats.cycle_equivalents, expected);
 
         // Replaying those cycles through the public entry points gives
-        // the solve's bits: the switch happens right after cycle k.
-        let w = stalling_solver(&p).cycle(CycleKind::W).build();
+        // the solve's bits: the switch happens right after cycle k, to
+        // W-cycles smoothed `STALL_W_SWEEPS` per visit.
+        let w = stalling_solver(&p)
+            .cycle(CycleKind::W)
+            .pre_sweeps(STALL_W_SWEEPS.0)
+            .post_sweeps(STALL_W_SWEEPS.1)
+            .build();
         let mut x = vecops::uniform(p.n());
         for c in 0..n {
             let cycler = if c < k { &solver } else { &w };
